@@ -238,40 +238,136 @@ def hom_preimage_box_violation(f, radius=4):
     return None
 
 
-def integrality_box_violation(f, bound=3, witness_budget=None):
-    """Box oracle for the element-wise integrality criterion.
+def criterion05_corpus():
+    """The maps of acceptance criterion 05, and the Ogus base change theta."""
+    nat = M.free_monoid(1)
+    nat2 = M.free_monoid(2)
+    theta0, arm, _ = ogus_data()
+    theta = H.pushout(theta0, arm, "sat").left
+    small_corpus = [
+        H.MonoidHom(nat, nat, [(2,)]),
+        H.MonoidHom(nat2, nat, [(1,), (1,)]),
+        H.MonoidHom(nat, nat2, [(1, 1)]),
+        H.MonoidHom(nat, nat2, [(1, 2)]),
+        H.MonoidHom.identity(nat2),
+        H.MonoidHom(nat2, nat2, [(2, 0), (0, 2)]),
+        H.MonoidHom(nat2, nat2, [(1, 1), (0, 1)]),
+        theta0,
+    ]
+    return small_corpus, theta
+
+
+def integrality_box_bound(f):
+    """Tuple box of criterion 05: 3 on the small maps, 2 on the larger."""
+    return 3 if f.source.ngens + f.target.ngens <= 4 else 2
+
+
+def _integrality_witness_bound(f, tup):
+    """Box size B for the witness search of one integrality tuple.
+
+    With phi the sum of free coordinates in the target, a witness satisfies
+    phi(b1) = sum_i a3_i phi(f(p_i)) + sum_j b_j phi(q_j), and likewise for b2
+    and a4.  If every target generator has nonnegative free coordinates and
+    every image f(p_i) has phi >= 1, then |a3|, |a4| and every b_j with
+    phi(q_j) >= 1 are at most max(phi(b1), phi(b2)); a generator with
+    phi(q_j) = 0 is torsion, so b_j can be taken below its order.  The search
+    is then complete; the hypotheses are asserted, not assumed.
+    """
+    amb = f.target.ambient
+    free_q = [amb.free_part(g) for g in f.target.gens]
+    free_im = [amb.free_part(im) for im in f.gen_images]
+    if any(c < 0 for g in free_q + free_im for c in g) or any(
+        sum(im) < 1 for im in free_im
+    ):
+        raise ValueError("witness box is complete only for nonnegative gradings")
+    _, _, b1, b2 = tup
+    phi1 = sum(amb.free_part(f.target.element_from_exponents(b1)))
+    phi2 = sum(amb.free_part(f.target.element_from_exponents(b2)))
+    return max(1, phi1, phi2, max(amb.torsion, default=1) - 1)
+
+
+def integrality_witness_in_box(f, tup, cache=None):
+    """LP-free check that an integrality tuple (a1, a2, b1, b2) has a witness.
+
+    A witness is (a3, a4, b) with b1 = f(a3) + b, b2 = f(a4) + b and
+    a1 + a3 = a2 + a4.  It enumerates a3, a4 in [0, B]^kp and b in [0, B]^kq
+    with B from ``_integrality_witness_bound``; only the element values of
+    f(a3), a3 and b matter, so each side is tabulated once per (b_i, B).
+    ``cache`` may be shared across tuples of the same map.
+    """
+    import itertools
+
+    cache = {} if cache is None else cache
+    a1, a2, b1, b2 = tup
+    bound = _integrality_witness_bound(f, tup)
+    ambq = f.target.ambient
+    ambp = f.source.ambient
+    if ("box", bound) not in cache:
+        box_p = itertools.product(range(bound + 1), repeat=f.source.ngens)
+        box_q = itertools.product(range(bound + 1), repeat=f.target.ngens)
+        cache[("box", bound)] = (
+            [(f.apply_exponents(a), f.source.element_from_exponents(a)) for a in box_p],
+            {f.target.element_from_exponents(b) for b in box_q},
+        )
+    images, q_elems = cache[("box", bound)]
+
+    def sides(v):
+        # {element of b: {element of a3}} over f(a3) + b = v
+        key = ("sides", v, bound)
+        if key not in cache:
+            out = {}
+            for fa, pa in images:
+                rest = ambq.sub(v, fa)
+                if rest in q_elems:
+                    out.setdefault(rest, set()).add(pa)
+            cache[key] = out
+        return cache[key]
+
+    side1 = sides(f.target.element_from_exponents(b1))
+    side2 = sides(f.target.element_from_exponents(b2))
+    shift = ambp.sub(
+        f.source.element_from_exponents(a2), f.source.element_from_exponents(a1)
+    )
+    for b, a4s in side2.items():
+        a3s = side1.get(b)
+        if a3s and any(ambp.add(a4, shift) in a3s for a4 in a4s):
+            return True
+    return False
+
+
+def integrality_box_tuples(f, bound=3):
+    """Every tuple (a1, a2, b1, b2) in [0, bound]^k with f(a1)+b1 = f(a2)+b2.
 
     Enumerates (a1, a2, b1) and looks b2 up by its element value, so the
     scan is cubic rather than quartic in the box size.
     """
     import itertools
 
-    from satmon.homs import _integral_witness_exists
-
-    kp = f.source.ngens
-    kq = f.target.ngens
-    rng_p = list(itertools.product(range(bound + 1), repeat=kp))
-    rng_q = list(itertools.product(range(bound + 1), repeat=kq))
+    rng_p = list(itertools.product(range(bound + 1), repeat=f.source.ngens))
+    rng_q = list(itertools.product(range(bound + 1), repeat=f.target.ngens))
     amb = f.target.ambient
     by_elem = {}
     for b in rng_q:
         by_elem.setdefault(f.target.element_from_exponents(b), []).append(b)
     f_of = {a: f.apply_exponents(a) for a in rng_p}
-    checked = set()
     for a1 in rng_p:
         for a2 in rng_p:
             for b1 in rng_q:
                 lhs = amb.add(f_of[a1], f.target.element_from_exponents(b1))
-                want = amb.sub(lhs, f_of[a2])
-                for b2 in by_elem.get(want, ()):
-                    key = (a1, a2, b1, b2)
-                    if key in checked:
-                        continue
-                    checked.add(key)
-                    if not _integral_witness_exists(
-                        f, key, budget=witness_budget
-                    ):
-                        return key
+                for b2 in by_elem.get(amb.sub(lhs, f_of[a2]), ()):
+                    yield (a1, a2, b1, b2)
+
+
+def integrality_box_violation(f, bound=3):
+    """Box oracle for the element-wise integrality criterion.
+
+    Returns the first tuple in the box without a witness, found by
+    ``integrality_witness_in_box`` (no LP, no ``solve_nonneg``), or None.
+    """
+    cache = {}
+    for key in integrality_box_tuples(f, bound):
+        if not integrality_witness_in_box(f, key, cache):
+            return key
     return None
 
 

@@ -13,8 +13,10 @@ import sys
 import pytest
 
 from conftest import (
+    criterion05_corpus,
     face_preimage,
     hom_preimage_box_violation,
+    integrality_box_bound,
     integrality_box_violation,
     ogus_data,
     random_endo_map,
@@ -186,21 +188,7 @@ def _predicate(f, cls, sigma):
 
 def test_criterion_05_oracle_equivalence():
     """is_exact / is_integral agree with box-enumeration oracles; no disagreements."""
-    nat = free_monoid(1)
-    nat2 = free_monoid(2)
-    theta0, arm, p = ogus_data()
-    po = H.pushout(theta0, arm, "sat")
-    theta = po.left
-    small_corpus = [
-        H.MonoidHom(nat, nat, [(2,)]),
-        H.MonoidHom(nat2, nat, [(1,), (1,)]),
-        H.MonoidHom(nat, nat2, [(1, 1)]),
-        H.MonoidHom(nat, nat2, [(1, 2)]),
-        H.MonoidHom.identity(nat2),
-        H.MonoidHom(nat2, nat2, [(2, 0), (0, 2)]),
-        H.MonoidHom(nat2, nat2, [(1, 1), (0, 1)]),
-        theta0,
-    ]
+    small_corpus, theta = criterion05_corpus()
     ok = True
     for f in small_corpus:
         got = H.is_exact(f).holds
@@ -211,9 +199,8 @@ def test_criterion_05_oracle_equivalence():
         ok = False
     # integrality: bound 3 on the one/two-generator instances
     for f in small_corpus:
-        bound = 3 if f.source.ngens + f.target.ngens <= 4 else 2
         got = H.is_integral(f).holds
-        if got != (integrality_box_violation(f, bound=bound) is None):
+        if got != (integrality_box_violation(f, bound=integrality_box_bound(f)) is None):
             ok = False
     # the non-integral Ogus map: its violation lies in the bound-2 box
     if H.is_integral(theta).holds or integrality_box_violation(theta, bound=2) is None:

@@ -3,8 +3,12 @@
 import pytest
 
 from conftest import (
+    criterion05_corpus,
     hom_preimage_box_violation,
+    integrality_box_bound,
+    integrality_box_tuples,
     integrality_box_violation,
+    integrality_witness_in_box,
     face_preimage,
     ogus_data,
     rng_for,
@@ -366,3 +370,23 @@ def test_kummer_etale_face_bijection(nat2):
     for face in f.target.faces():
         images.add(face_preimage(f, face).indices)
     assert len(images) == len(f.target.faces()) == len(f.source.faces())
+
+
+def test_box_witness_oracle_agrees_with_lp_witness():
+    """Criterion 05's LP-free witness search matches the LP-backed one.
+
+    Over the criterion-05 corpus: every relation-monoid generator, and every
+    tuple of the criterion's box (theta: up to its first violation).
+    """
+    small_corpus, theta = criterion05_corpus()
+    for f in small_corpus + [theta]:
+        tuples = list(H.integrality_tuple_generators(f))
+        for tup in integrality_box_tuples(f, integrality_box_bound(f)):
+            tuples.append(tup)
+            if f is theta and not integrality_witness_in_box(f, tup):
+                break
+        cache = {}
+        for tup in tuples:
+            assert integrality_witness_in_box(f, tup, cache) == (
+                H._integral_witness_exists(f, tup)
+            ), (f, tup)
