@@ -1,20 +1,34 @@
-"""Exact two-phase simplex over an ordered field.
+"""Exact two-phase simplex over an ordered field, pivoting over integers.
 
-Constraint data is rational (Fractions); the objective row may carry
+Constraint data is rational (ints or Fractions); the objective row may carry
 ``Quad`` entries (elements of Q(sqrt(d))).  Since pivoting only ever divides
 constraint rows by rational pivots, every visited vertex is rational, and
 maximizing a Q(sqrt(d))-linear functional over a rational polyhedron is
 exact.  Bland's rule guarantees termination.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  The whole system
+A x = b is first scaled by one positive common denominator, so it is
+integral and the pivot sequence is that of the rational tableau.  Rows are
+then Python ints over one common denominator D > 0, ``T = D * tableau``,
+where D is the last pivot (1 at the start).  A pivot on ``p = T[r][c]``
+keeps row r and sets every other row to ``(p*T_i - T_ic*T_r) // D``; the
+division is exact, because every entry of T is a minor of the scaled input.
+Then D becomes p.  A negative pivot, which only happens when an artificial
+is driven out of the basis, negates T and D so that D stays positive.
+Each phase keeps its objective as rows of T that the pivot updates: the
+reduced costs times D, with minus D times the objective value in the
+right-hand column.  A ``Quad`` objective a + b*sqrt(d) is carried as two
+integer rows, for a and b, and its signs are read off the pair of ints.
 """
 
 from fractions import Fraction
+from math import lcm
+
+from ._field import Quad, _sign_a_plus_b_sqrt_d
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SimplexResult:
@@ -30,53 +44,80 @@ class SimplexResult:
         return f"SimplexResult({self.status}, value={self.value})"
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = _ONE / piv
-    tab[row] = [e * inv for e in tab[row]]
-    prow = tab[row]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
-    basis[row] = col
+def _scale_to_ints(rows):
+    """Rows of ints and Fractions times one positive common denominator."""
+    den = lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
-def _reduced_costs(tab, basis, cost):
-    m = len(tab)
-    ncols = len(tab[0]) - 1
-    red = list(cost)
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            row = tab[i]
-            red = [rj - cb * row[j] for j, rj in enumerate(red)]
-    return red
+def _pivot(rows, r, c, den):
+    """Fraction-free pivot on rows[r][c]; returns the new denominator."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-v for v in prow]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * v - f * w) // den for v, w in zip(row, prow)]
+        elif p != den:
+            rows[i] = [p * v // den for v in row]
+    return p
 
-def _run(tab, basis, cost, allowed):
-    """Bland-rule simplex loop; cost has one entry per column (no rhs)."""
+
+def _run(rows, m, basis, den, ncols, d):
+    """Bland-rule simplex loop.
+
+    ``rows`` holds the m constraint rows, then the objective row, or the
+    rational and sqrt(d) objective rows when d > 0; ``ncols`` columns may
+    enter.  Returns (status, den).
+    """
     while True:
-        red = _reduced_costs(tab, basis, cost)
-        enter = -1
-        for j in allowed:
-            if red[j] > 0:
-                enter = j
-                break
+        if d:
+            za, zb = rows[m], rows[m + 1]
+            enter = next(
+                (j for j in range(ncols) if _sign_a_plus_b_sqrt_d(za[j], zb[j], d) > 0),
+                -1,
+            )
+        else:
+            z = rows[m]
+            enter = next((j for j in range(ncols) if z[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL, red
-        # ratio test
+            return OPTIMAL, den
+        # ratio test T[i][-1] / T[i][enter], compared by cross-multiplication
         leave = -1
-        best = None
-        for i, row in enumerate(tab):
+        for i in range(m):
+            row = rows[i]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = row[-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return UNBOUNDED, red
-        _pivot(tab, basis, leave, enter)
+            return UNBOUNDED, den
+        den = _pivot(rows, leave, enter, den)
+        basis[leave] = enter
+
+
+def _objective_rows(c):
+    """Integer objective rows (one, or two for a Quad objective) and d."""
+    d = 0
+    for v in c:
+        if isinstance(v, Quad) and v.b:
+            if d and v.d != d:
+                raise TypeError("mixed quadratic fields")
+            d = v.d
+    parts = [[v.a if isinstance(v, Quad) else v for v in c]]
+    if d:
+        parts.append([v.b if isinstance(v, Quad) else 0 for v in c])
+    return _scale_to_ints(parts), d
 
 
 def simplex_max(a_rows, b, c):
@@ -85,56 +126,76 @@ def simplex_max(a_rows, b, c):
     Returns a SimplexResult; on infeasibility, ``farkas`` is a vector y with
     y.A <= 0 componentwise and y.b > 0 (checked by the caller's tests).
     """
+    rows = _scale_to_ints([list(r) for r in a_rows] + [list(b)])
+    return _simplex_int(rows[:-1], rows[-1], c)
+
+
+def _simplex_int(a_rows, b, c):
+    """``simplex_max`` on integer constraint data."""
     m = len(a_rows)
-    n = len(a_rows[0]) if m else len(c)
-    tab = []
+    n = len(c)
+    rows = []
     for i in range(m):
-        row = [Fraction(x) for x in a_rows[i]]
-        rhs = Fraction(b[i])
+        row = a_rows[i]
+        rhs = b[i]
         if rhs < 0:
-            row = [-x for x in row]
+            row = [-v for v in row]
             rhs = -rhs
-        tab.append(row + [_ZERO] * m + [rhs])
-    for i in range(m):
-        tab[i][n + i] = _ONE
+        row = row + [0] * m + [rhs]
+        row[n + i] = 1
+        rows.append(row)
     basis = [n + i for i in range(m)]
+    den = 1
 
-    # Phase 1: drive artificials to zero.
-    cost1 = [_ZERO] * n + [-_ONE] * m + [_ZERO]
-    allowed = list(range(n + m))
-    status, red = _run(tab, basis, cost1, allowed)
-    value1 = sum((cost1[basis[i]] * tab[i][-1] for i in range(m)), _ZERO)
-    if value1 < 0:
-        # Dual multipliers off the artificial columns give a Farkas vector.
-        y = [-_ONE - red[n + i] for i in range(m)]
-        farkas = [-yi for yi in y]
-        # Undo the row-sign normalization applied to negative b entries.
-        out = []
-        for i in range(m):
-            sign = -1 if Fraction(b[i]) < 0 else 1
-            out.append(sign * farkas[i])
-        return SimplexResult(INFEASIBLE, farkas=out)
-
-    # Pivot artificials out of the basis where possible; redundant rows keep a
-    # zero-valued artificial which is simply barred from re-entering.
+    # Phase 1: maximize minus the sum of the artificials.  Priced out against
+    # the all-artificial basis, its row is the column sums with zeros on the
+    # artificials, and the sum of |b| (minus the value) on the right.
+    phase1 = [sum(col) for col in zip(*rows)] if m else [0] * (n + 1)
     for i in range(m):
-        if basis[i] >= n and tab[i][-1] == 0:
+        phase1[n + i] = 0
+    rows.append(phase1)
+    _, den = _run(rows, m, basis, den, n + m, 0)
+    phase1 = rows.pop()
+    if phase1[-1] > 0:
+        # The artificials' reduced costs are y - 1 for the phase-1 duals y,
+        # and y is a Farkas vector of the sign-normalised rows.
+        return SimplexResult(
+            INFEASIBLE,
+            farkas=[
+                (-1 if b[i] < 0 else 1) * Fraction(den + phase1[n + i], den)
+                for i in range(m)
+            ],
+        )
+
+    # The artificial columns are no longer needed.  Pivot artificials out of
+    # the basis where possible; redundant rows keep a zero-valued artificial
+    # which can never re-enter.
+    rows = [row[:n] + row[-1:] for row in rows]
+    for i in range(m):
+        if basis[i] >= n and rows[i][-1] == 0:
             for j in range(n):
-                if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
+                if rows[i][j] != 0:
+                    den = _pivot(rows, i, j, den)
+                    basis[i] = j
                     break
 
-    # Phase 2 on the real columns only.
-    cost2 = list(c) + [_ZERO] * m + [_ZERO]
-    allowed = [j for j in range(n)]
-    status, red = _run(tab, basis, cost2, allowed)
-    x = [_ZERO] * n
+    # Phase 2 on the real columns: D*c priced out against the basis.
+    objs, d = _objective_rows(c)
+    for obj in objs:
+        z = [den * v for v in obj] + [0]
+        for i in range(m):
+            cb = obj[basis[i]] if basis[i] < n else 0
+            if cb:
+                z = [zj - cb * tj for zj, tj in zip(z, rows[i])]
+        rows.append(z)
+    status, den = _run(rows, m, basis, den, n, d)
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(rows[i][-1], den)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, x=x)
-    value = sum((cost2[j] * x[j] for j in range(n)), _ZERO)
+    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
     return SimplexResult(OPTIMAL, x=x, value=value)
 
 
@@ -164,6 +225,8 @@ class LinearSystem:
         self.kinds.append("ge")
 
     def _standardize(self):
+        """Integer rows [A | rhs] over the split and slack columns, scaled
+        by one common denominator."""
         cols = []  # (var index, sign)
         for v in range(self.nvars):
             cols.append((v, 1))
@@ -173,22 +236,26 @@ class LinearSystem:
         width = len(cols) + nslack
         amat = []
         si = len(cols)
-        for row, kind in zip(self.rows, self.kinds):
-            out = [Fraction(0)] * width
+        for row, kind, rhs in zip(self.rows, self.kinds, self.rhs):
+            out = [0] * width + [rhs]
             for j, (v, s) in enumerate(cols):
                 if row[v]:
-                    out[j] = Fraction(row[v]) * s
+                    out[j] = row[v] * s
             if kind == "ge":
-                out[si] = Fraction(-1)
+                out[si] = -1
                 si += 1
             amat.append(out)
+        amat = _scale_to_ints(amat)
         return amat, cols, width
 
-    def _unpack(self, x, cols):
-        vals = [Fraction(0)] * self.nvars
-        for j, (v, s) in enumerate(cols):
-            vals[v] += s * x[j]
-        return vals
+    def _solve(self, amat, cols, c):
+        res = _simplex_int([row[:-1] for row in amat], [row[-1] for row in amat], c)
+        if res.x is not None:
+            vals = [Fraction(0)] * self.nvars
+            for j, (v, s) in enumerate(cols):
+                vals[v] += s * res.x[j]
+            res.x = vals
+        return res
 
     def maximize(self, obj):
         amat, cols, width = self._standardize()
@@ -196,14 +263,11 @@ class LinearSystem:
         for j, (v, s) in enumerate(cols):
             if obj[v]:
                 c[j] = c[j] + obj[v] * s
-        res = simplex_max(amat, list(self.rhs), c)
-        if res.x is not None:
-            res.x = self._unpack(res.x, cols)
-        return res
+        return self._solve(amat, cols, c)
 
     def feasible_point(self):
         amat, cols, width = self._standardize()
-        res = simplex_max(amat, list(self.rhs), [Fraction(0)] * width)
+        res = self._solve(amat, cols, [0] * width)
         if res.status == INFEASIBLE:
             return None
-        return self._unpack(res.x, cols)
+        return res.x

@@ -715,10 +715,19 @@ def solve_nonneg(a, b, budget=None):
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError("solve_nonneg node budget exceeded", budget)
-        sys = base_system(extra)
-        pt = sys.feasible_point()
-        if pt is None:
+        res = base_system(extra).maximize([0] * d)
+        if res.status == INFEASIBLE:
+            if not extra:
+                return NonnegSolution(
+                    "unsat",
+                    None,
+                    {
+                        "kind": "rational-cone-infeasible",
+                        "farkas": [str(f) for f in res.farkas],
+                    },
+                )
             continue
+        pt = res.x
         frac_j = -1
         for j in range(d):
             if pt[j].denominator != 1:
@@ -736,14 +745,6 @@ def solve_nonneg(a, b, budget=None):
         ge_branch = extra + [([1 if j == frac_j else 0 for j in range(d)], fl + 1)]
         stack.append(ge_branch)
         stack.append(le_branch)
-    root = base_system([])
-    pt = root.feasible_point()
-    if pt is None:
-        res = root.maximize([0] * d)
-        cert = {"kind": "rational-cone-infeasible"}
-        if res.status == INFEASIBLE and res.farkas is not None:
-            cert["farkas"] = [str(f) for f in res.farkas]
-        return NonnegSolution("unsat", None, cert)
     return NonnegSolution(
         "unsat", None, {"kind": "branch-exhaustion", "nodes": nodes}
     )

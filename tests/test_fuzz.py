@@ -6,6 +6,7 @@ from fractions import Fraction
 from conftest import rng_for
 from satmon import homs as H
 from satmon import valuative as V
+from satmon._field import Quad
 from satmon._lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_max
 from satmon.monoid import free_monoid, monoid_from_vectors
 from satmon.zlat import solve_nonneg
@@ -15,37 +16,41 @@ from satmon.zlat import solve_nonneg
 # simplex vs brute-force basic-solution enumeration
 
 
-def _brute_lp_max(a, b, c):
-    """Enumerate all basic solutions of Ax = b, x >= 0; track feasibility.
-
-    Returns (status, value) with value = None when infeasible; unboundedness
-    is detected separately by a ray scan over column subsets.
-    """
+def _basic_solutions(a, b):
+    """Every x >= 0 with A x = b whose support columns are independent."""
     m = len(a)
     n = len(a[0])
-    best = None
-    feasible = False
-    for cols in itertools.combinations(range(n), min(m, n)):
-        sub = [[Fraction(a[i][j]) for j in cols] for i in range(m)]
-        rhs = [Fraction(x) for x in b]
-        sol = _solve_square(sub, rhs)
-        if sol is None:
-            continue
-        if any(x < 0 for x in sol):
-            continue
-        feasible = True
-        x = [Fraction(0)] * n
-        for j, v in zip(cols, sol):
-            x[j] = v
-        val = sum(Fraction(c[j]) * x[j] for j in range(n))
-        if best is None or val > best:
-            best = val
-    if not feasible:
+    for k in range(min(m, n) + 1):
+        for cols in itertools.combinations(range(n), k):
+            sol = _solve_square([[Fraction(a[i][j]) for j in cols] for i in range(m)], b)
+            if sol is None or any(x < 0 for x in sol):
+                continue
+            x = [Fraction(0)] * n
+            for j, v in zip(cols, sol):
+                x[j] = v
+            yield x
+
+
+def _brute_lp_max(a, b, c):
+    """max c.x over A x = b, x >= 0 by enumerating basic solutions.
+
+    Returns (status, value), value None unless OPTIMAL.  A feasible LP has a
+    basic feasible solution; it is unbounded iff some ray r >= 0 with
+    A r = 0 has c.r > 0, and then iff some basic solution r >= 0 of
+    [A; 1] r = [0; 1] has c.r > 0.
+    """
+    n = len(a[0])
+
+    def val(x):
+        return sum((c[j] * x[j] for j in range(n)), Fraction(0))
+
+    values = [val(x) for x in _basic_solutions(a, b)]
+    if not values:
         return INFEASIBLE, None
-    # unbounded iff some nonnegative kernel ray improves the objective
-    for cols in itertools.combinations(range(n), min(m, n)):
-        pass
-    return OPTIMAL, best
+    rays = _basic_solutions(a + [[1] * n], [0] * len(a) + [1])
+    if any(val(r) > 0 for r in rays):
+        return UNBOUNDED, None
+    return OPTIMAL, max(values)
 
 
 def _solve_square(a, b):
@@ -84,28 +89,46 @@ def _solve_square(a, b):
 
 
 def test_simplex_fuzz_against_basic_solutions():
+    """Integer and Fraction constraint data; integer, Fraction and Quad
+    objectives.  Every status must match the oracle, and every verdict
+    carries its proof: a feasible optimal or unbounded-ray vertex, or a
+    Farkas vector y with y.A <= 0 and y.b > 0."""
     rng = rng_for("lp-fuzz")
-    for _ in range(150):
-        m = rng.randint(1, 2)
-        n = rng.randint(m, 4)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(-3, 3) for _ in range(m)]
-        c = [rng.randint(-2, 2) for _ in range(n)]
+
+    def entry(rational):
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.randint(1, 3)) if rational and rng.random() < 0.4 else v
+
+    seen = set()
+    for trial in range(600):
+        kind = trial % 3  # 0: ints, 1: Fractions, 2: Fractions with a Quad objective
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 5)
+        a = [[entry(kind) for _ in range(n)] for _ in range(m)]
+        b = [entry(kind) for _ in range(m)]
+        if m > 1 and rng.random() < 0.2:
+            a[-1], b[-1] = list(a[0]), b[0]  # a redundant row
+        if kind == 2:
+            c = [Quad(entry(True), rng.randint(-2, 2), 2) for _ in range(n)]
+        else:
+            c = [entry(kind) for _ in range(n)]
         res = simplex_max(a, b, c)
         status, best = _brute_lp_max(a, b, c)
-        if res.status == INFEASIBLE:
-            assert status == INFEASIBLE
-        elif res.status == OPTIMAL:
-            assert status == OPTIMAL
+        assert res.status == status, (a, b, c)
+        seen.add((kind, status))
+        if status == INFEASIBLE:
+            y = res.farkas
+            for j in range(n):
+                assert sum(y[i] * a[i][j] for i in range(m)) <= 0
+            assert sum(y[i] * b[i] for i in range(m)) > 0
+            continue
+        for i in range(m):
+            assert sum(a[i][j] * res.x[j] for j in range(n)) == b[i]
+        assert all(x >= 0 for x in res.x)
+        if status == OPTIMAL:
             assert res.value == best
-            # and the point is feasible
-            for i in range(m):
-                assert sum(a[i][j] * res.x[j] for j in range(n)) == b[i]
-            assert all(x >= 0 for x in res.x)
-        else:
-            # unbounded: exhibit the brute optimum being surpassable is hard;
-            # verify feasibility at least
-            assert status == OPTIMAL or status == INFEASIBLE or True
+            assert res.value == sum((c[j] * res.x[j] for j in range(n)), Fraction(0))
+    assert len(seen) == 9  # every status on every kind of data
 
 
 # ---------------------------------------------------------------------------
