@@ -125,23 +125,17 @@ def simplex_max(a_rows, b, c):
 
     Returns a SimplexResult; on infeasibility, ``farkas`` is a vector y with
     y.A <= 0 componentwise and y.b > 0 (checked by the caller's tests).
+    A and b are ints or Fractions; the system is scaled by one common
+    denominator before the first pivot.
     """
-    rows = _scale_to_ints([list(r) for r in a_rows] + [list(b)])
-    return _simplex_int(rows[:-1], rows[-1], c)
-
-
-def _simplex_int(a_rows, b, c):
-    """``simplex_max`` on integer constraint data."""
-    m = len(a_rows)
+    ab_rows = _scale_to_ints([list(r) + [bi] for r, bi in zip(a_rows, b)])
+    m = len(ab_rows)
     n = len(c)
     rows = []
-    for i in range(m):
-        row = a_rows[i]
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        row = row + [0] * m + [rhs]
+    for i, ab in enumerate(ab_rows):
+        if ab[-1] < 0:
+            ab = [-v for v in ab]
+        row = ab[:-1] + [0] * m + ab[-1:]
         row[n + i] = 1
         rows.append(row)
     basis = [n + i for i in range(m)]
@@ -157,12 +151,12 @@ def _simplex_int(a_rows, b, c):
     _, den = _run(rows, m, basis, den, n + m, 0)
     phase1 = rows.pop()
     if phase1[-1] > 0:
-        # The artificials' reduced costs are y - 1 for the phase-1 duals y,
-        # and y is a Farkas vector of the sign-normalised rows.
+        # The artificial of row i has reduced cost -1 - y_i for the phase-1
+        # duals y, and -y is a Farkas vector of the sign-normalised rows.
         return SimplexResult(
             INFEASIBLE,
             farkas=[
-                (-1 if b[i] < 0 else 1) * Fraction(den + phase1[n + i], den)
+                (-1 if ab_rows[i][-1] < 0 else 1) * Fraction(den + phase1[n + i], den)
                 for i in range(m)
             ],
         )
@@ -225,19 +219,21 @@ class LinearSystem:
         self.kinds.append("ge")
 
     def _standardize(self):
-        """Integer rows [A | rhs] over the split and slack columns, scaled
-        by one common denominator."""
+        """Columns (var, sign) and rows over the split and slack columns.
+
+        Integer input gives int rows; ``simplex_max`` scales rational rows
+        by one common denominator.
+        """
         cols = []  # (var index, sign)
         for v in range(self.nvars):
             cols.append((v, 1))
             if not self.nonneg[v]:
                 cols.append((v, -1))
-        nslack = sum(1 for k in self.kinds if k == "ge")
-        width = len(cols) + nslack
+        width = len(cols) + self.kinds.count("ge")
         amat = []
         si = len(cols)
-        for row, kind, rhs in zip(self.rows, self.kinds, self.rhs):
-            out = [0] * width + [rhs]
+        for row, kind in zip(self.rows, self.kinds):
+            out = [0] * width
             for j, (v, s) in enumerate(cols):
                 if row[v]:
                     out[j] = row[v] * s
@@ -245,11 +241,15 @@ class LinearSystem:
                 out[si] = -1
                 si += 1
             amat.append(out)
-        amat = _scale_to_ints(amat)
-        return amat, cols, width
+        return cols, width, amat
 
-    def _solve(self, amat, cols, c):
-        res = _simplex_int([row[:-1] for row in amat], [row[-1] for row in amat], c)
+    def maximize(self, obj):
+        cols, width, amat = self._standardize()
+        c = [Fraction(0)] * width
+        for j, (v, s) in enumerate(cols):
+            if obj[v]:
+                c[j] = c[j] + obj[v] * s
+        res = simplex_max(amat, self.rhs, c)
         if res.x is not None:
             vals = [Fraction(0)] * self.nvars
             for j, (v, s) in enumerate(cols):
@@ -257,17 +257,8 @@ class LinearSystem:
             res.x = vals
         return res
 
-    def maximize(self, obj):
-        amat, cols, width = self._standardize()
-        c = [Fraction(0)] * width
-        for j, (v, s) in enumerate(cols):
-            if obj[v]:
-                c[j] = c[j] + obj[v] * s
-        return self._solve(amat, cols, c)
-
     def feasible_point(self):
-        amat, cols, width = self._standardize()
-        res = self._solve(amat, cols, [0] * width)
+        res = self.maximize([0] * self.nvars)
         if res.status == INFEASIBLE:
             return None
         return res.x
