@@ -112,10 +112,6 @@ class AffineMonoid:
         x = amb.reduce(x)
         if not self.gens:
             return () if amb.is_zero(x) else None
-        if x in self.gens:
-            # a generator is its own witness: e_i, checked by substitution
-            i = self.gens.index(x)
-            return tuple(1 if j == i else 0 for j in range(self.ngens))
         nt = len(amb.torsion)
         rows = []
         rhs = []

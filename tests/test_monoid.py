@@ -47,22 +47,6 @@ def test_gens_validation():
     assert trivial.is_trivial() and trivial.is_saturated()
 
 
-def test_membership_of_a_generator_is_its_unit_vector():
-    p = monoid_from_vectors([(1, 0, 0), (0, 1, 1), (1, 1, 0)], torsion=(2,))
-    for i, g in enumerate(p.gens):
-        assert p.membership(g) == tuple(1 if j == i else 0 for j in range(p.ngens))
-    # generator images reduce first: (1, 1, 2) is (1, 1, 0) mod 2
-    assert p.membership((1, 1, 2)) == (0, 0, 1)
-    # N generated by 1 and 2: non-generators still get a witness from the LP
-    n = monoid_from_vectors([(1,), (2,)])
-    assert n.membership((2,)) == (0, 1)
-    for x in (3, 4, 7):
-        w = n.membership((x,))
-        assert w is not None and min(w) >= 0
-        assert n.element_from_exponents(w) == (x,)
-    assert n.membership((-1,)) is None
-
-
 # ---------------------------------------------------------------------------
 # saturation
 
@@ -100,6 +84,22 @@ def test_membership_witnesses():
     m2 = monoid_from_vectors([(1, 0), (1, 2)])
     assert m2.membership((1, 1)) is None  # in the saturation, not the monoid
     assert m2.membership((2, 2)) == (1, 1)
+
+
+def test_membership_of_a_generator_is_its_unit_vector():
+    p = monoid_from_vectors([(1, 0, 0), (0, 1, 1), (1, 1, 0)], torsion=(2,))
+    for i, g in enumerate(p.gens):
+        assert p.membership(g) == tuple(1 if j == i else 0 for j in range(p.ngens))
+    # generator images reduce first: (1, 1, 2) is (1, 1, 0) mod 2
+    assert p.membership((1, 1, 2)) == (0, 0, 1)
+    # N generated by 1 and 2: non-generators still get a witness from the LP
+    n = monoid_from_vectors([(1,), (2,)])
+    assert n.membership((2,)) == (0, 1)
+    for x in (3, 4, 7):
+        w = n.membership((x,))
+        assert w is not None and min(w) >= 0
+        assert n.element_from_exponents(w) == (x,)
+    assert n.membership((-1,)) is None
 
 
 # ---------------------------------------------------------------------------
