@@ -54,7 +54,8 @@ def _brute_lp_max(a, b, c):
 
 
 def _solve_square(a, b):
-    """Gaussian elimination over Q; None if singular/inconsistent."""
+    """The unique solution of a x = b over Q (a may have more rows than
+    columns); None if it is not unique or there is none."""
     m = len(a)
     n = len(a[0]) if m else 0
     mat = [row[:] + [b[i]] for i, row in enumerate(a)]
@@ -90,9 +91,9 @@ def _solve_square(a, b):
 
 def test_simplex_fuzz_against_basic_solutions():
     """Integer and Fraction constraint data; integer, Fraction and Quad
-    objectives.  Every status must match the oracle, and every verdict
-    carries its proof: a feasible optimal or unbounded-ray vertex, or a
-    Farkas vector y with y.A <= 0 and y.b > 0."""
+    objectives.  Every status must match the oracle, and every result is
+    checked: a feasible x (of the optimal value when OPTIMAL), or a Farkas
+    vector y with y.A <= 0 and y.b > 0."""
     rng = rng_for("lp-fuzz")
 
     def entry(rational):
