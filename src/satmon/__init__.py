@@ -7,8 +7,6 @@ valuative-base pipelines), ``pi1`` (Kummer etale covers), ``cli``
 (document front end).
 """
 
-from .kernels import KERNEL_IMPL
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_IMPL", "__version__"]
+__all__ = ["__version__"]

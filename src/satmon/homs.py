@@ -25,11 +25,11 @@ from .errors import (
     PreconditionError,
     TorsionPreconditionError,
 )
-from .monoid import AffineMonoid, FpMonoid, from_presentation
+from .monoid import AffineMonoid, FpMonoid, Memoized, from_presentation
 from .zlat import FgAbelianGroup, Lattice, vdot
 
 
-class MonoidHom:
+class MonoidHom(Memoized):
     """Map of affine monoids given by generator images (validated)."""
 
     def __init__(self, source: AffineMonoid, target: AffineMonoid, gen_images, budget=None):
@@ -66,15 +66,6 @@ class MonoidHom:
             raise ValueError("inclusion requires a shared ambient group")
         return cls(sub, sup, sub.gens, budget=budget)
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    def exp_matrix(self):
-        """Witness matrix F: exponent vectors of P to exponent vectors of Q."""
-        return [list(w) for w in self.witnesses]  # row i = witness of image i
-
     def apply_exponents(self, a):
         """Image in the target ambient of the source element sum(a_i * g_i)."""
         amb = self.target.ambient
@@ -83,12 +74,6 @@ class MonoidHom:
             if c:
                 acc = amb.add(acc, amb.scale(c, im))
         return acc
-
-    def apply(self, x, budget=None):
-        w = self.source.membership(x, budget=budget)
-        if w is None:
-            raise MembershipError(f"{x} is not a member of the source")
-        return self.apply_exponents(w)
 
     def exp_image(self, a):
         """Exponent-level image: column combination of the witnesses."""
@@ -110,12 +95,6 @@ def compose(f: MonoidHom, g: MonoidHom):
         raise ValueError("composition mismatch")
     images = [g.apply_exponents(w) for w in f.witnesses]
     return MonoidHom(f.source, g.target, images)
-
-
-def saturation_inclusion(p: AffineMonoid):
-    """The saturation together with the inclusion hom P -> P^sat."""
-    sat = p.saturate()
-    return sat, MonoidHom(p, sat, p.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +456,6 @@ class ClassReport:
             assert self.etale.holds and self.injective.holds and self.exact.holds
         if self.etale.holds:
             assert self.smooth.holds
-
-    def verdict_dict(self):
-        out = {}
-        for name in ("injective", "exact", "integral", "vertical", "smooth", "etale", "kummer_etale"):
-            v = getattr(self, name)
-            out[name] = None if v is None else v.holds
-        return out
 
 
 def classify(f: MonoidHom, sigma, budget=None, include_integral=True) -> ClassReport:

@@ -39,7 +39,16 @@ class FpMonoid:
                 raise ValueError("relation vectors must be nonnegative")
 
 
-class AffineMonoid:
+class Memoized:
+    """Per-instance cache of derived data; subclasses set ``self._cache = {}``."""
+
+    def _get(self, key, fn):
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
+
+
+class AffineMonoid(Memoized):
     """Submonoid of an FgAbelianGroup given by its generators."""
 
     def __init__(self, ambient: FgAbelianGroup, gens):
@@ -69,11 +78,6 @@ class AffineMonoid:
 
     def __repr__(self):
         return f"AffineMonoid({self.ambient.describe()}, {list(self.gens)})"
-
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     @property
     def ngens(self):
@@ -177,13 +181,6 @@ class AffineMonoid:
         """Coordinates of the free part of x in the span lattice, or None."""
         span = self._cone()[0]
         return span.coords(self.ambient.free_part(self.ambient.reduce(x)))
-
-    def in_cone(self, x):
-        """Does x's free part lie in the rational cone of the generators?"""
-        c = self.cone_coords(x)
-        if c is None:
-            return False
-        return all(vdot(f, c) >= 0 for f in self._cone()[2])
 
     # -- membership ----------------------------------------------------------
 
@@ -308,13 +305,6 @@ class AffineMonoid:
 
     def units_face(self):
         return Face(self, self._closure(()))
-
-    def is_sharp(self):
-        return not self.units_face().indices and not any(
-            self.ambient.torsion_part(g) != (0,) * len(self.ambient.torsion)
-            and self.ambient.free_part(g) == (0,) * self.ambient.rank
-            for g in self.gens
-        )
 
     def face_generated_by(self, elements, budget=None):
         """Smallest face containing the given members of the monoid.

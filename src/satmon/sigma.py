@@ -46,11 +46,6 @@ class PrimeSet:
     def is_empty(self):
         return self.finite == ()
 
-    def contains_prime(self, p):
-        if self.finite is not None:
-            return p in self.finite
-        return p not in self.complement
-
     def coprime(self, m):
         """True iff no prime of the set divides m (m >= 1)."""
         m = abs(int(m))

@@ -389,9 +389,6 @@ class TypeVPresentation:
     def lift_of_q0_gen(self, j):
         return ((Fraction(0),) * self.base.rank, tuple(1 if t == j else 0 for t in range(self.q0.ngens)))
 
-    def lift_of_base(self, v):
-        return (_frac_vec(v), (0,) * self.q0.ngens)
-
     def relation_vectors(self):
         """Spanning set of the relation space on lifts (rational columns)."""
         rels = []

@@ -324,9 +324,6 @@ class FgAbelianGroup:
     def torsion_part(self, v):
         return tuple(v[self.rank:])
 
-    def is_torsion_free(self):
-        return not self.torsion
-
     def order(self):
         if self.rank:
             return None

@@ -8,6 +8,7 @@ from satmon import homs as H
 from satmon import valuative as V
 from satmon._field import Quad
 from satmon._lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_max
+from satmon.kernels import snf_with_transforms
 from satmon.monoid import free_monoid, monoid_from_vectors
 from satmon.zlat import solve_nonneg
 
@@ -203,43 +204,49 @@ def _member_bruteforce(tv, x, nmax=8, box=5):
     """Search n*x = iota(w) + sum a_i q_i directly with bounded integers."""
     nu = tv.base.rank
     k = tv.q0.ngens
-    rels = tv.relation_vectors()
+    in_span = _relation_span_test(tv.relation_vectors(), nu, k)
     for n in range(1, nmax + 1):
         target_v = [Fraction(n) * Fraction(c) for c in x[0]]
         target_a = [n * c for c in x[1]]
         for w in itertools.product(range(-box, box + 1), repeat=nu):
             if tv.base.sign(w) < 0:
                 continue
+            dv = [target_v[i] - w[i] for i in range(nu)]
+            if any(c.denominator != 1 for c in dv):
+                continue  # integer combos of integer relations stay integral
+            dv = [int(c) for c in dv]
             for a in itertools.product(range(box + 1), repeat=k):
                 # does target - iota(w) - sum a q equal an integer relation combo?
-                dv = [target_v[i] - w[i] for i in range(nu)]
                 da = [target_a[i] - a[i] for i in range(k)]
-                if _in_relation_span(rels, dv, da):
+                if in_span(dv + da):
                     return True
     return False
 
 
-def _in_relation_span(rels, dv, da):
-    from satmon.zlat import solve_integer
+def _relation_span_test(rels, nu, k):
+    """Predicate: is the integer vector b an integer combination of the relations?
 
-    nu = len(dv)
-    k = len(da)
-    den = 1
-    for c in dv:
-        den = den * Fraction(c).denominator
-    if any(Fraction(c).denominator != 1 for c in dv):
-        return False  # integer combos of integer relations stay integral
-    rows = []
-    rhs = []
-    for i in range(nu):
-        rows.append([int(r[0][i]) for r in rels])
-        rhs.append(int(dv[i]))
-    for i in range(k):
-        rows.append([int(r[1][i]) for r in rels])
-        rhs.append(int(da[i]))
-    if not rels:
-        return all(v == 0 for v in rhs)
-    return solve_integer(rows, rhs) is not None
+    The relation matrix depends only on the presentation, so its Smith form
+    U A V = D is computed once; b is in the integer column span of A iff
+    every (U b)_i is divisible by D_ii (zero where D_ii is zero).
+    """
+    rows = [[int(r[0][i]) for r in rels] for i in range(nu)]
+    rows += [[int(r[1][i]) for r in rels] for i in range(k)]
+    if rels:
+        U, _, D, _, _ = snf_with_transforms(rows)
+        diag = [D[i][i] if i < len(rels) else 0 for i in range(nu + k)]
+    else:
+        U = [[1 if i == j else 0 for j in range(nu + k)] for i in range(nu + k)]
+        diag = [0] * (nu + k)
+
+    def in_span(b):
+        for urow, d in zip(U, diag):
+            ub = sum(u * c for u, c in zip(urow, b))
+            if (ub % d if d else ub) != 0:
+                return False
+        return True
+
+    return in_span
 
 
 def test_typev_membership_fuzz(half_v_presentation):

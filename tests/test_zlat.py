@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import brute_nonneg_solve, minors_gcd_invariants, rng_for
-from satmon import zlat
+from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
 from satmon.sigma import PrimeSet
 from satmon.zlat import (
@@ -303,6 +303,163 @@ def test_cd_matches_hilbert_on_kernel_cones():
             )
             back.add(v)
         assert cd == back
+
+
+def _reference_cd(amat, q, budget):
+    """The tuple-based completion kernel that the packed one replaced, verbatim."""
+    m = len(amat)
+    acols = [[amat[i][j] for i in range(m)] for j in range(q)]
+    sols = []
+    frontier = []
+    seen = set()
+    for j in range(q):
+        v = tuple(1 if t == j else 0 for t in range(q))
+        frontier.append((v, list(acols[j])))
+        seen.add(v)
+    nodes = 0
+    while frontier:
+        nxt = []
+        for v, av in frontier:
+            nodes += 1
+            if nodes > budget:
+                return None
+            zero = True
+            for x in av:
+                if x != 0:
+                    zero = False
+                    break
+            if zero:
+                dominated = False
+                for s in sols:
+                    le = True
+                    for i in range(q):
+                        if s[i] > v[i]:
+                            le = False
+                            break
+                    if le:
+                        dominated = True
+                        break
+                if not dominated:
+                    sols.append(v)
+                continue
+            for j in range(q):
+                col = acols[j]
+                sp = 0
+                for i in range(m):
+                    if av[i]:
+                        sp += av[i] * col[i]
+                if sp < 0:
+                    w = list(v)
+                    w[j] += 1
+                    wt = tuple(w)
+                    if wt in seen:
+                        continue
+                    dominated = False
+                    for s in sols:
+                        le = True
+                        for i in range(q):
+                            if s[i] > wt[i]:
+                                le = False
+                                break
+                        if le:
+                            dominated = True
+                            break
+                    if dominated:
+                        continue
+                    seen.add(wt)
+                    nxt.append((wt, [av[i] + col[i] for i in range(m)]))
+        nxt.sort(key=lambda p: p[0])
+        frontier = nxt
+    # final minimalization (frontier order can admit incomparable dupes)
+    sols.sort()
+    minimal = []
+    for v in sols:
+        keep = True
+        for s in minimal:
+            le = True
+            for i in range(q):
+                if s[i] > v[i]:
+                    le = False
+                    break
+            if le:
+                keep = False
+                break
+        if keep:
+            minimal.append(v)
+    return minimal
+
+
+def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
+    """Both kernels agree, None included, at every budget 0 .. N + 1.
+
+    N is the reference's node count: the reference reads its budget only in
+    ``nodes > budget``, so it returns None below N and its full answer from N
+    on; N is found by doubling and bisection.  If N exceeds ``cap``, both
+    must refuse at ``cap``.
+    """
+    if _reference_cd(amat, q, cap) is None:
+        assert kernels.cd_minimal_nonneg_solutions(amat, q, cap) is None, amat
+        return
+    lo, hi = -1, 1
+    while _reference_cd(amat, q, hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _reference_cd(amat, q, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    full = _reference_cd(amat, q, hi)
+    for budget in range(hi + 2):
+        want = full if budget >= hi else None
+        assert kernels.cd_minimal_nonneg_solutions(amat, q, budget) == want, (amat, budget)
+
+
+def test_cd_packed_kernel_matches_reference_on_random_matrices():
+    rng = rng_for("cd-packed-random")
+    for _ in range(120):
+        m = rng.randint(1, 3)
+        q = rng.randint(1, 8)
+        amat = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(m)]
+        _assert_cd_matches_reference_at_every_budget(amat, q, cap=300)
+
+
+def test_cd_packed_kernel_matches_reference_on_relation_shaped_matrices():
+    # [M | -M]: the shape of the integrality system of a hom (homs.py)
+    rng = rng_for("cd-packed-relation")
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        k = rng.randint(1, 4)
+        mm = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        amat = [row + [-x for x in row] for row in mm]
+        _assert_cd_matches_reference_at_every_budget(amat, 2 * k, cap=300)
+
+
+def test_cd_packed_kernel_matches_reference_when_a_coordinate_nears_the_budget():
+    # a x = b y: the search climbs to (b, a) one unit at a time, so at the
+    # budget that just suffices a coordinate is within 2 of the budget
+    for a in range(1, 13):
+        for b in range(1, 13):
+            _assert_cd_matches_reference_at_every_budget([[a, -b]], 2, cap=300)
+    # a x = b y + a z: a node far above the solution e_x + e_z in one
+    # coordinate must still be seen to lie above it
+    for a in range(1, 13):
+        for b in (1, 2):
+            for row in set(itertools.permutations((a, -b, -a))):
+                _assert_cd_matches_reference_at_every_budget([list(row)], 3, cap=300)
+
+
+def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
+    # integrality system of a seg1 -> poly hom from the classify benchmark
+    amat = [
+        [1, 3, -1, -3, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1, -1],
+        [2, 3, -2, -3, 0, 0, 0, 1, 1, 2, 0, 0, 0, -1, -1, -2],
+        [0, 3, 0, -3, 0, 1, 2, 0, 1, 0, 0, -1, -2, 0, -1, 0],
+    ]
+    assert _reference_cd(amat, 16, 2000) is None
+    assert kernels.cd_minimal_nonneg_solutions(amat, 16, 2000) is None
+    with pytest.raises(ResourceLimitError):
+        nonneg_kernel_generators(amat, budget=2000)
 
 
 # ---------------------------------------------------------------------------
