@@ -26,7 +26,7 @@ from .errors import (
     TorsionPreconditionError,
 )
 from .monoid import AffineMonoid, FpMonoid, Memoized, from_presentation
-from .zlat import FgAbelianGroup, Lattice, vdot
+from .zlat import FgAbelianGroup, Lattice, vdot, vneg, vsub
 
 
 class MonoidHom(Memoized):
@@ -269,16 +269,7 @@ def is_vertical(f: MonoidHom, budget=None) -> Verdict:
 def _source_is_valuative(f: MonoidHom):
     """Saturated with sharp part of rank <= 1: then every map out is integral."""
     src = f.source
-    if not src.is_saturated():
-        return False
-    whole = Lattice(
-        [src.ambient.free_part(g) for g in src.gens], src.ambient.rank
-    ).saturation()
-    units = src.units_face()
-    udim = Lattice(
-        [src.ambient.free_part(g) for g in units.gens], src.ambient.rank
-    ).saturation().rank
-    return whole.rank - udim <= 1
+    return src.is_saturated() and src.units_face().corank() <= 1
 
 
 def integrality_tuple_generators(f: MonoidHom, budget=None):
@@ -286,34 +277,11 @@ def integrality_tuple_generators(f: MonoidHom, budget=None):
     kp = f.source.ngens
     kq = f.target.ngens
     ambq = f.target.ambient
-    nt = len(ambq.torsion)
-    imfree = [ambq.free_part(im) for im in f.gen_images]
-    imtor = [ambq.torsion_part(im) for im in f.gen_images]
-    qfree = [ambq.free_part(g) for g in f.target.gens]
-    qtor = [ambq.torsion_part(g) for g in f.target.gens]
-    rows = []
-    for r in range(ambq.rank):
-        row = (
-            [imfree[i][r] for i in range(kp)]
-            + [-imfree[i][r] for i in range(kp)]
-            + [qfree[j][r] for j in range(kq)]
-            + [-qfree[j][r] for j in range(kq)]
-            + [0] * (2 * nt)
-        )
-        rows.append(row)
-    for t in range(nt):
-        d = ambq.torsion[t]
-        row = (
-            [imtor[i][t] for i in range(kp)]
-            + [-imtor[i][t] for i in range(kp)]
-            + [qtor[j][t] for j in range(kq)]
-            + [-qtor[j][t] for j in range(kq)]
-        )
-        for s in range(nt):
-            row += [d, -d] if s == t else [0, 0]
-        rows.append(row)
+    ims, qs = f.gen_images, f.target.gens
+    cols = [*ims, *map(vneg, ims), *qs, *map(vneg, qs)]
+    rows, _ = zlat.group_equations([(ambq, cols, ambq.zero())], nonneg=True)
     if not rows:
-        rows = [[0] * (2 * kp + 2 * kq + 2 * nt)]
+        rows = [[0] * (2 * kp + 2 * kq)]
     sols = zlat.nonneg_kernel_generators(rows, budget=budget)
     tuples = []
     seen = set()
@@ -332,69 +300,21 @@ def integrality_tuple_generators(f: MonoidHom, budget=None):
 def _integral_witness_exists(f: MonoidHom, tup, budget=None):
     """Is there (a3, a4, b) with b1 = f(a3)+b, b2 = f(a4)+b, a1+a3 = a2+a4?"""
     a1, a2, b1, b2 = tup
-    kp = f.source.ngens
-    kq = f.target.ngens
     ambq = f.target.ambient
     ambp = f.source.ambient
-    ntq = len(ambq.torsion)
-    ntp = len(ambp.torsion)
-    imv = [f.gen_images[i] for i in range(kp)]
-    qg = list(f.target.gens)
-    b1v = f.target.element_from_exponents(b1)
-    b2v = f.target.element_from_exponents(b2)
-    rhs3 = ambp.zero()
-    for i in range(kp):
-        c = a2[i] - a1[i]
-        if c:
-            rhs3 = ambp.add(rhs3, ambp.scale(c, f.source.gens[i]))
-    ncols = kp + kp + kq + 2 * ntq + 2 * ntq + 2 * ntp
-    rows = []
-    rhs = []
-
-    def qrow(sel_a, tshift, vec_rhs):
-        # rows for: f(a)+b == vec_rhs in the target ambient
-        for r in range(ambq.rank):
-            row = [0] * ncols
-            for i in range(kp):
-                row[sel_a * kp + i] = ambq.free_part(imv[i])[r]
-            for j in range(kq):
-                row[2 * kp + j] = ambq.free_part(qg[j])[r]
-            rows.append(row)
-            rhs.append(ambq.free_part(vec_rhs)[r])
-        for t in range(ntq):
-            d = ambq.torsion[t]
-            row = [0] * ncols
-            for i in range(kp):
-                row[sel_a * kp + i] = ambq.torsion_part(imv[i])[t]
-            for j in range(kq):
-                row[2 * kp + j] = ambq.torsion_part(qg[j])[t]
-            base = 2 * kp + kq + tshift * 2 * ntq + 2 * t
-            row[base] = d
-            row[base + 1] = -d
-            rows.append(row)
-            rhs.append(ambq.torsion_part(vec_rhs)[t])
-
-    qrow(0, 0, b1v)
-    qrow(1, 1, b2v)
-    # a3 - a4 == rhs3 as elements of the source ambient
-    for r in range(ambp.rank):
-        row = [0] * ncols
-        for i in range(kp):
-            row[i] = ambp.free_part(f.source.gens[i])[r]
-            row[kp + i] = -ambp.free_part(f.source.gens[i])[r]
-        rows.append(row)
-        rhs.append(ambp.free_part(rhs3)[r])
-    for t in range(ntp):
-        d = ambp.torsion[t]
-        row = [0] * ncols
-        for i in range(kp):
-            row[i] = ambp.torsion_part(f.source.gens[i])[t]
-            row[kp + i] = -ambp.torsion_part(f.source.gens[i])[t]
-        base = 2 * kp + kq + 4 * ntq + 2 * t
-        row[base] = d
-        row[base + 1] = -d
-        rows.append(row)
-        rhs.append(ambp.torsion_part(rhs3)[t])
+    ims, ps, qs = f.gen_images, f.source.gens, f.target.gens
+    zq = [ambq.zero()] * len(ims)
+    zp = [ambp.zero()] * len(qs)
+    rhs3 = f.source.element_from_exponents(vsub(a2, a1))
+    # unknowns (a3, a4, b): f(a3) + b = b1, f(a4) + b = b2, a3 - a4 = a2 - a1
+    rows, rhs = zlat.group_equations(
+        [
+            (ambq, [*ims, *zq, *qs], f.target.element_from_exponents(b1)),
+            (ambq, [*zq, *ims, *qs], f.target.element_from_exponents(b2)),
+            (ambp, [*ps, *map(vneg, ps), *zp], rhs3),
+        ],
+        nonneg=True,
+    )
     res = zlat.solve_nonneg(rows, rhs, budget=budget)
     return res.is_sat
 
@@ -794,18 +714,7 @@ def _split_direct_sum(g1, g2, eamb, embq, embn, coord):
     for j in range(n2):
         cols.append(embn(tuple(1 if t == j else 0 for t in range(n2))))
     # solve sum x_i cols_i = coord in eamb
-    nt = len(eamb.torsion)
-    rows = []
-    rhs = []
-    for r in range(eamb.rank):
-        rows.append([c[r] for c in cols] + [0] * nt)
-        rhs.append(coord[r])
-    for t in range(nt):
-        row = [c[eamb.rank + t] for c in cols]
-        row += [eamb.torsion[t] if s == t else 0 for s in range(nt)]
-        rows.append(row)
-        rhs.append(coord[eamb.rank + t])
-    sol = zlat.solve_integer(rows, rhs)
+    sol = zlat.solve_integer(*zlat.group_equations([(eamb, cols, coord)]))
     assert sol is not None
     x = sol[: n1 + n2]
     return g1.reduce(x[:n1]), g2.reduce(x[n1:])

@@ -116,17 +116,7 @@ class AffineMonoid(Memoized):
         x = amb.reduce(x)
         if not self.gens:
             return () if amb.is_zero(x) else None
-        nt = len(amb.torsion)
-        rows = []
-        rhs = []
-        for r in range(amb.rank):
-            rows.append([g[r] for g in self.gens] + [0] * nt)
-            rhs.append(x[r])
-        for j in range(nt):
-            row = [g[amb.rank + j] for g in self.gens]
-            row += [amb.torsion[j] if t == j else 0 for t in range(nt)]
-            rows.append(row)
-            rhs.append(x[amb.rank + j])
+        rows, rhs = zlat.group_equations([(amb, self.gens, x)])
         sol = zlat.solve_integer(rows, rhs)
         if sol is None:
             return None
@@ -194,19 +184,7 @@ class AffineMonoid(Memoized):
             # a generator is its own witness: e_i, checked by substitution
             i = self.gens.index(x)
             return tuple(1 if j == i else 0 for j in range(self.ngens))
-        nt = len(amb.torsion)
-        rows = []
-        rhs = []
-        for r in range(amb.rank):
-            rows.append([g[r] for g in self.gens] + [0] * (2 * nt))
-            rhs.append(x[r])
-        for j in range(nt):
-            d = amb.torsion[j]
-            row = [g[amb.rank + j] for g in self.gens]
-            for t in range(nt):
-                row += [d, -d] if t == j else [0, 0]
-            rows.append(row)
-            rhs.append(x[amb.rank + j])
+        rows, rhs = zlat.group_equations([(amb, self.gens, x)], nonneg=True)
         res = zlat.solve_nonneg(rows, rhs, budget=budget)
         if res.is_sat:
             return tuple(res.witness[: self.ngens])
@@ -222,31 +200,21 @@ class AffineMonoid(Memoized):
 
         def build():
             amb = self.ambient
-            tor_gens = [
-                (0,) * amb.rank + tuple(1 if t == j else 0 for t in range(len(amb.torsion)))
-                for j in range(len(amb.torsion))
+            nt = len(amb.torsion)
+            gens = [
+                (0,) * amb.rank + tuple(1 if t == j else 0 for t in range(nt))
+                for j in range(nt)
             ]
             if not self.gens:
-                return AffineMonoid(amb, tor_gens)
-            hb = zlat.hilbert_basis(
-                self.free_gens(),
-                lattice=[
-                    [1 if i == j else 0 for j in range(amb.rank)]
-                    for i in range(amb.rank)
-                ]
-                if amb.rank
-                else None,
-            ) if amb.rank else zlat.HilbertBasis((), ())
-            gens = []
-            pad = (0,) * len(amb.torsion)
-            for h in hb.sharp:
-                gens.append(tuple(h) + pad)
-            for u in hb.units:
-                gens.append(tuple(u) + pad)
-                gens.append(tuple(vneg(u)) + pad)
-            gens.extend(tor_gens)
-            gens = sorted(set(gens))
-            return AffineMonoid(amb, gens)
+                return AffineMonoid(amb, gens)
+            span, coords, facets, _ = self._cone()
+            if any(any(c) for c in coords):
+                # the Hilbert basis of the facet cone in span coordinates
+                sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
+                for h in sharp + units + [vneg(u) for u in units]:
+                    free = [vdot(col, h) for col in zip(*span.basis)]
+                    gens.append(tuple(free) + (0,) * nt)
+            return AffineMonoid(amb, sorted(set(gens)))
 
         return self._get("sat", build)
 
@@ -465,11 +433,7 @@ class Face:
         return len(self.span_basis())
 
     def corank(self):
-        whole = Lattice(
-            [self.monoid.ambient.free_part(g) for g in self.monoid.gens],
-            self.monoid.ambient.rank,
-        ).saturation()
-        return whole.rank - self.dim()
+        return self.monoid.span_lattice().rank - self.dim()
 
     def contains_face(self, other):
         return set(other.indices) <= set(self.indices)

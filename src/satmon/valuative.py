@@ -45,28 +45,6 @@ def _frac_vec(v):
     return tuple(Fraction(x) for x in v)
 
 
-def _rank_of_fraction_rows(rows, ncols):
-    mat = [list(r) for r in rows]
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [e * inv for e in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class LevelForm:
     """Linear form with coefficients rational + rational*sqrt(d)."""
@@ -95,14 +73,9 @@ class OrderedLattice:
             if d == 0 and any(x != 0 for x in lv[-1].irrational):
                 raise ValueError("irrational parts require d >= 2")
         self.levels = tuple(lv)
-        rows = []
-        for f in self.levels:
-            rows.append(list(f.rational))
-            if d:
-                rows.append(list(f.irrational))
-        if rank and _rank_of_fraction_rows(rows, rank) != rank:
-            raise ValueError("order is not total: the level forms have a joint kernel")
         self._chain = None
+        if self.kernel_chain()[-1].rank:
+            raise ValueError("order is not total: the level forms have a joint kernel")
 
     def check_element(self, x):
         if len(x) != self.rank:

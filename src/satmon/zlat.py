@@ -159,6 +159,28 @@ def snf(a):
     )
 
 
+def _smith_solve(rows, b=None):
+    """(one integer solution of A x = b or None, kernel basis of A): one SNF."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    U, _, D, V, _ = kernels.snf_with_transforms(rows)
+    rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
+    kernel = [tuple(V[i][j] for i in range(c)) for j in range(rank, c)]
+    if b is None:
+        return None, kernel
+    ub = kernels.mat_vec(U, list(b))
+    y = [0] * c
+    for i in range(r):
+        if i < rank:
+            d = D[i][i]
+            if ub[i] % d != 0:
+                return None, kernel
+            y[i] = ub[i] // d
+        elif ub[i] != 0:
+            return None, kernel
+    return tuple(kernels.mat_vec(V, y)), kernel
+
+
 def kernel_basis(rows):
     """Basis of {x : A x = 0} as a list of integer vectors."""
     rows = _as_rows(rows)
@@ -168,29 +190,12 @@ def kernel_basis(rows):
         return []
     if r == 0:
         return [tuple(1 if i == j else 0 for i in range(c)) for j in range(c)]
-    _, _, D, V, _ = kernels.snf_with_transforms(rows)
-    rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
-    return [tuple(V[i][j] for i in range(c)) for j in range(rank, c)]
+    return _smith_solve(rows)[1]
 
 
 def solve_integer(rows, b):
     """One integer solution of A x = b, or None."""
-    rows = _as_rows(rows)
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    U, _, D, V, _ = kernels.snf_with_transforms(rows)
-    ub = kernels.mat_vec(U, list(b))
-    y = [0] * c
-    rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
-    for i in range(r):
-        if i < rank:
-            d = D[i][i]
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
-            return None
-    return tuple(kernels.mat_vec(V, y))
+    return _smith_solve(_as_rows(rows), b)[0]
 
 
 class Lattice:
@@ -423,19 +428,41 @@ def cokernel(a):
     return pres.group, pres
 
 
+def group_equations(blocks, nonneg=False):
+    """Integer rows and right-hand side for equations in f.g. abelian groups.
+
+    Each block (group, columns, rhs) states sum_j x_j * columns[j] = rhs in
+    ``group``; all blocks share the main unknowns x_j.  A block gives one row
+    per free coordinate, then one per torsion coordinate Z/d, and that row
+    gets a slack column d, or the pair d, -d when the unknowns are to be
+    nonnegative (so the slack stays free).  Slack columns follow the main
+    columns, block by block.  Entries are used as given, not reduced mod d.
+    """
+    ncols = len(blocks[0][1])
+    width = 2 if nonneg else 1
+    nslack = width * sum(len(g.torsion) for g, _, _ in blocks)
+    rows, rhs = [], []
+    s = ncols
+    for g, cols, r in blocks:
+        for i in range(g.dim):
+            row = [c[i] for c in cols] + [0] * nslack
+            if i >= g.rank:
+                d = g.torsion[i - g.rank]
+                row[s] = d
+                if nonneg:
+                    row[s + 1] = -d
+                s += width
+            rows.append(row)
+            rhs.append(r[i])
+    return rows, rhs
+
+
 def relation_lattice(ambient: FgAbelianGroup, elements):
     """{a in Z^k : sum a_i * elements_i = 0 in ambient} as a Lattice."""
     k = len(elements)
     if k == 0:
         return Lattice([], 0)
-    nt = len(ambient.torsion)
-    rows = []
-    for i in range(ambient.rank):
-        rows.append([e[i] for e in elements] + [0] * nt)
-    for j in range(nt):
-        row = [e[ambient.rank + j] for e in elements]
-        row += [ambient.torsion[j] if t == j else 0 for t in range(nt)]
-        rows.append(row)
+    rows, _ = group_equations([(ambient, elements, ambient.zero())])
     if not rows:
         return Lattice(
             [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)], k
@@ -500,7 +527,7 @@ def _grading(hrep_rows, dim):
     return tuple(sum(r[i] for r in hrep_rows) for i in range(dim))
 
 
-def _hilbert_pointed(rays, hrep_rows, dim, max_points):
+def _hilbert_pointed(rays, hrep_rows, dim):
     """Hilbert basis of {x : hrep . x >= 0} cap Z^dim for a pointed cone.
 
     ``rays`` must be primitive integer generators of the cone.  Candidates
@@ -514,10 +541,10 @@ def _hilbert_pointed(rays, hrep_rows, dim, max_points):
     npts = 1
     for a, b in zip(lo, hi):
         npts *= b - a + 1
-        if npts > max_points:
+        if npts > MAX_SCAN_POINTS:
             raise ResourceLimitError(
-                f"zonotope scan would visit more than {max_points} points",
-                max_points,
+                f"zonotope scan would visit more than {MAX_SCAN_POINTS} points",
+                MAX_SCAN_POINTS,
             )
     pts = kernels.scan_box_points(lo, hi, [list(r) for r in hrep_rows])
     phi = _grading(hrep_rows, dim)
@@ -536,7 +563,7 @@ def _hilbert_pointed(rays, hrep_rows, dim, max_points):
     return sorted(basis)
 
 
-def hilbert_from_hrep(hrep_rows, dim, max_points=MAX_SCAN_POINTS):
+def hilbert_from_hrep(hrep_rows, dim):
     """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis)."""
     if dim > MAX_CONE_DIM:
         raise ResourceLimitError(
@@ -561,77 +588,11 @@ def hilbert_from_hrep(hrep_rows, dim, max_points=MAX_SCAN_POINTS):
             )
         img_rows = [r for r in img_rows if any(r)]
         rays = extreme_rays(img_rows, qdim)
-        sharp_q = _hilbert_pointed(rays, img_rows, qdim, max_points)
+        sharp_q = _hilbert_pointed(rays, img_rows, qdim)
         sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
         return sorted(sharp), [tuple(b) for b in lin]
     rays = extreme_rays(rows, dim)
-    return _hilbert_pointed(rays, rows, dim, max_points), []
-
-
-@dataclass(frozen=True)
-class HilbertBasis:
-    """Generators of the saturation: minimal sharp part plus unit basis."""
-
-    sharp: tuple
-    units: tuple
-
-    def all_generators(self):
-        gens = list(self.sharp)
-        for u in self.units:
-            gens.append(u)
-            gens.append(vneg(u))
-        return gens
-
-
-def hilbert_basis(gens, lattice=None, max_points=MAX_SCAN_POINTS):
-    """Minimal generators of {x in L : n*x in <gens> for some n >= 1}.
-
-    L defaults to the Z-span of the generators; pass explicit lattice
-    generators (e.g. the standard basis) to saturate in a larger lattice.
-    The result is a HilbertBasis whose vectors live in the ambient Z^n.
-    """
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = len(gens[0])
-    lat = Lattice(gens if lattice is None else lattice, n)
-    lb = [list(b) for b in lat.basis]
-    coords = []
-    for g in gens:
-        c = lat.coords(g)
-        if c is None:
-            raise ValueError(f"generator {g} is outside the given lattice")
-        coords.append(c)
-    d = lat.rank
-    if d == 0:
-        return HilbertBasis((), ())
-    # restrict to the saturated span of the generators inside the lattice
-    span = Lattice(coords, d).saturation()
-    sdim = span.rank
-    scoords = [span.coords(g) for g in coords]
-    if sdim > MAX_CONE_DIM:
-        raise ResourceLimitError(
-            f"cone dimension {sdim} exceeds the supported bound {MAX_CONE_DIM}",
-            MAX_CONE_DIM,
-        )
-    facets = facet_normals([g for g in scoords if any(g)], sdim) if any(
-        any(g) for g in scoords
-    ) else []
-
-    def to_ambient(vec_s):
-        vd = [sum(span.basis[k][i] * vec_s[k] for k in range(sdim)) for i in range(d)]
-        return tuple(
-            sum(lb[k][i] * vd[k] for k in range(d)) for i in range(n)
-        )
-
-    if not any(any(g) for g in scoords):
-        return HilbertBasis((), ())
-    sharp_s, units_s = hilbert_from_hrep(facets, sdim, max_points)
-    # hilbert_from_hrep computes inside the facet cone; restrict to cone(gens):
-    # facets of cone(gens) are exactly the hrep, so nothing further to cut.
-    sharp = sorted(to_ambient(h) for h in sharp_s)
-    units = sorted(to_ambient(u) for u in units_s)
-    return HilbertBasis(tuple(sharp), tuple(units))
+    return _hilbert_pointed(rays, rows, dim), []
 
 
 def nonneg_kernel_generators(rows, budget=None):
@@ -684,10 +645,9 @@ def solve_nonneg(a, b, budget=None):
             return NonnegSolution("sat", ())
         return NonnegSolution("unsat", None, {"kind": "no-integer-solution"})
 
-    x0 = solve_integer(rows, b)
+    x0, kb = _smith_solve(rows, b)
     if x0 is None:
         return NonnegSolution("unsat", None, {"kind": "no-integer-solution"})
-    kb = kernel_basis(rows)
     d = len(kb)
     if d == 0:
         if all(x >= 0 for x in x0):
@@ -696,17 +656,21 @@ def solve_nonneg(a, b, budget=None):
             "unsat", None, {"kind": "unique-solution-negative", "solution": tuple(x0)}
         )
 
-    # x = x0 + sum_j t_j * kb[j]; search integer t with x >= 0
+    # x = x0 + sum_j t_j * kb[j]; search integer t with x >= 0.  A branch
+    # bound sign * t_j >= rhs, keyed by (j, sign), replaces the earlier one on
+    # that key (it is tighter: the LP point met the old one), so a node's LP
+    # has at most cols + 2 * d rows.  It goes last, where a stacked bound
+    # would go, so the remaining rows keep their stacked order.
     def base_system(extra):
         sys = LinearSystem(d, nonneg=[False] * d)
         for i in range(cols):
             sys.ge([kb[j][i] for j in range(d)], -x0[i])
-        for coeffs, rhs in extra:
-            sys.ge(coeffs, rhs)
+        for (k, sign), rhs in extra.items():
+            sys.ge([sign if j == k else 0 for j in range(d)], rhs)
         return sys
 
     nodes = 0
-    stack = [[]]
+    stack = [{}]
     while stack:
         extra = stack.pop()
         nodes += 1
@@ -738,10 +702,11 @@ def solve_nonneg(a, b, budget=None):
             assert all(v >= 0 for v in x)
             return NonnegSolution("sat", x)
         fl = pt[frac_j].numerator // pt[frac_j].denominator
-        le_branch = extra + [([-1 if j == frac_j else 0 for j in range(d)], -(fl))]
-        ge_branch = extra + [([1 if j == frac_j else 0 for j in range(d)], fl + 1)]
-        stack.append(ge_branch)
-        stack.append(le_branch)
+        for key, bound in (((frac_j, 1), fl + 1), ((frac_j, -1), -fl)):
+            branch = dict(extra)
+            branch.pop(key, None)
+            branch[key] = bound
+            stack.append(branch)
     return NonnegSolution(
         "unsat", None, {"kind": "branch-exhaustion", "nodes": nodes}
     )

@@ -41,6 +41,10 @@ def test_sign_quadratic():
 def test_total_order_validation():
     with pytest.raises(ValueError):
         V.OrderedLattice(2, [((F(1), F(0)), (F(0), F(0)))])  # kernel (0, 1)
+    # (x1 + x2)(1/2 + 2 sqrt 2) vanishes on (1, -1); x1/2 + x2 sqrt(2)/3 does not
+    with pytest.raises(ValueError, match="not total"):
+        V.OrderedLattice(2, [((F(1, 2), F(1, 2)), (F(2), F(2)))], d=2)
+    assert V.OrderedLattice(2, [((F(1, 2), F(0)), (F(0), F(1, 3)))], d=2).rank == 2
 
 
 def test_divisible_elements():

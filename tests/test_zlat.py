@@ -9,6 +9,7 @@ import pytest
 from conftest import brute_nonneg_solve, minors_gcd_invariants, rng_for
 from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
+from satmon.monoid import AffineMonoid, monoid_from_vectors
 from satmon.sigma import PrimeSet
 from satmon.zlat import (
     FgAbelianGroup,
@@ -16,13 +17,13 @@ from satmon.zlat import (
     Lattice,
     cokernel,
     enumerate_overlattices,
-    hilbert_basis,
     kernel_basis,
     nonneg_kernel_generators,
     quotient_by_columns,
     snf,
     solve_integer,
     solve_nonneg,
+    vneg,
 )
 
 
@@ -203,72 +204,137 @@ def test_solve_nonneg_budget_error():
         solve_nonneg([[2, -2]], [2], budget=0)
 
 
+def test_solve_nonneg_branch_bounds_do_not_stack(monkeypatch):
+    # The slack pair d, -d of a torsion coordinate is a ray of the LP that
+    # branch-and-bound cannot exhaust, so this non-member runs into its node
+    # budget.  Each branch bound replaces the earlier one on the same
+    # parameter and side, so a node's LP keeps at most cols + 2*dim rows.
+    sizes = []
+
+    class Spy(zlat.LinearSystem):
+        def maximize(self, obj):
+            sizes.append(len(self.rows))
+            return super().maximize(obj)
+
+    monkeypatch.setattr(zlat, "LinearSystem", Spy)
+    amb = FgAbelianGroup(1, (2, 2))
+    m = AffineMonoid(amb, [(0, 1, 1), (2, 0, 0), (2, 1, 0)])
+    rows, _ = zlat.group_equations([(amb, m.gens, amb.zero())], nonneg=True)
+    cols, dim = len(rows[0]), len(kernel_basis(rows))
+    with pytest.raises(ResourceLimitError):
+        m.membership((0, 0, 1), budget=300)
+    assert len(sizes) == 300
+    assert max(sizes) <= cols + 2 * dim
+
+
 # ---------------------------------------------------------------------------
-# Hilbert bases
+# equations in f.g. abelian groups
+
+
+def test_group_equations_slack_columns():
+    g = FgAbelianGroup(1, (2, 4))
+    h = FgAbelianGroup(0, (3,))
+    # main columns (x1, x2); the -1 in the Z/4 coordinate is kept unreduced
+    blocks = [(g, [(1, 1, 3), (2, 0, -1)], (9, 1, 2)), (h, [(1,), (2,)], (0,))]
+    rows, rhs = zlat.group_equations(blocks)
+    assert rows == [
+        [1, 2, 0, 0, 0],
+        [1, 0, 2, 0, 0],
+        [3, -1, 0, 4, 0],
+        [1, 2, 0, 0, 3],
+    ]
+    assert rhs == [9, 1, 2, 0]
+    x = solve_integer(rows, rhs)
+    assert g.reduce((x[0] + 2 * x[1], x[0], 3 * x[0] - x[1])) == (9, 1, 2)
+    assert h.is_zero((x[0] + 2 * x[1],))
+    rows, rhs = zlat.group_equations(blocks, nonneg=True)
+    assert rows == [
+        [1, 2, 0, 0, 0, 0, 0, 0],
+        [1, 0, 2, -2, 0, 0, 0, 0],
+        [3, -1, 0, 0, 4, -4, 0, 0],
+        [1, 2, 0, 0, 0, 0, 3, -3],
+    ]
+    assert rhs == [9, 1, 2, 0]
+    # x2 = 3 mod 4 and x1 = 9 - 2 x2 >= 0 leave (3, 3) as the only witness
+    assert solve_nonneg(rows, rhs).witness[:2] == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert bases, through AffineMonoid.saturate
+
+
+def _saturation_gens(gens):
+    return monoid_from_vectors(gens).saturate().gens
 
 
 def test_hilbert_basis_spec_examples():
     # saturation of <(1,0),(1,2)> in the full lattice Z^2 gains (1,1)
-    hb = hilbert_basis([(1, 0), (1, 2)], lattice=[(1, 0), (0, 1)])
-    assert hb.sharp == ((1, 0), (1, 1), (1, 2))
+    assert _saturation_gens([(1, 0), (1, 2)]) == ((1, 0), (1, 1), (1, 2))
     # in the generated lattice (second coordinate even) it is already saturated
-    hb = hilbert_basis([(1, 0), (1, 2)])
-    assert hb.sharp == ((1, 0), (1, 2))
-    hb = hilbert_basis([(2,), (3,)])
-    assert hb.sharp == ((1,),)
-    hb = hilbert_basis([(1, 0), (0, 1)])
-    assert hb.sharp == ((0, 1), (1, 0))
-    assert hb.units == ()
+    m, _ = monoid_from_vectors([(1, 0), (1, 2)]).intrinsic()
+    assert sorted(m.saturate().gens) == sorted(m.gens)
+    assert _saturation_gens([(2,), (3,)]) == ((1,),)
+    assert _saturation_gens([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
 
 
 def test_hilbert_basis_units():
-    hb = hilbert_basis([(1, 0), (-1, 0), (0, 1)])
-    assert hb.units == ((1, 0),)
-    assert hb.sharp == ((0, 1),)
+    # the unit (1,0) appears with its negative
+    assert _saturation_gens([(1, 0), (-1, 0), (0, 1)]) == ((-1, 0), (0, 1), (1, 0))
 
 
 def test_hilbert_basis_properties_random():
+    # Saturating in Z^r + T gives (saturation of the free parts) + T: n*x in P
+    # for x = (f, t) as soon as n f is a sum of free parts and the exponent
+    # of T divides n.  The free-part checks are the Hilbert basis properties.
     rng = rng_for("hilbert")
     for _ in range(60):
-        dim = rng.randint(1, 3)
-        k = rng.randint(1, 4)
+        amb = FgAbelianGroup(rng.randint(1, 3), rng.choice([(), (2,), (3,), (2, 4)]))
+        dim = amb.rank
         gens = []
-        for _ in range(k):
-            v = tuple(rng.randint(-2, 3) for _ in range(dim))
-            if any(v):
+        for _ in range(rng.randint(1, 4)):
+            v = amb.reduce(tuple(rng.randint(-2, 3) for _ in range(amb.dim)))
+            if not amb.is_zero(v) and v not in gens:
                 gens.append(v)
         if not gens:
             continue
-        hb = hilbert_basis(gens)
-        allg = hb.all_generators()
+        m = AffineMonoid(amb, gens)
+        sat = m.saturate()
+        free = sorted({amb.free_part(g) for g in gens if any(amb.free_part(g))})
+        free_sat = AffineMonoid(FgAbelianGroup(dim), free).saturate().gens
+        torsion = [
+            (0,) * dim + tuple(int(t == j) for t in range(len(amb.torsion)))
+            for j in range(len(amb.torsion))
+        ]
+        pad = (0,) * len(amb.torsion)
+        assert set(sat.gens) == {h + pad for h in free_sat} | set(torsion)
         # every input generator is an N-combination of the output
         for g in gens:
-            rows = [[h[i] for h in allg] for i in range(dim)]
-            assert solve_nonneg(rows, list(g), budget=50000).is_sat
+            assert sat.contains(g, budget=50000)
         # every output element has a multiple inside the input monoid
-        for h in list(hb.sharp) + [u for u in hb.units] + [
-            tuple(-x for x in u) for u in hb.units
-        ]:
-            ok = False
-            for n in range(1, 25):
-                rows = [[g[i] for g in gens] for i in range(dim)]
-                if solve_nonneg(rows, [n * x for x in h], budget=50000).is_sat:
-                    ok = True
-                    break
-            assert ok, (gens, h)
-        # minimality of the sharp part (removal test)
-        for h in hb.sharp:
-            rest = [x for x in allg if x != h]
+        rows = [[g[i] for g in free] for i in range(dim)]
+        for h in free_sat:
+            n = next(
+                (n for n in range(1, 25)
+                 if solve_nonneg(rows, [n * x for x in h], budget=50000).is_sat),
+                None,
+            )
+            assert n is not None, (gens, h)
+            assert m.contains(amb.scale(n * amb.exponent_of_torsion(), h + pad))
+        # minimality of the sharp part (removal test); units come with -u
+        for h in free_sat:
+            if vneg(h) in free_sat:
+                continue
+            rest = [x for x in free_sat if x != h]
             if not rest:
                 continue
-            rows = [[x[i] for x in rest] for i in range(dim)]
-            assert not solve_nonneg(rows, list(h), budget=50000).is_sat
+            rows_rest = [[x[i] for x in rest] for i in range(dim)]
+            assert not solve_nonneg(rows_rest, list(h), budget=50000).is_sat
 
 
 def test_hilbert_dimension_guard():
     gens = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
     with pytest.raises(ResourceLimitError):
-        hilbert_basis(gens)
+        monoid_from_vectors(gens).saturate()
 
 
 # ---------------------------------------------------------------------------
