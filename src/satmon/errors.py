@@ -6,7 +6,7 @@ class SatmonError(Exception):
 
 
 class ResourceLimitError(SatmonError):
-    """A configured budget (nodes, cone dimension, face count) was exceeded.
+    """A configured budget (nodes, cone work, face count) was exceeded.
 
     Distinct from a negative verdict: the computation was cut off, not decided.
     """

@@ -1,4 +1,4 @@
-"""Hot integer kernels: normal forms, lattice-point scans and completion.
+"""Hot integer kernels: normal forms and Contejean-Devie completion.
 
 Plain functions over lists of Python ints; everything is exact
 arbitrary-precision arithmetic.
@@ -207,43 +207,6 @@ def hnf_rows(a):
             if rank == r:
                 break
     return H, T, pivots
-
-
-def scan_box_points(lows, highs, ineq_rows):
-    """Integer points x with lows <= x <= highs and row.x >= 0 for each row.
-
-    Returns a lexicographically sorted list of tuples.  This is the inner
-    loop of the zonotope-bounded Hilbert basis computation.
-    """
-    n = len(lows)
-    if n == 0:
-        return [()]
-    out = []
-    x = list(lows)
-    m = len(ineq_rows)
-    while True:
-        ok = True
-        for t in range(m):
-            row = ineq_rows[t]
-            s = 0
-            for i in range(n):
-                if row[i]:
-                    s += row[i] * x[i]
-            if s < 0:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(x))
-        k = n - 1
-        while k >= 0:
-            if x[k] < highs[k]:
-                x[k] += 1
-                break
-            x[k] = lows[k]
-            k -= 1
-        if k < 0:
-            break
-    return out
 
 
 def cd_minimal_nonneg_solutions(amat, q, budget):

@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra.
 
 Normal forms (Smith, Hermite), finitely generated abelian groups in
-invariant form, lattice-point engines (Hilbert bases via the zonotope bound,
+invariant form, cones and lattice-point engines (extreme rays by double
+description, Hilbert bases from the parallelepipeds of a triangulation,
 minimal nonnegative solutions via Contejean-Devie completion, nonnegative
 Diophantine feasibility via branch-and-bound over a Hermite parametrization
 with exact LP pruning), and finite-index overlattice enumeration.
@@ -15,15 +16,15 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import kernels
 from ._lp import INFEASIBLE, LinearSystem
 from .errors import CoprimalityError, ResourceLimitError
 
 DEFAULT_NODE_BUDGET = int(os.environ.get("SATMON_BUDGET", "1000000"))
-MAX_CONE_DIM = 8
-MAX_SCAN_POINTS = 4_000_000
+# Work cap of one cone computation: every ray that double description forms
+# and every point of every simplex's parallelepiped (its |det|) counts one.
+CONE_WORK_LIMIT = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +327,6 @@ class FgAbelianGroup:
     def free_part(self, v):
         return tuple(v[: self.rank])
 
-    def torsion_part(self, v):
-        return tuple(v[self.rank:])
-
     def order(self):
         if self.rank:
             return None
@@ -484,32 +482,133 @@ def span_presentation(ambient: FgAbelianGroup, elements):
 
 # ---------------------------------------------------------------------------
 # rational cones
+#
+# Extreme rays come from integer double description (Fukuda-Prodon 1996);
+# Hilbert bases from a pulling triangulation on those rays, whose simplices'
+# half-open parallelepipeds are read off one Smith form each (Bruns-Koch
+# 2001), followed by a degree-ordered sieve.
+
+
+def _charge(work):
+    if work > CONE_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"cone work exceeds CONE_WORK_LIMIT = {CONE_WORK_LIMIT} "
+            "(double-description rays plus parallelepiped points)",
+            CONE_WORK_LIMIT,
+        )
+
+
+def _independent_rows(rows, dim):
+    """Indices of the rows independent of the rows before them (at most dim)."""
+    echelon = []  # (pivot, row), each row zero at the earlier pivots
+    picked = []
+    for i, r in enumerate(rows):
+        v = list(r)
+        for p, b in echelon:
+            if v[p]:
+                bp, vp = b[p], v[p]
+                v = [bp * x - vp * y for x, y in zip(v, b)]
+        p = next((j for j in range(dim) if v[j]), None)
+        if p is None:
+            continue
+        g = vgcd(v)
+        echelon.append((p, [x // g for x in v]))
+        picked.append(i)
+        if len(picked) == dim:
+            break
+    return picked
+
+
+def _det_and_adjugate(a):
+    """(d, d * A^-1) for a nonsingular square integer matrix A, d = +-det A.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [A | I]: after step
+    k every entry is a (k + 1)-minor of [A | I] up to sign, so each division
+    is exact, and the left block ends as d * I.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            i = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[i] = m[i], m[k]
+        rk = m[k]
+        akk = rk[k]
+        for i in range(n):
+            aik = m[i][k]
+            if i != k:
+                m[i] = [(akk * x - aik * y) // prev for x, y in zip(m[i], rk)]
+        prev = akk
+    return prev, [row[n:] for row in m]
+
+
+def _double_description(rows, dim):
+    """Extreme rays of the pointed cone {x : row . x >= 0}, with zero sets.
+
+    Returns (pairs, work): each pair is a primitive ray and the bitmask of
+    the rows it lies on (bit i for rows[i]); work counts every ray formed.
+    The rays of the simplicial cone of ``dim`` independent rows B are the
+    columns of |det B| * B^-1.  Each further row keeps the rays on its
+    nonnegative side and joins each adjacent pair across it; two rays are
+    adjacent when no third ray lies on every row that both lie on.
+    """
+    init = _independent_rows(rows, dim)
+    if len(init) < dim:
+        raise ValueError("the cone has a nonzero lineality space")
+    det, adj = _det_and_adjugate([rows[i] for i in init])
+    sign = 1 if det > 0 else -1
+    tight = sum(1 << i for i in init)
+    pairs = []
+    for j in range(dim):
+        col = [sign * row[j] for row in adj]
+        g = vgcd(col)
+        pairs.append((tuple(x // g for x in col), tight & ~(1 << init[j])))
+    work = dim
+    start = set(init)
+    for i, a in enumerate(rows):
+        if i in start:
+            continue
+        bit = 1 << i
+        pos, neg, keep = [], [], []
+        for r, m in pairs:
+            s = vdot(a, r)
+            if s > 0:
+                pos.append((r, m, s))
+                keep.append((r, m))
+            elif s < 0:
+                neg.append((r, m, s))
+            else:
+                keep.append((r, m | bit))
+        if neg:
+            masks = [m for _, m in pairs]
+            for p, mp, sp in pos:
+                for n, mn, sn in neg:
+                    common = mp & mn
+                    if common.bit_count() < dim - 2:
+                        continue
+                    # p and n themselves lie on every row of ``common``
+                    if sum(1 for m in masks if m & common == common) > 2:
+                        continue
+                    v = [sp * y - sn * x for x, y in zip(p, n)]
+                    g = vgcd(v)
+                    keep.append((tuple(x // g for x in v), common | bit))
+                    work += 1
+            _charge(work)
+        pairs = keep
+    return pairs, work
 
 
 def extreme_rays(hrep_rows, dim):
-    """Extreme rays of the pointed cone {x in Q^dim : row . x >= 0}.
+    """Extreme rays of the pointed cone {x in Q^dim : row . x >= 0}, sorted.
 
-    Brute-force over (dim-1)-subsets of rows; exact and adequate at desk
-    scale.  The cone must be pointed (no nonzero lineality).
+    Each ray is the primitive integer vector on it.  The cone must be
+    pointed (no nonzero lineality); it need not be full-dimensional.
     """
-    rows = [tuple(r) for r in hrep_rows]
-    found = set()
     if dim == 0:
         return []
-    if dim == 1:
-        for cand in ((1,), (-1,)):
-            if all(vdot(r, cand) >= 0 for r in rows):
-                found.add(cand)
-        return sorted(found)
-    for subset in combinations(range(len(rows)), dim - 1):
-        ker = kernel_basis([list(rows[i]) for i in subset])
-        if len(ker) != 1:
-            continue
-        w = primitive(ker[0])
-        for cand in (w, vneg(w)):
-            if all(vdot(r, cand) >= 0 for r in rows):
-                found.add(cand)
-    return sorted(found)
+    pairs, _ = _double_description([tuple(r) for r in hrep_rows], dim)
+    return sorted(r for r, _ in pairs)
 
 
 def facet_normals(gens, dim):
@@ -521,55 +620,145 @@ def facet_normals(gens, dim):
     return extreme_rays([list(g) for g in gens], dim)
 
 
-def _grading(hrep_rows, dim):
-    if not hrep_rows:
-        return (0,) * dim
-    return tuple(sum(r[i] for r in hrep_rows) for i in range(dim))
+def _pulling_triangulation(face, fdim, hyperplanes, memo):
+    """Simplices (ray bitmasks) of the pulling triangulation of a face.
+
+    ``face`` is a bitmask of rays spanning a face of dimension ``fdim``;
+    ``hyperplanes`` holds, per row, the mask of rays on it.  The facets of a
+    face are the inclusion-maximal sets face & h, h not containing the face.
+    The lowest ray of the face is pulled: it is joined to the triangulation
+    of each facet that misses it.
+    """
+    if face.bit_count() == fdim:
+        return [face]
+    out = memo.get(face)
+    if out is not None:
+        return out
+    cands = {face & h for h in hyperplanes if face & h != face}
+    pulled = face & -face
+    out = []
+    for g in cands:
+        if g & pulled or any(g != o and g & o == g for o in cands):
+            continue
+        out.extend(s | pulled for s in _pulling_triangulation(g, fdim - 1, hyperplanes, memo))
+    memo[face] = out
+    return out
 
 
-def _hilbert_pointed(rays, hrep_rows, dim):
+def _parallelepiped_ys(s, W):
+    """y = W (k_j L / s_j) mod L over k in prod [0, s_j), L = s_k; y = 0 first.
+
+    For a dim x k matrix M of rank k with Smith form U M W = S, s = diag(S),
+    the points M y / L are the lattice points of {M lambda : 0 <= lambda_j
+    < 1}: prod s_j of them, |det M| for square M.
+    """
+    k = len(s)
+    big = s[-1]
+    ys = [(0,) * k]
+    for j in range(k):
+        if s[j] > 1:
+            step = big // s[j]
+            g = [W[t][j] * step % big for t in range(k)]
+            ys = [
+                tuple((yt + c * gt) % big for yt, gt in zip(y, g))
+                for y in ys
+                for c in range(s[j])
+            ]
+    return ys
+
+
+def _hilbert_pointed(hrep_rows, dim):
     """Hilbert basis of {x : hrep . x >= 0} cap Z^dim for a pointed cone.
 
-    ``rays`` must be primitive integer generators of the cone.  Candidates
-    are scanned from the zonotope bounding box of the rays: every
-    irreducible element is a sub-sum of the rays with coefficients in [0,1].
+    Every irreducible element is a ray or a point of the half-open
+    parallelepiped of a simplex of a triangulation on the rays.  Those
+    candidates are sieved in degree order (degree = sum of the row values):
+    a candidate p is kept unless p - h lies in the cone for a kept h.  Such
+    an h can be taken of degree <= deg(p) / 2, since a reducible p is a sum
+    of at least two basis elements.  Rows must have rank dim.
     """
-    if not rays:
+    rows = [tuple(r) for r in hrep_rows]
+    pairs, work = _double_description(rows, dim)
+    if not pairs:
         return []
-    lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
-    hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
-    npts = 1
-    for a, b in zip(lo, hi):
-        npts *= b - a + 1
-        if npts > MAX_SCAN_POINTS:
-            raise ResourceLimitError(
-                f"zonotope scan would visit more than {MAX_SCAN_POINTS} points",
-                MAX_SCAN_POINTS,
-            )
-    pts = kernels.scan_box_points(lo, hi, [list(r) for r in hrep_rows])
-    phi = _grading(hrep_rows, dim)
-    pts = [p for p in pts if any(p)]
-    pts.sort(key=lambda p: (vdot(phi, p), p))
-    basis = []
-    for p in pts:
-        reducible = False
-        for h in basis:
-            q = vsub(p, h)
-            if all(vdot(r, q) >= 0 for r in hrep_rows):
-                reducible = True
+    rays = [r for r, _ in pairs]
+    nrays = len(rays)
+    full = (1 << nrays) - 1
+    hyperplanes = {
+        sum(1 << t for t, (_, m) in enumerate(pairs) if m >> i & 1)
+        for i in range(len(rows))
+    }
+    # a row on every ray is an implicit equation; without one the cone is
+    # full-dimensional
+    if full in hyperplanes:
+        hyperplanes.discard(full)
+        cdim = len(_independent_rows(rays, dim))
+    else:
+        cdim = dim
+    # every simplex is charged its |det| before any parallelepiped is
+    # enumerated
+    boxes = []
+    for simplex in _pulling_triangulation(full, cdim, hyperplanes, {}):
+        idx = [t for t in range(nrays) if simplex >> t & 1]
+        cols = [rays[t] for t in idx]
+        if cdim == dim and abs(_det_and_adjugate(cols)[0]) == 1:
+            work += 1
+            continue
+        _, _, S, W, _ = kernels.snf_with_transforms(
+            [[c[i] for c in cols] for i in range(dim)]
+        )
+        s = [S[j][j] for j in range(cdim)]
+        work += math.prod(s)
+        _charge(work)
+        boxes.append((idx, s, W))
+    _charge(work)
+    if not boxes:
+        return sorted(rays)
+    # A point is known by its row values (the rows have rank dim).  They are
+    # packed into one int, the degree in the top field, with ``width``-bit
+    # fields and a guard bit on top of each: int order sorts by degree, and
+    # h <= p on every row iff (P + guard - H) & guard == guard.  A point
+    # M y / L of a parallelepiped has values below the sum over the rays, so
+    # L times them fits, and packing commutes with sums and exact division.
+    vals = [[vdot(r, ray) for r in rows] for ray in rays]
+    for vs in vals:
+        vs.append(sum(vs))
+    bound = sum(vs[-1] for vs in vals) * max(s[-1] for _, s, _ in boxes)
+    width = bound.bit_length() + 1
+    shifts = [width * i for i in range(len(rows) + 1)]
+    packed = [sum(v << sh for v, sh in zip(vs, shifts)) for vs in vals]
+    # candidate -> (ray indices, L, y), to rebuild it as M y / L
+    cands = {packed[t]: ([t], 1, (1,)) for t in range(nrays)}
+    for idx, s, W in boxes:
+        big = s[-1]
+        pk = [packed[t] for t in idx]
+        for y in _parallelepiped_ys(s, W)[1:]:
+            x = sum(a * b for a, b in zip(y, pk)) // big
+            if x not in cands:
+                cands[x] = (idx, big, y)
+    guard = sum(1 << (sh + width - 1) for sh in shifts)
+    basis, degs, kept = [], [], []
+    top = 0
+    for x in sorted(cands):
+        deg = x >> shifts[-1]
+        while top < len(degs) and 2 * degs[top] <= deg:
+            top += 1
+        xg = x + guard
+        for t in range(top):
+            if (xg - kept[t]) & guard == guard:
                 break
-        if not reducible:
-            basis.append(p)
-    return sorted(basis)
+        else:
+            basis.append(cands[x])
+            degs.append(deg)
+            kept.append(x)
+    return sorted(
+        tuple(sum(rays[t][i] * yt for t, yt in zip(idx, y)) // big for i in range(dim))
+        for idx, big, y in basis
+    )
 
 
 def hilbert_from_hrep(hrep_rows, dim):
     """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis)."""
-    if dim > MAX_CONE_DIM:
-        raise ResourceLimitError(
-            f"cone dimension {dim} exceeds the supported bound {MAX_CONE_DIM}",
-            MAX_CONE_DIM,
-        )
     rows = [tuple(r) for r in hrep_rows]
     lin = kernel_basis([list(r) for r in rows]) if rows else [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
@@ -587,12 +776,10 @@ def hilbert_from_hrep(hrep_rows, dim):
                 tuple(sum(r[t] * lift_rows[t][j] for t in range(dim)) for j in range(qdim))
             )
         img_rows = [r for r in img_rows if any(r)]
-        rays = extreme_rays(img_rows, qdim)
-        sharp_q = _hilbert_pointed(rays, img_rows, qdim)
+        sharp_q = _hilbert_pointed(img_rows, qdim) if qdim else []
         sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
         return sorted(sharp), [tuple(b) for b in lin]
-    rays = extreme_rays(rows, dim)
-    return _hilbert_pointed(rays, rows, dim), []
+    return _hilbert_pointed(rows, dim), []
 
 
 def nonneg_kernel_generators(rows, budget=None):

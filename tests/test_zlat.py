@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from conftest import brute_nonneg_solve, minors_gcd_invariants, rng_for
+from conftest import brute_nonneg_solve, minors_gcd_invariants, random_fp_monoid, rng_for
 from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
-from satmon.monoid import AffineMonoid, monoid_from_vectors
+from satmon.monoid import AffineMonoid, from_presentation, monoid_from_vectors
 from satmon.sigma import PrimeSet
 from satmon.zlat import (
     FgAbelianGroup,
@@ -19,11 +20,14 @@ from satmon.zlat import (
     enumerate_overlattices,
     kernel_basis,
     nonneg_kernel_generators,
+    primitive,
     quotient_by_columns,
     snf,
     solve_integer,
     solve_nonneg,
+    vdot,
     vneg,
+    vsub,
 )
 
 
@@ -282,14 +286,50 @@ def test_hilbert_basis_units():
     assert _saturation_gens([(1, 0), (-1, 0), (0, 1)]) == ((-1, 0), (0, 1), (1, 0))
 
 
-def test_hilbert_basis_properties_random():
+def _assert_saturation_properties(amb, gens):
     # Saturating in Z^r + T gives (saturation of the free parts) + T: n*x in P
     # for x = (f, t) as soon as n f is a sum of free parts and the exponent
     # of T divides n.  The free-part checks are the Hilbert basis properties.
+    dim = amb.rank
+    m = AffineMonoid(amb, gens)
+    sat = m.saturate()
+    free = sorted({amb.free_part(g) for g in gens if any(amb.free_part(g))})
+    free_sat = AffineMonoid(FgAbelianGroup(dim), free).saturate().gens
+    torsion = [
+        (0,) * dim + tuple(int(t == j) for t in range(len(amb.torsion)))
+        for j in range(len(amb.torsion))
+    ]
+    pad = (0,) * len(amb.torsion)
+    assert set(sat.gens) == {h + pad for h in free_sat} | set(torsion)
+    # every input generator is an N-combination of the output
+    for g in gens:
+        assert sat.contains(g, budget=50000)
+    # every output element has a multiple inside the input monoid
+    rows = [[g[i] for g in free] for i in range(dim)]
+    for h in free_sat:
+        n = next(
+            (n for n in range(1, 25)
+             if solve_nonneg(rows, [n * x for x in h], budget=50000).is_sat),
+            None,
+        )
+        assert n is not None, (gens, h)
+        assert m.contains(amb.scale(n * amb.exponent_of_torsion(), h + pad))
+    # minimality of the sharp part (removal test); units come with -u
+    for h in free_sat:
+        if vneg(h) in free_sat:
+            continue
+        rest = [x for x in free_sat if x != h]
+        if not rest:
+            continue
+        rows_rest = [[x[i] for x in rest] for i in range(dim)]
+        assert not solve_nonneg(rows_rest, list(h), budget=50000).is_sat
+    return free_sat
+
+
+def test_hilbert_basis_properties_random():
     rng = rng_for("hilbert")
     for _ in range(60):
         amb = FgAbelianGroup(rng.randint(1, 3), rng.choice([(), (2,), (3,), (2, 4)]))
-        dim = amb.rank
         gens = []
         for _ in range(rng.randint(1, 4)):
             v = amb.reduce(tuple(rng.randint(-2, 3) for _ in range(amb.dim)))
@@ -297,48 +337,252 @@ def test_hilbert_basis_properties_random():
                 gens.append(v)
         if not gens:
             continue
-        m = AffineMonoid(amb, gens)
-        sat = m.saturate()
-        free = sorted({amb.free_part(g) for g in gens if any(amb.free_part(g))})
-        free_sat = AffineMonoid(FgAbelianGroup(dim), free).saturate().gens
-        torsion = [
-            (0,) * dim + tuple(int(t == j) for t in range(len(amb.torsion)))
-            for j in range(len(amb.torsion))
-        ]
-        pad = (0,) * len(amb.torsion)
-        assert set(sat.gens) == {h + pad for h in free_sat} | set(torsion)
-        # every input generator is an N-combination of the output
-        for g in gens:
-            assert sat.contains(g, budget=50000)
-        # every output element has a multiple inside the input monoid
-        rows = [[g[i] for g in free] for i in range(dim)]
-        for h in free_sat:
-            n = next(
-                (n for n in range(1, 25)
-                 if solve_nonneg(rows, [n * x for x in h], budget=50000).is_sat),
-                None,
-            )
-            assert n is not None, (gens, h)
-            assert m.contains(amb.scale(n * amb.exponent_of_torsion(), h + pad))
-        # minimality of the sharp part (removal test); units come with -u
-        for h in free_sat:
-            if vneg(h) in free_sat:
-                continue
-            rest = [x for x in free_sat if x != h]
-            if not rest:
-                continue
-            rows_rest = [[x[i] for x in rest] for i in range(dim)]
-            assert not solve_nonneg(rows_rest, list(h), budget=50000).is_sat
+        _assert_saturation_properties(amb, gens)
 
 
-def test_hilbert_dimension_guard():
-    gens = [tuple(1 if i == j else 0 for i in range(9)) for j in range(9)]
-    with pytest.raises(ResourceLimitError):
-        monoid_from_vectors(gens).saturate()
+def _unit(dim, i):
+    return tuple(int(j == i) for j in range(dim))
+
+
+def test_hilbert_basis_of_cones_of_dimension_9_and_10():
+    # N^9: one unimodular simplex
+    units = [_unit(9, i) for i in range(9)]
+    assert _assert_saturation_properties(FgAbelianGroup(9), units) == tuple(sorted(units))
+    # a simplex with |det| 3 in Z^9
+    gens = units[:8] + [(1,) * 8 + (3,)]
+    free_sat = _assert_saturation_properties(FgAbelianGroup(9), gens)
+    assert len(free_sat) > len(gens)
+    # not simplicial: e1 + g2 = e2 + g1 in Z^10, both g of last coordinate 2
+    units = [_unit(10, i) for i in range(9)]
+    g1 = (1,) + (0,) * 8 + (2,)
+    g2 = (0, 1) + (0,) * 7 + (2,)
+    free_sat = _assert_saturation_properties(FgAbelianGroup(10), units + [g1, g2])
+    assert (1,) + (0,) * 8 + (1,) in free_sat
 
 
 # ---------------------------------------------------------------------------
-# Contejean-Devie completion, cross-checked against the zonotope method
+# the cone kernels that double description and parallelepipeds replaced,
+# kept verbatim as oracles
+
+
+_REFERENCE_MAX_SCAN_POINTS = 4_000_000
+
+
+def _reference_extreme_rays(hrep_rows, dim):
+    """Extreme rays of the pointed cone {x in Q^dim : row . x >= 0}.
+
+    Brute-force over (dim-1)-subsets of rows; exact and adequate at desk
+    scale.  The cone must be pointed (no nonzero lineality).
+    """
+    rows = [tuple(r) for r in hrep_rows]
+    found = set()
+    if dim == 0:
+        return []
+    if dim == 1:
+        for cand in ((1,), (-1,)):
+            if all(vdot(r, cand) >= 0 for r in rows):
+                found.add(cand)
+        return sorted(found)
+    for subset in itertools.combinations(range(len(rows)), dim - 1):
+        ker = kernel_basis([list(rows[i]) for i in subset])
+        if len(ker) != 1:
+            continue
+        w = primitive(ker[0])
+        for cand in (w, vneg(w)):
+            if all(vdot(r, cand) >= 0 for r in rows):
+                found.add(cand)
+    return sorted(found)
+
+
+def _reference_scan_box_points(lows, highs, ineq_rows):
+    """Integer points x with lows <= x <= highs and row.x >= 0 for each row.
+
+    Returns a lexicographically sorted list of tuples.  This is the inner
+    loop of the zonotope-bounded Hilbert basis computation.
+    """
+    n = len(lows)
+    if n == 0:
+        return [()]
+    out = []
+    x = list(lows)
+    m = len(ineq_rows)
+    while True:
+        ok = True
+        for t in range(m):
+            row = ineq_rows[t]
+            s = 0
+            for i in range(n):
+                if row[i]:
+                    s += row[i] * x[i]
+            if s < 0:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(x))
+        k = n - 1
+        while k >= 0:
+            if x[k] < highs[k]:
+                x[k] += 1
+                break
+            x[k] = lows[k]
+            k -= 1
+        if k < 0:
+            break
+    return out
+
+
+def _reference_grading(hrep_rows, dim):
+    if not hrep_rows:
+        return (0,) * dim
+    return tuple(sum(r[i] for r in hrep_rows) for i in range(dim))
+
+
+def _reference_box_hilbert(rays, hrep_rows, dim):
+    """Hilbert basis of {x : hrep . x >= 0} cap Z^dim for a pointed cone.
+
+    ``rays`` must be primitive integer generators of the cone.  Candidates
+    are scanned from the zonotope bounding box of the rays: every
+    irreducible element is a sub-sum of the rays with coefficients in [0,1].
+    """
+    if not rays:
+        return []
+    lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
+    hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
+    npts = 1
+    for a, b in zip(lo, hi):
+        npts *= b - a + 1
+        if npts > _REFERENCE_MAX_SCAN_POINTS:
+            raise ResourceLimitError(
+                f"zonotope scan would visit more than {_REFERENCE_MAX_SCAN_POINTS} points",
+                _REFERENCE_MAX_SCAN_POINTS,
+            )
+    pts = _reference_scan_box_points(lo, hi, [list(r) for r in hrep_rows])
+    phi = _reference_grading(hrep_rows, dim)
+    pts = [p for p in pts if any(p)]
+    pts.sort(key=lambda p: (vdot(phi, p), p))
+    basis = []
+    for p in pts:
+        reducible = False
+        for h in basis:
+            q = vsub(p, h)
+            if all(vdot(r, q) >= 0 for r in hrep_rows):
+                reducible = True
+                break
+        if not reducible:
+            basis.append(p)
+    return sorted(basis)
+
+
+def _reference_hilbert_from_hrep(hrep_rows, dim):
+    """``zlat.hilbert_from_hrep`` as it was, on the two reference kernels."""
+    rows = [tuple(r) for r in hrep_rows]
+    lin = kernel_basis([list(r) for r in rows]) if rows else [
+        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
+    ]
+    if not rows:
+        return [], [tuple(b) for b in lin]
+    if lin:
+        pres = quotient_by_columns(dim, [list(b) for b in lin])
+        assert not pres.group.torsion
+        qdim = pres.group.rank
+        lift_rows = [list(r) for r in pres.lift_cols]  # dim x qdim
+        img_rows = []
+        for r in rows:
+            img_rows.append(
+                tuple(sum(r[t] * lift_rows[t][j] for t in range(dim)) for j in range(qdim))
+            )
+        img_rows = [r for r in img_rows if any(r)]
+        rays = _reference_extreme_rays(img_rows, qdim)
+        sharp_q = _reference_box_hilbert(rays, img_rows, qdim)
+        sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
+        return sorted(sharp), [tuple(b) for b in lin]
+    rays = _reference_extreme_rays(rows, dim)
+    return _reference_box_hilbert(rays, rows, dim), []
+
+
+def test_hilbert_dimension_guard():
+    # The cap is on work, not on dimension (N^9 is answered, above): the one
+    # simplex of cone((1, 0), (1, n)) has |det| n, so n parallelepiped points.
+    n = zlat.CONE_WORK_LIMIT + 1
+    with pytest.raises(ResourceLimitError, match="CONE_WORK_LIMIT") as err:
+        monoid_from_vectors([(1, 0), (1, n)]).saturate()
+    assert err.value.limit == zlat.CONE_WORK_LIMIT
+
+
+def _random_rows(rng, dim, fewest):
+    rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(fewest, dim + 3))]
+    if rng.random() < 0.3:
+        rows.append(vneg(rows[0]))  # an implicit equation: a lower-dimensional cone
+    return rows
+
+
+def test_extreme_rays_match_reference_on_random_pointed_cones():
+    rng = rng_for("dd-rays")
+    compared = 0
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        rows = _random_rows(rng, dim, dim)
+        if kernel_basis(rows):
+            continue  # not pointed
+        assert zlat.extreme_rays(rows, dim) == _reference_extreme_rays(rows, dim), rows
+        compared += 1
+    assert compared >= 250
+
+
+def test_hilbert_from_hrep_matches_reference_on_random_cones(monkeypatch):
+    # pointed, lower-dimensional and with lineality; cones whose reference
+    # scan would pass 20,000 box points are left out to keep the oracle fast
+    monkeypatch.setattr(sys.modules[__name__], "_REFERENCE_MAX_SCAN_POINTS", 20_000)
+    rng = rng_for("dd-hilbert")
+    compared = lineality = 0
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = _random_rows(rng, dim, 1)
+        try:
+            want = _reference_hilbert_from_hrep(rows, dim)
+        except ResourceLimitError:
+            continue
+        assert zlat.hilbert_from_hrep(rows, dim) == want, rows
+        compared += 1
+        lineality += bool(want[1])
+    assert compared >= 200 and lineality >= 20
+
+
+def _saturations_against_reference(monkeypatch, make_monoids):
+    new = [m.saturate().gens for m in make_monoids()]
+    with monkeypatch.context() as mp:
+        mp.setattr(zlat, "facet_normals", _reference_extreme_rays)
+        mp.setattr(zlat, "hilbert_from_hrep", _reference_hilbert_from_hrep)
+        old = [m.saturate().gens for m in make_monoids()]
+    assert new == old
+
+
+def test_saturate_matches_reference_on_torsion_ambients(monkeypatch):
+    def monoids():
+        rng = rng_for("dd-torsion")
+        out = []
+        for _ in range(150):
+            amb = FgAbelianGroup(rng.randint(1, 4), rng.choice([(), (2,), (3,), (2, 4)]))
+            gens = {amb.reduce(tuple(rng.randint(-2, 2) for _ in range(amb.dim)))
+                    for _ in range(rng.randint(1, 5))}
+            out.append(AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g))))
+        return out
+
+    _saturations_against_reference(monkeypatch, monoids)
+
+
+def test_saturate_matches_reference_on_gordan_corpus(monkeypatch):
+    # the 200 presentations of acceptance criterion 01
+    def monoids():
+        rng = rng_for("acceptance-gordan")
+        return [from_presentation(random_fp_monoid(rng))[0] for _ in range(200)]
+
+    _saturations_against_reference(monkeypatch, monoids)
+
+
+# ---------------------------------------------------------------------------
+# Contejean-Devie completion, cross-checked against the Hilbert basis of the
+# kernel cone
 
 
 def test_cd_simple():
@@ -353,7 +597,7 @@ def test_cd_matches_hilbert_on_kernel_cones():
         c = rng.randint(2, 4)
         rows = [[rng.randint(-2, 2) for _ in range(c)]]
         cd = set(nonneg_kernel_generators(rows, budget=200000))
-        # same monoid via the zonotope method: N^c cap ker(A)
+        # same monoid as a Hilbert basis: N^c cap ker(A)
         kb = kernel_basis(rows)
         if not kb:
             assert cd == set()
