@@ -1,7 +1,8 @@
 """Command-line front end: parse documents, dispatch operations, emit reports.
 
 One logical request per invocation; a ``batch`` request holds a list and may
-be processed with ``--jobs k`` (outputs merged in input order).  Exit codes:
+be processed on k threads with ``--jobs k`` (outputs merged in input order;
+the ops are CPU-bound, so threads do not speed them up).  Exit codes:
 0 success, 1 the operation's primary verdict is false (certificate
 included), 2 error.  Reports are byte-identical across runs under
 ``--deterministic`` (default): the timing field is then emitted as null.
@@ -451,7 +452,13 @@ def build_parser():
         )
         sp.add_argument("--budget", type=int, default=None, help="node budget")
         sp.add_argument("--out", default=None, help="write the report to a file")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel jobs for batches")
+        sp.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="run batch requests on this many threads, outputs merged in input "
+            "order (CPU-bound ops get no speed-up from it)",
+        )
         det = sp.add_mutually_exclusive_group()
         det.add_argument("--deterministic", dest="deterministic", action="store_true", default=True)
         det.add_argument("--no-deterministic", dest="deterministic", action="store_false")

@@ -38,46 +38,29 @@ def mat_vec(a, v):
     return out
 
 
-def snf_with_transforms(a):
-    """Smith normal form with all four transforms.
+def snf_with_transforms(a, return_u_inverse=False):
+    """Smith normal form with its transforms.
 
-    Returns (U, Uinv, D, V, Vinv) with U*A*V = D, U, V unimodular and the
-    diagonal of D nonnegative with d1 | d2 | ...  Deterministic: pivots are
-    chosen as the smallest |entry| with ties by position.
+    Returns (U, D, V) with U*A*V = D, U, V unimodular and the diagonal of D
+    nonnegative with d1 | d2 | ...  Deterministic: pivots are chosen as the
+    smallest |entry| with ties by position.  With ``return_u_inverse`` the
+    result is (U, D, V, U^-1), U^-1 kept through the same row operations.
+    V^-1 is never kept: its rows are rows of U*A = D*V^-1 divided by the d_i.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     D = [list(row) for row in a]
     U = identity_matrix(r)
-    Uinv = identity_matrix(r)
     V = identity_matrix(c)
-    Vinv = identity_matrix(c)
-
-    def row_swap(i, k):
-        D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
-        for t in range(r):
-            Uinv[t][i], Uinv[t][k] = Uinv[t][k], Uinv[t][i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for t in range(r):
-            Uinv[t][i] = -Uinv[t][i]
+    # rows of (U^-1)^T, the columns of U^-1, or None when not kept
+    UinvT = identity_matrix(r) if return_u_inverse else None
 
     def row_add(i, k, q):
         # row_i += q * row_k
         D[i] = [x + q * y for x, y in zip(D[i], D[k])]
         U[i] = [x + q * y for x, y in zip(U[i], U[k])]
-        for t in range(r):
-            Uinv[t][k] -= q * Uinv[t][i]
-
-    def col_swap(j, k):
-        for t in range(r):
-            D[t][j], D[t][k] = D[t][k], D[t][j]
-        for t in range(c):
-            V[t][j], V[t][k] = V[t][k], V[t][j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
+        if UinvT is not None:
+            UinvT[k] = [x - q * y for x, y in zip(UinvT[k], UinvT[i])]
 
     def col_add(j, k, q):
         # col_j += q * col_k
@@ -85,7 +68,6 @@ def snf_with_transforms(a):
             D[t][j] += q * D[t][k]
         for t in range(c):
             V[t][j] += q * V[t][k]
-        Vinv[k] = [x - q * y for x, y in zip(Vinv[k], Vinv[j])]
 
     s = 0
     while s < r and s < c:
@@ -103,11 +85,20 @@ def snf_with_transforms(a):
         if pi < 0:
             break
         if pi != s:
-            row_swap(s, pi)
+            D[s], D[pi] = D[pi], D[s]
+            U[s], U[pi] = U[pi], U[s]
+            if UinvT is not None:
+                UinvT[s], UinvT[pi] = UinvT[pi], UinvT[s]
         if pj != s:
-            col_swap(s, pj)
+            for t in range(r):
+                D[t][s], D[t][pj] = D[t][pj], D[t][s]
+            for t in range(c):
+                V[t][s], V[t][pj] = V[t][pj], V[t][s]
         if D[s][s] < 0:
-            row_negate(s)
+            D[s] = [-x for x in D[s]]
+            U[s] = [-x for x in U[s]]
+            if UinvT is not None:
+                UinvT[s] = [-x for x in UinvT[s]]
 
         clean = True
         for i in range(s + 1, r):
@@ -141,32 +132,24 @@ def snf_with_transforms(a):
             continue
         s += 1
 
-    return U, Uinv, D, V, Vinv
+    if UinvT is not None:
+        return U, D, V, [list(col) for col in zip(*UinvT)]
+    return U, D, V
 
 
 def hnf_rows(a):
     """Row-style Hermite normal form.
 
-    Returns (H, T, pivots) with T*A = H, T unimodular; H is in row echelon
-    form with positive pivots, entries above each pivot reduced into
-    [0, pivot), and zero rows at the bottom.
+    Returns (H, pivots): H = T*A for some unimodular T (not kept), in row
+    echelon form with positive pivots, entries above each pivot reduced
+    into [0, pivot), and zero rows at the bottom.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     H = [list(row) for row in a]
-    T = identity_matrix(r)
-
-    def row_swap(i, k):
-        H[i], H[k] = H[k], H[i]
-        T[i], T[k] = T[k], T[i]
-
-    def row_negate(i):
-        H[i] = [-x for x in H[i]]
-        T[i] = [-x for x in T[i]]
 
     def row_add(i, k, q):
         H[i] = [x + q * y for x, y in zip(H[i], H[k])]
-        T[i] = [x + q * y for x, y in zip(T[i], T[k])]
 
     pivots = []
     rank = 0
@@ -192,11 +175,11 @@ def hnf_rows(a):
                         done = False
             if done:
                 if pi != rank:
-                    row_swap(rank, pi)
+                    H[rank], H[pi] = H[pi], H[rank]
                 break
         if rank < r and H[rank][j] != 0:
             if H[rank][j] < 0:
-                row_negate(rank)
+                H[rank] = [-x for x in H[rank]]
             p = H[rank][j]
             for i in range(rank):
                 q = H[i][j] // p
@@ -206,7 +189,7 @@ def hnf_rows(a):
             rank += 1
             if rank == r:
                 break
-    return H, T, pivots
+    return H, pivots
 
 
 def cd_minimal_nonneg_solutions(amat, q, budget):

@@ -64,6 +64,20 @@ class AffineMonoid(Memoized):
         self.gens = gens
         self._cache = {}
 
+    @classmethod
+    def with_known_cone(cls, ambient: FgAbelianGroup, gens, span: Lattice, facets):
+        """The monoid on ``gens`` whose cone is already known.
+
+        ``span`` must be the saturated lattice spanned by the free parts of
+        ``gens`` (canonical basis) and ``facets`` the sorted primitive facet
+        normals in its coordinates: what ``_cone`` would compute.  The
+        generator coordinates and the kill table are derived from them.
+        """
+        m = cls(ambient, gens)
+        coords = [span.coords(f) for f in m.free_gens()]
+        m._cache["cone"] = _cone_data(span, coords, facets)
+        return m
+
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -148,16 +162,12 @@ class AffineMonoid(Memoized):
 
     def _cone(self):
         def build():
-            rank = self.ambient.rank
-            span = Lattice(self.free_gens(), rank).saturation()
-            sdim = span.rank
-            coords = [span.coords(f) for f in self.free_gens()]
+            free = self.free_gens()
+            span = Lattice(free, self.ambient.rank).saturation()
+            coords = [span.coords(f) for f in free]
             nonzero = [c for c in coords if any(c)]
-            facets = zlat.facet_normals(nonzero, sdim) if nonzero else []
-            kills = [
-                tuple(vdot(f, c) == 0 for c in coords) for f in facets
-            ]
-            return span, coords, facets, kills
+            facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
+            return _cone_data(span, coords, facets)
 
         return self._get("cone", build)
 
@@ -196,7 +206,11 @@ class AffineMonoid(Memoized):
     # -- saturation ------------------------------------------------------------
 
     def saturate(self):
-        """Saturation inside the ambient group: {x : n x in P for some n>=1}."""
+        """Saturation inside the ambient group: {x : n x in P for some n>=1}.
+
+        The result has the same cone and span lattice, so it is built with
+        them, and (unless P has no generators) it is its own saturation.
+        """
 
         def build():
             amb = self.ambient
@@ -205,16 +219,21 @@ class AffineMonoid(Memoized):
                 (0,) * amb.rank + tuple(1 if t == j else 0 for t in range(nt))
                 for j in range(nt)
             ]
-            if not self.gens:
-                return AffineMonoid(amb, gens)
             span, coords, facets, _ = self._cone()
+            if not self.gens:
+                # the torsion units in coordinate order, which a second
+                # saturate() would sort: not marked as their own saturation
+                return AffineMonoid.with_known_cone(amb, gens, span, facets)
             if any(any(c) for c in coords):
                 # the Hilbert basis of the facet cone in span coordinates
                 sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
                 for h in sharp + units + [vneg(u) for u in units]:
                     free = [vdot(col, h) for col in zip(*span.basis)]
                     gens.append(tuple(free) + (0,) * nt)
-            return AffineMonoid(amb, sorted(set(gens)))
+            sat = AffineMonoid.with_known_cone(amb, sorted(set(gens)), span, facets)
+            sat._cache["sat"] = sat
+            sat._cache["is_sat"] = True
+            return sat
 
         return self._get("sat", build)
 
@@ -377,6 +396,12 @@ class AffineMonoid(Memoized):
             "n_gens": self.ngens,
             "saturated": self.is_saturated(),
         }
+
+
+def _cone_data(span, coords, facets):
+    """The ``_cone`` tuple: kills[j][i] says facet j vanishes on generator i."""
+    kills = [tuple(vdot(f, c) == 0 for c in coords) for f in facets]
+    return span, coords, facets, kills
 
 
 def _ratio(group, x, h):

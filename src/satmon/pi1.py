@@ -67,13 +67,28 @@ class KummerCover:
         return self.overlattice.index_over_standard()
 
 
-def _cover_from_overlattice(p: AffineMonoid, over: Overlattice):
+def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
+    """The cover of p for one overlattice M, given p's span lattice and facets.
+
+    p spans Z^r, so ``span`` is the identity lattice, which is also the span
+    of p's generators in M-coordinates.  A point with M-coordinates c is
+    c . rows / den, so a facet normal phi of p becomes rows . phi up to the
+    positive factor den: dividing by the (positive) gcd keeps it primitive
+    and on the same side.
+    """
     coords = []
     for g in p.gens:
-        c = over.coords(list(g))
+        c = over.coords(g)
         assert c is not None
         coords.append(c)
-    sub = AffineMonoid(FgAbelianGroup(over.rank), coords)
+    normals = []
+    for phi in facets:
+        psi = [zlat.vdot(row, phi) for row in over.rows]
+        g = zlat.vgcd(psi)
+        normals.append(tuple(x // g for x in psi))
+    sub = AffineMonoid.with_known_cone(
+        FgAbelianGroup(over.rank), coords, span, sorted(normals)
+    )
     cover = sub.saturate()
     hom = MonoidHom(p, cover, coords)
     prof = gp_profile(hom)
@@ -105,7 +120,8 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
             "generators must span the ambient group; pass the intrinsic copy"
         )
     overs = zlat.enumerate_overlattices(p.ambient, n, sigma)
-    return [_cover_from_overlattice(p, o) for o in overs]
+    span, _, facets, _ = p._cone()
+    return [_cover_from_overlattice(p, o, span, facets) for o in overs]
 
 
 def finite_pset_decomposition(cover: KummerCover, budget=None):

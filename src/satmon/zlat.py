@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernels
 from ._lp import INFEASIBLE, LinearSystem
@@ -154,7 +155,7 @@ class SnfDecomposition:
 def snf(a):
     """Smith normal form U*A*V = D with unimodular U, V, deterministic."""
     rows = _as_rows(a)
-    U, _, D, V, _ = kernels.snf_with_transforms(rows)
+    U, D, V = kernels.snf_with_transforms(rows)
     return SnfDecomposition(
         IntMatrix.from_rows(U), IntMatrix.from_rows(D), IntMatrix.from_rows(V)
     )
@@ -164,7 +165,7 @@ def _smith_solve(rows, b=None):
     """(one integer solution of A x = b or None, kernel basis of A): one SNF."""
     r = len(rows)
     c = len(rows[0]) if r else 0
-    U, _, D, V, _ = kernels.snf_with_transforms(rows)
+    U, D, V = kernels.snf_with_transforms(rows)
     rank = sum(1 for i in range(min(r, c)) if D[i][i] != 0)
     kernel = [tuple(V[i][j] for i in range(c)) for j in range(rank, c)]
     if b is None:
@@ -211,7 +212,7 @@ class Lattice:
             self.basis = []
             self.pivots = []
             return
-        H, _, pivots = kernels.hnf_rows(gens)
+        H, pivots = kernels.hnf_rows(gens)
         self.basis = [tuple(H[i]) for i in range(len(pivots))]
         self.pivots = list(pivots)
 
@@ -241,11 +242,14 @@ class Lattice:
         """Basis of (L tensor Q) intersected with Z^dim."""
         if not self.basis:
             return Lattice([], self.dim)
-        _, _, D, _, Vinv = kernels.snf_with_transforms([list(b) for b in self.basis])
-        rank = sum(
-            1 for i in range(min(len(self.basis), self.dim)) if D[i][i] != 0
+        # U B V = D, so row i of U B is d_i times row i of V^-1
+        rows = [list(b) for b in self.basis]
+        U, D, _ = kernels.snf_with_transforms(rows)
+        rank = sum(1 for i in range(min(len(rows), self.dim)) if D[i][i] != 0)
+        ub = kernels.mat_mul(U[:rank], rows)
+        return Lattice(
+            [tuple(x // D[i][i] for x in ub[i]) for i in range(rank)], self.dim
         )
-        return Lattice([tuple(Vinv[i]) for i in range(rank)], self.dim)
 
     def __eq__(self, other):
         return (
@@ -394,7 +398,7 @@ def quotient_by_columns(n, cols):
     cols = [tuple(c) for c in cols]
     if cols:
         rel = [[c[i] for c in cols] for i in range(n)]
-        U, Uinv, D, _, _ = kernels.snf_with_transforms(rel)
+        U, D, _, Uinv = kernels.snf_with_transforms(rel, return_u_inverse=True)
         k = len(cols)
         rank = sum(1 for i in range(min(n, k)) if D[i][i] != 0)
         diag = [D[i][i] for i in range(rank)]
@@ -704,7 +708,7 @@ def _hilbert_pointed(hrep_rows, dim):
         if cdim == dim and abs(_det_and_adjugate(cols)[0]) == 1:
             work += 1
             continue
-        _, _, S, W, _ = kernels.snf_with_transforms(
+        _, S, W = kernels.snf_with_transforms(
             [[c[i] for c in cols] for i in range(dim)]
         )
         s = [S[j][j] for j in range(cdim)]
@@ -760,26 +764,28 @@ def _hilbert_pointed(hrep_rows, dim):
 def hilbert_from_hrep(hrep_rows, dim):
     """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis)."""
     rows = [tuple(r) for r in hrep_rows]
+    if len(_independent_rows(rows, dim)) == dim:
+        # rows of rank dim: the cone is pointed, and no Smith form is needed
+        # to find its (zero) lineality space
+        return _hilbert_pointed(rows, dim), []
     lin = kernel_basis([list(r) for r in rows]) if rows else [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
     ]
     if not rows:
         return [], [tuple(b) for b in lin]
-    if lin:
-        pres = quotient_by_columns(dim, [list(b) for b in lin])
-        assert not pres.group.torsion
-        qdim = pres.group.rank
-        lift_rows = [list(r) for r in pres.lift_cols]  # dim x qdim
-        img_rows = []
-        for r in rows:
-            img_rows.append(
-                tuple(sum(r[t] * lift_rows[t][j] for t in range(dim)) for j in range(qdim))
-            )
-        img_rows = [r for r in img_rows if any(r)]
-        sharp_q = _hilbert_pointed(img_rows, qdim) if qdim else []
-        sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
-        return sorted(sharp), [tuple(b) for b in lin]
-    return _hilbert_pointed(rows, dim), []
+    pres = quotient_by_columns(dim, [list(b) for b in lin])
+    assert not pres.group.torsion
+    qdim = pres.group.rank
+    lift_rows = [list(r) for r in pres.lift_cols]  # dim x qdim
+    img_rows = []
+    for r in rows:
+        img_rows.append(
+            tuple(sum(r[t] * lift_rows[t][j] for t in range(dim)) for j in range(qdim))
+        )
+    img_rows = [r for r in img_rows if any(r)]
+    sharp_q = _hilbert_pointed(img_rows, qdim) if qdim else []
+    sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
+    return sorted(sharp), [tuple(b) for b in lin]
 
 
 def nonneg_kernel_generators(rows, budget=None):
@@ -917,14 +923,18 @@ class Overlattice:
     def basis_fractions(self):
         return [tuple(Fraction(e, self.den) for e in row) for row in self.rows]
 
+    @cached_property
+    def lattice(self):
+        """rowspan(rows) as a Lattice, so M = lattice / den."""
+        return Lattice(self.rows, self.rank)
+
     def coords(self, v):
         """Coordinates of an integer vector v in the M-basis (exact)."""
-        lat = Lattice([list(r) for r in self.rows], self.rank)
-        return lat.coords([self.den * x for x in v])
+        return self.lattice.coords([self.den * x for x in v])
 
     def index_over_standard(self):
         det = 1
-        lat = Lattice([list(r) for r in self.rows], self.rank)
+        lat = self.lattice
         for row, p in zip(lat.basis, lat.pivots):
             det *= row[p]
         num = self.den ** self.rank
@@ -933,7 +943,7 @@ class Overlattice:
     def quotient_by_standard(self):
         """Invariants of M / Z^rank."""
         r = self.rank
-        lat = Lattice([list(row) for row in self.rows], r)
+        lat = self.lattice
         std = [[self.den if i == j else 0 for j in range(r)] for i in range(r)]
         coords = [lat.coords(s) for s in std]
         pres = quotient_by_columns(r, [list(c) for c in coords])
@@ -1022,7 +1032,6 @@ def enumerate_overlattices(group, n, sigma=None):
         eye = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
         return [Overlattice(1, eye)]
     m = n ** (r - 1)
-    ncube = Lattice([[n if i == j else 0 for j in range(r)] for i in range(r)], r)
     out = []
     for rows in _sublattices_of_index(r, m):
         lam = Lattice(rows, r)

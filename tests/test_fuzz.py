@@ -233,7 +233,7 @@ def _relation_span_test(rels, nu, k):
     rows = [[int(r[0][i]) for r in rels] for i in range(nu)]
     rows += [[int(r[1][i]) for r in rels] for i in range(k)]
     if rels:
-        U, _, D, _, _ = snf_with_transforms(rows)
+        U, D, _ = snf_with_transforms(rows)
         diag = [D[i][i] if i < len(rels) else 0 for i in range(nu + k)]
     else:
         U = [[1 if i == j else 0 for j in range(nu + k)] for i in range(nu + k)]

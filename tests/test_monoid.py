@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import rng_for, random_fp_monoid, same_submonoid
+from conftest import known_cone_monoids_match_fresh, rng_for, random_fp_monoid, same_submonoid
 from satmon import monoid as M
 from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
@@ -74,6 +74,32 @@ def test_saturate_with_torsion_ambient():
     assert sat.contains((0, 1))
     assert sat.contains((1, 1))
     assert not m.is_saturated()
+
+
+def test_saturation_cone_matches_fresh_copy(monkeypatch):
+    # saturate() hands its cone to the monoid it builds and marks it
+    # saturated; a fresh copy recomputes all of that
+    rng = rng_for("saturation-known-cone")
+    monoids = [AffineMonoid(FgAbelianGroup(2, (3,)), ()), AffineMonoid(FgAbelianGroup(0, (2, 4)), ())]
+    for _ in range(120):
+        amb = FgAbelianGroup(rng.randint(0, 4), rng.choice([(), (), (2,), (3,), (2, 4)]))
+        gens = {amb.reduce(tuple(rng.randint(-2, 2) for _ in range(amb.dim)))
+                for _ in range(rng.randint(0, 5))}
+        monoids.append(AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g))))
+
+    def run():
+        for m in monoids:
+            m.saturate()
+
+    sats = known_cone_monoids_match_fresh(monkeypatch, run)
+    assert len(sats) == len(monoids)
+    for m in monoids:
+        if m.gens:
+            assert m.saturate().saturate() is m.saturate()
+    with_units = [s for s in sats if any(map(any, map(s.ambient.free_part, s.units_face().gens)))]
+    assert len(with_units) >= 20
+    assert sum(1 for m in monoids if m.ambient.torsion) >= 40
+    assert sum(1 for m in monoids if not m.gens) >= 3
 
 
 def test_membership_witnesses():

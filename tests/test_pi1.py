@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import same_submonoid
+from conftest import known_cone_monoids_match_fresh, random_affine_monoid, rng_for, same_submonoid
 from satmon import homs as H
 from satmon import monoid as M
 from satmon import pi1
@@ -104,3 +104,25 @@ def test_covers_require_spanning(nat):
     sub = M.monoid_from_vectors([(2,)])
     with pytest.raises(PreconditionError):
         pi1.enumerate_covers(sub, 3, PrimeSet.empty())
+
+
+def test_cover_cones_match_fresh_copies(monkeypatch):
+    # every cover's sub-monoid takes its cone from the base, and its
+    # saturation (the cover) inherits that cone
+    rng = rng_for("cover-known-cone")
+    bases = []
+    while len(bases) < 24:
+        r = len(bases) % 3 + 1
+        m = random_affine_monoid(rng, rank=r, max_gens=r + 2, lo=-1, hi=3)
+        if m.span_lattice().rank == r:
+            bases.append((m.saturate(), rng.choice((2, 3, 4, 6))))
+
+    def run():
+        for base, n in bases:
+            pi1.enumerate_covers(base, n, PrimeSet.of(5))
+
+    built = known_cone_monoids_match_fresh(monkeypatch, run)
+    subs = [m for m in built if m.saturate() is not m]
+    assert len(subs) >= 100
+    assert {n for _, n in bases} == {2, 3, 4, 6}
+

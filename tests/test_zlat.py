@@ -83,6 +83,153 @@ def _det(mat):
     return out
 
 
+def _reference_snf_with_transforms(a):
+    """The four-transform Smith kernel that the two-transform one replaced.
+
+    Kept verbatim, with ``identity_matrix`` read from ``kernels``.  Smith normal form with all four transforms.
+
+    Returns (U, Uinv, D, V, Vinv) with U*A*V = D, U, V unimodular and the
+    diagonal of D nonnegative with d1 | d2 | ...  Deterministic: pivots are
+    chosen as the smallest |entry| with ties by position.
+    """
+    r = len(a)
+    c = len(a[0]) if r else 0
+    D = [list(row) for row in a]
+    U = kernels.identity_matrix(r)
+    Uinv = kernels.identity_matrix(r)
+    V = kernels.identity_matrix(c)
+    Vinv = kernels.identity_matrix(c)
+
+    def row_swap(i, k):
+        D[i], D[k] = D[k], D[i]
+        U[i], U[k] = U[k], U[i]
+        for t in range(r):
+            Uinv[t][i], Uinv[t][k] = Uinv[t][k], Uinv[t][i]
+
+    def row_negate(i):
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+        for t in range(r):
+            Uinv[t][i] = -Uinv[t][i]
+
+    def row_add(i, k, q):
+        # row_i += q * row_k
+        D[i] = [x + q * y for x, y in zip(D[i], D[k])]
+        U[i] = [x + q * y for x, y in zip(U[i], U[k])]
+        for t in range(r):
+            Uinv[t][k] -= q * Uinv[t][i]
+
+    def col_swap(j, k):
+        for t in range(r):
+            D[t][j], D[t][k] = D[t][k], D[t][j]
+        for t in range(c):
+            V[t][j], V[t][k] = V[t][k], V[t][j]
+        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
+
+    def col_add(j, k, q):
+        # col_j += q * col_k
+        for t in range(r):
+            D[t][j] += q * D[t][k]
+        for t in range(c):
+            V[t][j] += q * V[t][k]
+        Vinv[k] = [x - q * y for x, y in zip(Vinv[k], Vinv[j])]
+
+    s = 0
+    while s < r and s < c:
+        # locate smallest nonzero |entry| in the trailing block
+        pi = -1
+        pj = -1
+        best = 0
+        for i in range(s, r):
+            for j in range(s, c):
+                e = D[i][j]
+                if e != 0:
+                    e = -e if e < 0 else e
+                    if pi < 0 or e < best:
+                        pi, pj, best = i, j, e
+        if pi < 0:
+            break
+        if pi != s:
+            row_swap(s, pi)
+        if pj != s:
+            col_swap(s, pj)
+        if D[s][s] < 0:
+            row_negate(s)
+
+        clean = True
+        for i in range(s + 1, r):
+            if D[i][s] != 0:
+                q = D[i][s] // D[s][s]
+                if q:
+                    row_add(i, s, -q)
+                if D[i][s] != 0:
+                    clean = False
+        for j in range(s + 1, c):
+            if D[s][j] != 0:
+                q = D[s][j] // D[s][s]
+                if q:
+                    col_add(j, s, -q)
+                if D[s][j] != 0:
+                    clean = False
+        if not clean:
+            continue
+
+        # enforce divisibility of the remaining block by D[s][s]
+        bad = False
+        for i in range(s + 1, r):
+            for j in range(s + 1, c):
+                if D[i][j] % D[s][s] != 0:
+                    row_add(s, i, 1)
+                    bad = True
+                    break
+            if bad:
+                break
+        if bad:
+            continue
+        s += 1
+
+    return U, Uinv, D, V, Vinv
+
+
+def _random_snf_input(rng):
+    """A random r x c matrix, 1 <= r, c <= 5; some rows repeat combinations."""
+    r = rng.randint(1, 5)
+    c = rng.randint(1, 5)
+    span = rng.choice([3, 9, 40])
+    rows = [[rng.randint(-span, span) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        if rng.random() < 0.3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[0])]
+    return rows
+
+
+def test_snf_kernel_matches_four_transform_reference():
+    rng = rng_for("snf-two-transforms")
+    saturations = 0
+    for _ in range(400):
+        rows = _random_snf_input(rng)
+        r, c = len(rows), len(rows[0])
+        U0, Uinv0, D0, V0, _ = _reference_snf_with_transforms(rows)
+        assert kernels.snf_with_transforms(rows) == (U0, D0, V0), rows
+        assert kernels.snf_with_transforms(rows, return_u_inverse=True) == (U0, D0, V0, Uinv0)
+        # the columns of A as relations on Z^r: the presentation lifts with
+        # the columns of U^-1 that the reference maintained
+        pres = quotient_by_columns(r, [[row[j] for row in rows] for j in range(c)])
+        rank = sum(1 for i in range(min(r, c)) if D0[i][i] != 0)
+        order = list(range(rank, r)) + [i for i in range(rank) if D0[i][i] >= 2]
+        assert pres.project_rows == tuple(tuple(U0[i]) for i in order)
+        assert pres.lift_cols == tuple(tuple(Uinv0[t][i] for i in order) for t in range(r))
+        # saturation read the first rank rows of V^-1 of the HNF basis
+        lat = Lattice(rows, c)
+        if lat.basis:
+            _, _, Db, _, Vinvb = _reference_snf_with_transforms([list(b) for b in lat.basis])
+            rb = sum(1 for i in range(min(lat.rank, c)) if Db[i][i] != 0)
+            assert lat.saturation() == Lattice([tuple(Vinvb[i]) for i in range(rb)], c)
+            saturations += any(Db[i][i] > 1 for i in range(rb))
+    assert saturations >= 50
+
+
 def test_intmatrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [1, 2, 3])
