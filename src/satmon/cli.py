@@ -6,6 +6,12 @@ the ops are CPU-bound, so threads do not speed them up).  Exit codes:
 0 success, 1 the operation's primary verdict is false (certificate
 included), 2 error.  Reports are byte-identical across runs under
 ``--deterministic`` (default): the timing field is then emitted as null.
+
+``--budget N`` (or a request's ``budget``) is a per-search node budget:
+every branch-and-bound and completion search of the request, saturatedness
+checks and parse-time membership checks included, may expand at most N
+nodes.  ``run_request`` sets it with ``zlat.node_budget`` for the request
+alone; library code does the same with ``with zlat.node_budget(n):``.
 """
 
 import argparse
@@ -19,7 +25,7 @@ from . import __version__, documents as D, homs, pi1 as pi1mod, valuative as val
 from .documents import FORMAT
 from .errors import ResourceLimitError, SatmonError, SchemaError
 from .sigma import PrimeSet
-from .zlat import DEFAULT_NODE_BUDGET
+from .zlat import DEFAULT_NODE_BUDGET, node_budget
 
 
 def _parse_sigma(v, path):
@@ -51,10 +57,10 @@ def _verdict_out(v):
     return {"holds": v.holds, "certificate": cert}
 
 
-# -- operation handlers; each takes (args_obj, sigma, budget, path) -----------
+# -- operation handlers; each takes (args_obj, sigma, path) -------------------
 
 
-def _op_saturate(args, sigma, budget, path):
+def _op_saturate(args, sigma, path):
     D._obj(args, path, ("monoid",))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     sat = m.saturate()
@@ -64,10 +70,10 @@ def _op_saturate(args, sigma, budget, path):
     }, True
 
 
-def _op_classify(args, sigma, budget, path):
+def _op_classify(args, sigma, path):
     D._obj(args, path, ("hom",))
     f = D.parse_hom(args["hom"], f"{path}.hom")
-    rep = homs.classify(f, sigma, budget=budget)
+    rep = homs.classify(f, sigma)
     verdicts = {k: _verdict_out(getattr(rep, k)) for k in (
         "injective", "exact", "integral", "vertical", "smooth", "etale", "kummer_etale")}
     data = {
@@ -77,7 +83,7 @@ def _op_classify(args, sigma, budget, path):
     return {"verdicts": verdicts, "profile": data}, rep.kummer_etale.holds
 
 
-def _op_spec(args, sigma, budget, path):
+def _op_spec(args, sigma, path):
     D._obj(args, path, ("monoid",))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     faces = m.faces()
@@ -92,18 +98,18 @@ def _op_spec(args, sigma, budget, path):
     }, True
 
 
-def _op_face(args, sigma, budget, path):
+def _op_face(args, sigma, path):
     D._obj(args, path, ("monoid",), ("elements",))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     elems = [
         D._ivec(e, f"{path}.elements[{i}]")
         for i, e in enumerate(D._list(args.get("elements", []), f"{path}.elements"))
     ]
-    face = m.face_generated_by(elems, budget=budget)
+    face = m.face_generated_by(elems)
     return {"face_gen_indices": [D.istr(i) for i in face.indices]}, True
 
 
-def _op_localize(args, sigma, budget, path):
+def _op_localize(args, sigma, path):
     D._obj(args, path, ("monoid", "face"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     idxs = [
@@ -114,7 +120,7 @@ def _op_localize(args, sigma, budget, path):
     return {"localization": D.monoid_out(loc)}, True
 
 
-def _op_quotient(args, sigma, budget, path):
+def _op_quotient(args, sigma, path):
     D._obj(args, path, ("monoid", "face"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     idxs = [
@@ -128,14 +134,14 @@ def _op_quotient(args, sigma, budget, path):
     }, True
 
 
-def _op_pushout(args, sigma, budget, path):
+def _op_pushout(args, sigma, path):
     D._obj(args, path, ("along", "arm"), ("category",))
     along = D.parse_hom(args["along"], f"{path}.along")
     arm = D.parse_hom(args["arm"], f"{path}.arm")
     category = args.get("category", "sat")
     if category not in ("mon", "int", "sat"):
         raise SchemaError(f"{path}.category", "category must be mon, int, or sat")
-    po = homs.pushout(along, arm, category, budget=budget)
+    po = homs.pushout(along, arm, category)
     out = {"category": category, "presentation": D.fp_monoid_out(po.fp)}
     if po.monoid is not None:
         out["monoid"] = D.monoid_out(po.monoid)
@@ -144,7 +150,7 @@ def _op_pushout(args, sigma, budget, path):
     return out, True
 
 
-def _op_blowup(args, sigma, budget, path):
+def _op_blowup(args, sigma, path):
     D._obj(args, path, ("ideal", "a"))
     ideal = D.parse_ideal(args["ideal"], f"{path}.ideal")
     a = D._ivec(args["a"], f"{path}.a")
@@ -152,7 +158,7 @@ def _op_blowup(args, sigma, budget, path):
     return {"blowup": D.monoid_out(bl)}, True
 
 
-def _op_vcp(args, sigma, budget, path):
+def _op_vcp(args, sigma, path):
     D._obj(args, path, ("ideal", "lattice", "images"))
     ideal = D.parse_ideal(args["ideal"], f"{path}.ideal")
     lat = D.parse_lattice(args["lattice"], f"{path}.lattice")
@@ -174,12 +180,12 @@ def _op_vcp(args, sigma, budget, path):
     }, ok
 
 
-def _op_tsuji(args, sigma, budget, path):
+def _op_tsuji(args, sigma, path):
     D._obj(args, path, ("hom", "n"), ("bound",))
     f = D.parse_hom(args["hom"], f"{path}.hom")
     n = D._int(args["n"], f"{path}.n")
     bound = D._int(args.get("bound", "6"), f"{path}.bound")
-    rep = val.tsuji_base_change(f, n, test_bound=bound, budget=budget)
+    rep = val.tsuji_base_change(f, n, test_bound=bound)
     return {
         "n": D.istr(n),
         "base_change": D.hom_out(rep.base_changed),
@@ -189,13 +195,13 @@ def _op_tsuji(args, sigma, budget, path):
     }, rep.passes
 
 
-def _op_rft(args, sigma, budget, path):
+def _op_rft(args, sigma, path):
     D._obj(args, path, ("typev",), ("ideal",))
     tv = D.parse_typev(args["typev"], f"{path}.typev")
     ideal = None
     if "ideal" in args:
         ideal = D.parse_ideal(args["ideal"], f"{path}.ideal")
-    rep = val.rft_pipeline(tv, sigma, ideal=ideal, budget=budget)
+    rep = val.rft_pipeline(tv, sigma, ideal=ideal)
     ext = None
     if rep.extension is not None:
         ext = {
@@ -222,10 +228,10 @@ def _op_rft(args, sigma, budget, path):
     }, ok
 
 
-def _op_gr(args, sigma, budget, path):
+def _op_gr(args, sigma, path):
     D._obj(args, path, ("typev",))
     tv = D.parse_typev(args["typev"], f"{path}.typev")
-    rep = val.gr_finiteness(tv, budget=budget)
+    rep = val.gr_finiteness(tv)
     rels = []
     for (v1, m1), (v2, m2) in rep.relations:
         rels.append(
@@ -245,7 +251,7 @@ def _op_gr(args, sigma, budget, path):
     }, ok
 
 
-def _op_kummer_classify(args, sigma, budget, path):
+def _op_kummer_classify(args, sigma, path):
     D._obj(args, path, ("gamma", "overlattice"))
     lat = D.parse_lattice(args["gamma"], f"{path}.gamma")
     over = D.parse_overlattice(args["overlattice"], f"{path}.overlattice")
@@ -258,7 +264,7 @@ def _op_kummer_classify(args, sigma, budget, path):
     }, True
 
 
-def _op_pi1(args, sigma, budget, path):
+def _op_pi1(args, sigma, path):
     D._obj(args, path, ("monoid", "n"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     n = D._int(args["n"], f"{path}.n")
@@ -266,7 +272,7 @@ def _op_pi1(args, sigma, budget, path):
     return {"modulus": D.istr(n), "group": D.group_out(q.group)}, True
 
 
-def _op_covers(args, sigma, budget, path):
+def _op_covers(args, sigma, path):
     D._obj(args, path, ("monoid", "n"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     n = D._int(args["n"], f"{path}.n")
@@ -284,10 +290,10 @@ def _op_covers(args, sigma, budget, path):
     return {"count": D.istr(len(covers)), "covers": out}, True
 
 
-def _op_vidal(args, sigma, budget, path):
+def _op_vidal(args, sigma, path):
     D._obj(args, path, ("hom",))
     f = D.parse_hom(args["hom"], f"{path}.hom")
-    rep = homs.vidal_decompose(f, budget=budget)
+    rep = homs.vidal_decompose(f)
     return {
         "double_pushout": D.monoid_out(rep.double),
         "product": D.monoid_out(rep.product),
@@ -297,13 +303,13 @@ def _op_vidal(args, sigma, budget, path):
     }, rep.verified
 
 
-def _op_semistable(args, sigma, budget, path):
+def _op_semistable(args, sigma, path):
     D._obj(args, path, ("monoid", "pi", "n"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     piv = D._ivec(args["pi"], f"{path}.pi")
     n = D._int(args["n"], f"{path}.n")
-    hom, new_gens = homs.semistable_extension(m, piv, n, budget=budget)
-    rep = homs.classify(hom, sigma, budget=budget, include_integral=False)
+    hom, new_gens = homs.semistable_extension(m, piv, n)
+    rep = homs.classify(hom, sigma, include_integral=False)
     return {
         "extension": D.hom_out(hom),
         "new_gen_images": [D.ivec_out(v) for v in new_gens],
@@ -354,7 +360,8 @@ def run_request(request, deterministic=True):
         budget = (
             D._int(o["budget"], "$.budget") if "budget" in o else DEFAULT_NODE_BUDGET
         )
-        data, ok = _OPS[op](o["args"], sigma, budget, "$.args")
+        with node_budget(budget):
+            data, ok = _OPS[op](o["args"], sigma, "$.args")
         code = 0 if ok else 1
         status = "ok" if ok else "verdict-false"
     except SchemaError as e:
@@ -450,7 +457,9 @@ def build_parser():
             default=None,
             help="all primes except these (comma-separated)",
         )
-        sp.add_argument("--budget", type=int, default=None, help="node budget")
+        sp.add_argument(
+            "--budget", type=int, default=None, help="node budget of each search"
+        )
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument(
             "--jobs",

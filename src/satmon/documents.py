@@ -7,7 +7,7 @@ The top-level "format" version is checked on every document.
 
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import ResourceLimitError, SchemaError
 from .homs import MonoidHom
 from .monoid import AffineMonoid, FpMonoid
 from .valuative import MonoidIdeal, OrderedLattice, TypeVPresentation
@@ -190,6 +190,8 @@ def parse_hom(doc, path="$"):
         raise SchemaError(f"{path}.gen_images", "need one image per source generator")
     try:
         return MonoidHom(src, tgt, images)
+    except ResourceLimitError:
+        raise
     except Exception as e:
         raise SchemaError(f"{path}.gen_images", str(e))
 
@@ -276,6 +278,8 @@ def parse_ideal(doc, path="$"):
     ]
     try:
         return MonoidIdeal(owner, tuple(owner.ambient.reduce(g) for g in gens))
+    except ResourceLimitError:
+        raise
     except Exception as e:
         raise SchemaError(f"{path}.generators", str(e))
 

@@ -32,7 +32,7 @@ from .zlat import FgAbelianGroup, Lattice, vdot, vneg, vsub
 class MonoidHom(Memoized):
     """Map of affine monoids given by generator images (validated)."""
 
-    def __init__(self, source: AffineMonoid, target: AffineMonoid, gen_images, budget=None):
+    def __init__(self, source: AffineMonoid, target: AffineMonoid, gen_images):
         if len(gen_images) != source.ngens:
             raise ValueError("need one image per source generator")
         self.source = source
@@ -40,7 +40,7 @@ class MonoidHom(Memoized):
         self.gen_images = tuple(target.ambient.reduce(g) for g in gen_images)
         wits = []
         for im in self.gen_images:
-            w = target.membership(im, budget=budget)
+            w = target.membership(im)
             if w is None:
                 raise MembershipError(f"image {im} is not a member of the target")
             wits.append(w)
@@ -61,10 +61,10 @@ class MonoidHom(Memoized):
         return cls(m, m, m.gens)
 
     @classmethod
-    def inclusion(cls, sub: AffineMonoid, sup: AffineMonoid, budget=None):
+    def inclusion(cls, sub: AffineMonoid, sup: AffineMonoid):
         if sub.ambient != sup.ambient:
             raise ValueError("inclusion requires a shared ambient group")
-        return cls(sub, sup, sub.gens, budget=budget)
+        return cls(sub, sup, sub.gens)
 
     def apply_exponents(self, a):
         """Image in the target ambient of the source element sum(a_i * g_i)."""
@@ -238,24 +238,24 @@ def preimage_generators(f: MonoidHom):
     return dedup
 
 
-def is_exact(f: MonoidHom, budget=None) -> Verdict:
+def is_exact(f: MonoidHom) -> Verdict:
     """P = (f^gp)^{-1}(Q): every generator of the preimage lies in P."""
 
     def build():
         gens = preimage_generators(f)
         for e in gens:
-            if not f.source.contains(e, budget=budget):
+            if not f.source.contains(e):
                 return Verdict(False, {"preimage_element_outside_source": e})
         return Verdict(True, {"preimage_generators_checked": len(gens)})
 
     return f._get("exact", build)
 
 
-def is_vertical(f: MonoidHom, budget=None) -> Verdict:
+def is_vertical(f: MonoidHom) -> Verdict:
     """The image of the source generates the target as a face."""
 
     def build():
-        face = f.target.face_generated_by(list(f.gen_images), budget=budget)
+        face = f.target.face_generated_by(list(f.gen_images))
         if face.is_whole():
             return Verdict(True, {"face": "whole"})
         outside = [i for i in range(f.target.ngens) if i not in face.indices]
@@ -272,7 +272,7 @@ def _source_is_valuative(f: MonoidHom):
     return src.is_saturated() and src.units_face().corank() <= 1
 
 
-def integrality_tuple_generators(f: MonoidHom, budget=None):
+def integrality_tuple_generators(f: MonoidHom):
     """Generating tuples (a1, a2, b1, b2) of the relation monoid T."""
     kp = f.source.ngens
     kq = f.target.ngens
@@ -282,7 +282,7 @@ def integrality_tuple_generators(f: MonoidHom, budget=None):
     rows, _ = zlat.group_equations([(ambq, cols, ambq.zero())], nonneg=True)
     if not rows:
         rows = [[0] * (2 * kp + 2 * kq)]
-    sols = zlat.nonneg_kernel_generators(rows, budget=budget)
+    sols = zlat.nonneg_kernel_generators(rows)
     tuples = []
     seen = set()
     for v in sols:
@@ -297,7 +297,7 @@ def integrality_tuple_generators(f: MonoidHom, budget=None):
     return tuples
 
 
-def _integral_witness_exists(f: MonoidHom, tup, budget=None):
+def _integral_witness_exists(f: MonoidHom, tup):
     """Is there (a3, a4, b) with b1 = f(a3)+b, b2 = f(a4)+b, a1+a3 = a2+a4?"""
     a1, a2, b1, b2 = tup
     ambq = f.target.ambient
@@ -315,18 +315,18 @@ def _integral_witness_exists(f: MonoidHom, tup, budget=None):
         ],
         nonneg=True,
     )
-    res = zlat.solve_nonneg(rows, rhs, budget=budget)
+    res = zlat.solve_nonneg(rows, rhs)
     return res.is_sat
 
 
-def is_integral(f: MonoidHom, budget=None) -> Verdict:
+def is_integral(f: MonoidHom) -> Verdict:
     """Element-wise integrality via generators of the relation monoid."""
 
     def build():
         if _source_is_valuative(f):
             return Verdict(True, {"reason": "source is valuative"})
-        for tup in integrality_tuple_generators(f, budget=budget):
-            if not _integral_witness_exists(f, tup, budget=budget):
+        for tup in integrality_tuple_generators(f):
+            if not _integral_witness_exists(f, tup):
                 a1, a2, b1, b2 = tup
                 return Verdict(
                     False,
@@ -342,7 +342,7 @@ def is_integral(f: MonoidHom, budget=None) -> Verdict:
     return f._get("integral", build)
 
 
-def reverify_integral_certificate(f: MonoidHom, cert, budget=None):
+def reverify_integral_certificate(f: MonoidHom, cert):
     """Re-check a negative integrality certificate from scratch."""
     tup = (cert["tuple_a1"], cert["tuple_a2"], cert["tuple_b1"], cert["tuple_b2"])
     lhs = f.target.ambient.add(
@@ -353,7 +353,7 @@ def reverify_integral_certificate(f: MonoidHom, cert, budget=None):
     )
     if lhs != rhs:
         return False
-    return not _integral_witness_exists(f, tup, budget=budget)
+    return not _integral_witness_exists(f, tup)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +378,15 @@ class ClassReport:
             assert self.smooth.holds
 
 
-def classify(f: MonoidHom, sigma, budget=None, include_integral=True) -> ClassReport:
+def classify(f: MonoidHom, sigma, include_integral=True) -> ClassReport:
     """Full taxonomy relative to the prime set; sources/targets saturated."""
     _require_saturated(f.source, "source")
     _require_saturated(f.target, "target")
     prof = gp_profile(f)
     inj = is_injective(f)
-    exact = is_exact(f, budget=budget)
-    vertical = is_vertical(f, budget=budget)
-    integral = is_integral(f, budget=budget) if include_integral else None
+    exact = is_exact(f)
+    vertical = is_vertical(f)
+    integral = is_integral(f) if include_integral else None
     korder = prof.kernel_order()
     if korder is None:
         smooth = Verdict(False, {"kernel_infinite": prof.kernel.describe()})
@@ -439,7 +439,7 @@ class RamificationReport:
         }
 
 
-def ramification_indices(f: MonoidHom, budget=None) -> RamificationReport:
+def ramification_indices(f: MonoidHom) -> RamificationReport:
     """e_q over the height-one primes of the target with height-one preimage."""
     _require_saturated(f.source, "source")
     _require_saturated(f.target, "target")
@@ -502,7 +502,7 @@ class PushoutResult:
     right: MonoidHom  # Q0 -> Q (None in mon)
 
 
-def pushout(along: MonoidHom, arm: MonoidHom, category="sat", budget=None) -> PushoutResult:
+def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
     """Pushout of ``arm: P0 -> P`` against ``along: P0 -> Q0``.
 
     mon: the finitely presented monoid on gens(P) + gens(Q0);
@@ -541,8 +541,8 @@ def pushout(along: MonoidHom, arm: MonoidHom, category="sat", budget=None) -> Pu
         return PushoutResult("mon", fp, None, None, None)
     qint, images, pres = from_presentation(fp)
     target = qint if category == "int" else qint.saturate()
-    left = MonoidHom(p, target, images[:kp], budget=budget)
-    right = MonoidHom(q0, target, images[kp:], budget=budget)
+    left = MonoidHom(p, target, images[:kp])
+    right = MonoidHom(q0, target, images[kp:])
     return PushoutResult(category, fp, target, left, right)
 
 
@@ -582,7 +582,7 @@ def direct_sum(g1: FgAbelianGroup, g2: FgAbelianGroup):
     return pres.group, embed1, embed2
 
 
-def vidal_decompose(f: MonoidHom, budget=None) -> VidalResult:
+def vidal_decompose(f: MonoidHom) -> VidalResult:
     """(Q +_P Q)^sat = Q + Q^gp/P^gp via (a, b) -> (a + b, class of b)."""
     prof = gp_profile(f)
     if prof.cokernel_rank != 0:
@@ -591,7 +591,7 @@ def vidal_decompose(f: MonoidHom, budget=None) -> VidalResult:
     _require_saturated(f.target, "target")
     q = f.target
     kq = q.ngens
-    po = pushout(f, f, "sat", budget=budget)
+    po = pushout(f, f, "sat")
     dmon = po.monoid
     damb = dmon.ambient
     # presentation of the pushout ambient over the 2*kq exponent generators
@@ -695,10 +695,10 @@ def vidal_decompose(f: MonoidHom, budget=None) -> VidalResult:
             verified = False
     # monoid level: generators map into the other monoid
     for g in dmon.gens:
-        if not emon.contains(apply_cols(damb, eamb, fwd_cols, g), budget=budget):
+        if not emon.contains(apply_cols(damb, eamb, fwd_cols, g)):
             verified = False
     for g in emon.gens:
-        if not dmon.contains(apply_cols(eamb, damb, bwd_cols, g), budget=budget):
+        if not dmon.contains(apply_cols(eamb, damb, bwd_cols, g)):
             verified = False
     return VidalResult(dmon, emon, tuple(fwd_cols), tuple(bwd_cols), verified)
 
@@ -724,14 +724,14 @@ def _split_direct_sum(g1, g2, eamb, embq, embn, coord):
 # semistable extension
 
 
-def semistable_extension(p: AffineMonoid, pi, n, budget=None):
+def semistable_extension(p: AffineMonoid, pi, n):
     """P -> P_n(pi) = P[e_1..e_n]/(e_1+...+e_n = pi).
 
     Returns (hom, new_gen_images): the images of the n added generators in
     the target.  n = 0 requires pi = 0 and returns the identity.
     """
     pi = p.ambient.reduce(pi)
-    wit = p.membership(pi, budget=budget)
+    wit = p.membership(pi)
     if wit is None:
         raise MembershipError(f"{pi} is not a member of the monoid")
     if n == 0:
@@ -747,5 +747,5 @@ def semistable_extension(p: AffineMonoid, pi, n, budget=None):
     rels.append((tuple(wit) + (0,) * n, (0,) * kp + (1,) * n))
     fp = FpMonoid(kp + n, tuple(rels))
     target, images, pres = from_presentation(fp)
-    hom = MonoidHom(p, target, images[:kp], budget=budget)
+    hom = MonoidHom(p, target, images[:kp])
     return hom, images[kp:]

@@ -184,7 +184,7 @@ class AffineMonoid(Memoized):
 
     # -- membership ----------------------------------------------------------
 
-    def membership(self, x, budget=None):
+    def membership(self, x):
         """Witness a in N^ngens with x = sum a_i g_i, or None."""
         x = self.ambient.reduce(x)
         amb = self.ambient
@@ -195,13 +195,13 @@ class AffineMonoid(Memoized):
             i = self.gens.index(x)
             return tuple(1 if j == i else 0 for j in range(self.ngens))
         rows, rhs = zlat.group_equations([(amb, self.gens, x)], nonneg=True)
-        res = zlat.solve_nonneg(rows, rhs, budget=budget)
+        res = zlat.solve_nonneg(rows, rhs)
         if res.is_sat:
             return tuple(res.witness[: self.ngens])
         return None
 
-    def contains(self, x, budget=None):
-        return self.membership(x, budget=budget) is not None
+    def contains(self, x):
+        return self.membership(x) is not None
 
     # -- saturation ------------------------------------------------------------
 
@@ -209,7 +209,7 @@ class AffineMonoid(Memoized):
         """Saturation inside the ambient group: {x : n x in P for some n>=1}.
 
         The result has the same cone and span lattice, so it is built with
-        them, and (unless P has no generators) it is its own saturation.
+        them, and it is its own saturation.
         """
 
         def build():
@@ -220,10 +220,6 @@ class AffineMonoid(Memoized):
                 for j in range(nt)
             ]
             span, coords, facets, _ = self._cone()
-            if not self.gens:
-                # the torsion units in coordinate order, which a second
-                # saturate() would sort: not marked as their own saturation
-                return AffineMonoid.with_known_cone(amb, gens, span, facets)
             if any(any(c) for c in coords):
                 # the Hilbert basis of the facet cone in span coordinates
                 sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
@@ -257,7 +253,7 @@ class AffineMonoid(Memoized):
             if all(kills[j][i] for j in j_active)
         )
 
-    def faces(self, max_faces=MAX_FACES):
+    def faces(self):
         """All faces, as Face objects sorted by (size, indices)."""
 
         def build():
@@ -276,13 +272,13 @@ class AffineMonoid(Memoized):
                         if c not in found:
                             found.add(c)
                             changed = True
-                            if len(found) > max_faces:
+                            if len(found) > MAX_FACES:
                                 raise ResourceLimitError(
-                                    "face count exceeds configured bound", max_faces
+                                    "face count exceeds configured bound", MAX_FACES
                                 )
             return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
 
-        return self._get(("faces", max_faces), build)
+        return self._get("faces", build)
 
     def face_from_indices(self, idxs):
         idxs = tuple(sorted(set(idxs)))
@@ -293,14 +289,14 @@ class AffineMonoid(Memoized):
     def units_face(self):
         return Face(self, self._closure(()))
 
-    def face_generated_by(self, elements, budget=None):
+    def face_generated_by(self, elements):
         """Smallest face containing the given members of the monoid.
 
         An element x of the monoid lies in the face generated by s (the sum
         of the subset) iff every facet normal vanishing on s vanishes on x.
         """
         for x in elements:
-            if not self.contains(x, budget=budget):
+            if not self.contains(x):
                 raise MembershipError(f"{x} is not a member of the monoid")
         amb = self.ambient
         s = amb.zero()

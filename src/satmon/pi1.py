@@ -124,7 +124,7 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
     return [_cover_from_overlattice(p, o, span, facets) for o in overs]
 
 
-def finite_pset_decomposition(cover: KummerCover, budget=None):
+def finite_pset_decomposition(cover: KummerCover):
     """Finite T with cover = base + T, verified by membership.
 
     T consists of the generator sums with coefficients below the deck
@@ -155,7 +155,7 @@ def finite_pset_decomposition(cover: KummerCover, budget=None):
     t_set = sorted(elems)
     if cover.hom.gen_images:
         image = AffineMonoid(amb, cover.hom.gen_images)
-        in_image = lambda x: image.membership(x, budget=budget) is not None
+        in_image = lambda x: image.membership(x) is not None
     else:
         in_image = amb.is_zero
 

@@ -40,6 +40,13 @@ from .homs import (
 from .monoid import AffineMonoid
 from .zlat import Lattice, Overlattice
 
+# Bounds of the flattening-ideal search: ideals with up to FLATTEN_MAX_GENS
+# generators, each a sum of generators with coefficients up to
+# FLATTEN_COEFF_BOUND, and at most FLATTEN_COMBO_LIMIT antichains tried.
+FLATTEN_MAX_GENS = 3
+FLATTEN_COEFF_BOUND = 3
+FLATTEN_COMBO_LIMIT = 20000
+
 
 def _frac_vec(v):
     return tuple(Fraction(x) for x in v)
@@ -550,7 +557,7 @@ class KatoReport:
     factors_through_base: bool
 
 
-def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap, budget=None):
+def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap):
     """Blow up the chart source at (K, a), base change, and test integrality."""
     p0 = chart.source
     if ideal.owner != p0:
@@ -559,10 +566,10 @@ def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap, bud
     if not ideal.contains(a):
         raise MembershipError(f"{a} is not an element of the ideal")
     p1 = affine_blowup(p0, ideal, a)
-    inc = MonoidHom(p0, p1, p0.gens, budget=budget)
-    po = pushout(chart, inc, "sat", budget=budget)
+    inc = MonoidHom(p0, p1, p0.gens)
+    po = pushout(chart, inc, "sat")
     hom1 = po.left
-    integ = is_integral(hom1, budget=budget)
+    integ = is_integral(hom1)
     factors = True
     for g in p1.gens:
         v = anchor.eval_element(g)
@@ -593,24 +600,23 @@ def _ideal_candidates(p: AffineMonoid, coeff_bound):
     return dedup
 
 
-def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap, max_gens=3,
-                          coeff_bound=3, combo_budget=20000, budget=None):
+def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
     """Bounded deterministic search for an ideal whose blowup flattens.
 
-    Tries ideals generated by up to ``max_gens`` sums of generators with
-    coefficients up to ``coeff_bound``, pruning generating sets that are not
-    antichains.  Raises SearchFailureError when nothing within the bounds
+    Tries ideals generated by up to FLATTEN_MAX_GENS sums of generators with
+    coefficients up to FLATTEN_COEFF_BOUND, pruning generating sets that are
+    not antichains.  Raises SearchFailureError when nothing within the bounds
     works (the caller may supply K explicitly).
     """
     p0 = chart.source
-    if is_integral(chart, budget=budget).holds:
+    if is_integral(chart).holds:
         zero = p0.ambient.zero()
         ideal = MonoidIdeal(p0, (zero,))
-        return ideal, zero, kato_verify(chart, ideal, zero, anchor, budget=budget)
+        return ideal, zero, kato_verify(chart, ideal, zero, anchor)
     tried = 0
-    for bound in range(1, coeff_bound + 1):
+    for bound in range(1, FLATTEN_COEFF_BOUND + 1):
         elems = _ideal_candidates(p0, bound)
-        for size in range(2, max_gens + 1):
+        for size in range(2, FLATTEN_MAX_GENS + 1):
             for combo in combinations(elems, size):
                 antichain = True
                 for x in combo:
@@ -623,13 +629,13 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap, max_gens=3,
                 if not antichain:
                     continue
                 tried += 1
-                if tried > combo_budget:
+                if tried > FLATTEN_COMBO_LIMIT:
                     raise SearchFailureError(
                         "flattening-ideal search exhausted its combination budget"
                     )
                 ideal = MonoidIdeal(p0, combo)
                 a, _, _, ok, _ = vcp_select(p0, ideal, anchor)
-                rep = kato_verify(chart, ideal, a, anchor, budget=budget)
+                rep = kato_verify(chart, ideal, a, anchor)
                 if rep.integral and rep.factors_through_base:
                     return ideal, a, rep
     raise SearchFailureError(
@@ -649,25 +655,25 @@ class TsujiReport:
     passes: bool
 
 
-def tsuji_base_change(f: MonoidHom, n, test_bound=6, budget=None):
+def tsuji_base_change(f: MonoidHom, n, test_bound=6):
     """Base change along multiplication by n; bounded saturatedness evidence.
 
     Saturatedness of a homomorphism has no finite decision procedure here,
     so the report states that all integral pushouts along multiplication by
     m <= test_bound are saturated -- bounded evidence, not a proof.
     """
-    if not is_integral(f, budget=budget).holds:
+    if not is_integral(f).holds:
         raise NotIntegralError("tsuji base change requires an integral homomorphism")
     p1 = f.source
-    multn = MonoidHom(p1, p1, [p1.ambient.scale(n, g) for g in p1.gens], budget=budget)
-    po = pushout(f, multn, "sat", budget=budget)
+    multn = MonoidHom(p1, p1, [p1.ambient.scale(n, g) for g in p1.gens])
+    po = pushout(f, multn, "sat")
     hom2 = po.left
     evidence = []
     passes = True
     for m in range(1, test_bound + 1):
         p2 = hom2.source
-        multm = MonoidHom(p2, p2, [p2.ambient.scale(m, g) for g in p2.gens], budget=budget)
-        po_m = pushout(hom2, multm, "int", budget=budget)
+        multm = MonoidHom(p2, p2, [p2.ambient.scale(m, g) for g in p2.gens])
+        po_m = pushout(hom2, multm, "int")
         sat = po_m.monoid.is_saturated()
         evidence.append((m, sat))
         if not sat:
@@ -733,8 +739,7 @@ def _extension_of_base(base: OrderedLattice, anchor_vals, n, sigma=None):
     return KummerLatticeExtension(w, over, tuple(old_basis), quot, ok)
 
 
-def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None,
-                 test_bound=6, budget=None):
+def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None):
     """Flatten by blowup, base change by the ramification lcm, extend V.
 
     Produces W (a Kummer etale extension of V), the finitely presented
@@ -743,7 +748,7 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None,
     from .homs import classify  # local import to keep module load light
 
     if sigma is not None and not sigma.is_empty():
-        rep = classify(tv.chart, sigma, budget=budget, include_integral=False)
+        rep = classify(tv.chart, sigma, include_integral=False)
         if not rep.etale.holds:
             raise PreconditionError(
                 "with a nonempty prime set the chart must be etale"
@@ -751,18 +756,18 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None,
     if ideal is not None:
         if a is None:
             a, _, _, _, _ = vcp_select(tv.p0, ideal, tv.anchor)
-        kato = kato_verify(tv.chart, ideal, a, tv.anchor, budget=budget)
+        kato = kato_verify(tv.chart, ideal, a, tv.anchor)
         if not (kato.integral and kato.factors_through_base):
             raise SearchFailureError("supplied ideal does not flatten the chart")
     else:
-        ideal, a, kato = find_flattening_ideal(tv.chart, tv.anchor, budget=budget)
+        ideal, a, kato = find_flattening_ideal(tv.chart, tv.anchor)
     hom1 = kato.base_changed
     p1 = hom1.source
-    ram = ramification_indices(hom1, budget=budget)
+    ram = ramification_indices(hom1)
     n = 1
     for _, e in ram.indices:
         n = n * e // math.gcd(n, e)
-    tsuji = tsuji_base_change(hom1, n, test_bound=test_bound, budget=budget)
+    tsuji = tsuji_base_change(hom1, n)
     hom2 = tsuji.base_changed
     # anchor on P1 (same ambient as P0 after blowup: evaluate directly)
     anchor1_vals = [tv.anchor.eval_element(g) for g in p1.gens]
@@ -781,7 +786,7 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None,
             anchor2_vals.append(tuple(c))
     # the P2 chart is hom2.source (= P1 as a monoid) anchored by theta/n
     final = TypeVPresentation(wbase, hom2, anchor2_vals)
-    final_integral = is_integral(hom2, budget=budget).holds
+    final_integral = is_integral(hom2).holds
     final_sat = final.verify_sat_generating(
         [final.lift_of_q0_gen(j) for j in range(final.q0.ngens)]
     )
@@ -802,7 +807,7 @@ class GrReport:
     relations_complete: bool
 
 
-def gr_finiteness(tv: TypeVPresentation, budget=None):
+def gr_finiteness(tv: TypeVPresentation):
     """Finite presentation of Q over a divisible valuative base.
 
     Since V is divisible, every Kummer extension of V splits, so the images

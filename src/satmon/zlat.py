@@ -12,8 +12,10 @@ are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 """
 
+import contextvars
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,9 +25,28 @@ from ._lp import INFEASIBLE, LinearSystem
 from .errors import CoprimalityError, ResourceLimitError
 
 DEFAULT_NODE_BUDGET = int(os.environ.get("SATMON_BUDGET", "1000000"))
+# Node budget of each branch-and-bound and completion search, set for a
+# block of work with ``node_budget``.  A context variable, so each thread
+# (each request of a ``--jobs`` batch) sees its own.
+_NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET)
 # Work cap of one cone computation: every ray that double description forms
 # and every point of every simplex's parallelepiped (its |det|) counts one.
 CONE_WORK_LIMIT = 4_000_000
+
+
+@contextmanager
+def node_budget(n):
+    """Every search started inside the block may expand at most ``n`` nodes.
+
+    The budget is per search call, not shared: each branch-and-bound or
+    completion run gets all ``n``.  Exceeding it raises ResourceLimitError
+    carrying ``n``.
+    """
+    token = _NODE_BUDGET.set(n)
+    try:
+        yield n
+    finally:
+        _NODE_BUDGET.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -74,91 +95,7 @@ def primitive(u):
 
 
 # ---------------------------------------------------------------------------
-# matrices and Smith normal form
-
-
-class IntMatrix:
-    """Dense integer matrix; entries stored row-major, arbitrary precision."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [int(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError("entries length must equal rows*cols")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        flat = []
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(rows, cols, flat)
-
-    def to_rows(self):
-        c = self.cols
-        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
-
-    def row(self, i):
-        return tuple(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self):
-        return IntMatrix.from_rows([list(self.col(j)) for j in range(self.cols)])
-
-    def __mul__(self, other):
-        return IntMatrix.from_rows(kernels.mat_mul(self.to_rows(), other.to_rows()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"IntMatrix({self.to_rows()})"
-
-
-def _as_rows(a):
-    return a.to_rows() if isinstance(a, IntMatrix) else [list(r) for r in a]
-
-
-@dataclass(frozen=True)
-class SnfDecomposition:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    def verify(self, a):
-        lhs = self.U * (a if isinstance(a, IntMatrix) else IntMatrix.from_rows(a))
-        return (lhs * self.V) == self.D
-
-    def invariant_factors(self):
-        d = []
-        for i in range(min(self.D.rows, self.D.cols)):
-            e = self.D.row(i)[i]
-            if e != 0:
-                d.append(e)
-        return d
-
-
-def snf(a):
-    """Smith normal form U*A*V = D with unimodular U, V, deterministic."""
-    rows = _as_rows(a)
-    U, D, V = kernels.snf_with_transforms(rows)
-    return SnfDecomposition(
-        IntMatrix.from_rows(U), IntMatrix.from_rows(D), IntMatrix.from_rows(V)
-    )
+# integer solutions and lattices
 
 
 def _smith_solve(rows, b=None):
@@ -185,7 +122,6 @@ def _smith_solve(rows, b=None):
 
 def kernel_basis(rows):
     """Basis of {x : A x = 0} as a list of integer vectors."""
-    rows = _as_rows(rows)
     r = len(rows)
     c = len(rows[0]) if r else 0
     if c == 0:
@@ -197,7 +133,7 @@ def kernel_basis(rows):
 
 def solve_integer(rows, b):
     """One integer solution of A x = b, or None."""
-    return _smith_solve(_as_rows(rows), b)[0]
+    return _smith_solve(rows, b)[0]
 
 
 class Lattice:
@@ -264,7 +200,6 @@ class Lattice:
 
 def preimage_lattice(rows, target: Lattice, ncols=None):
     """Basis of {x : A x in target} where A maps Z^ncols -> Z^target.dim."""
-    rows = _as_rows(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows:
@@ -273,7 +208,7 @@ def preimage_lattice(rows, target: Lattice, ncols=None):
             ncols,
         )
     tb = [list(b) for b in target.basis]
-    stacked = [row + [-tb[k][i] for k in range(len(tb))] for i, row in enumerate(rows)]
+    stacked = [list(row) + [-tb[k][i] for k in range(len(tb))] for i, row in enumerate(rows)]
     sols = kernel_basis(stacked)
     return Lattice([s[:ncols] for s in sols], ncols)
 
@@ -422,10 +357,9 @@ def cokernel(a):
     Returns (group, presentation); presentation.project sends an ambient
     vector of Z^rows to invariant coordinates.
     """
-    rows = _as_rows(a)
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    cols = [tuple(rows[i][j] for i in range(r)) for j in range(c)]
+    r = len(a)
+    c = len(a[0]) if r else 0
+    cols = [tuple(a[i][j] for i in range(r)) for j in range(c)]
     pres = quotient_by_columns(r, cols)
     return pres.group, pres
 
@@ -788,13 +722,12 @@ def hilbert_from_hrep(hrep_rows, dim):
     return sorted(sharp), [tuple(b) for b in lin]
 
 
-def nonneg_kernel_generators(rows, budget=None):
+def nonneg_kernel_generators(rows):
     """Minimal nonzero solutions of A x = 0, x in N^q (Contejean-Devie)."""
-    rows = _as_rows(rows)
     q = len(rows[0]) if rows else 0
     if q == 0:
         return []
-    budget = DEFAULT_NODE_BUDGET if budget is None else budget
+    budget = _NODE_BUDGET.get()
     out = kernels.cd_minimal_nonneg_solutions(rows, q, budget)
     if out is None:
         raise ResourceLimitError("completion node budget exceeded", budget)
@@ -816,7 +749,7 @@ class NonnegSolution:
         return self.status == "sat"
 
 
-def solve_nonneg(a, b, budget=None):
+def solve_nonneg(rows, b):
     """Find x in N^cols with A x = b, or certify UNSAT.
 
     SAT witnesses verify by substitution.  UNSAT comes with one of three
@@ -825,13 +758,12 @@ def solve_nonneg(a, b, budget=None):
     the solution-lattice parametrization.  Exceeding the node budget raises
     ResourceLimitError (distinct from UNSAT).
     """
-    rows = _as_rows(a)
     m = len(rows)
     cols = len(rows[0]) if m else 0
     b = list(b)
     if len(b) != m:
         raise ValueError("rhs length mismatch")
-    budget = DEFAULT_NODE_BUDGET if budget is None else budget
+    budget = _NODE_BUDGET.get()
 
     if cols == 0:
         if all(x == 0 for x in b):
@@ -963,10 +895,17 @@ def _ordered_factorizations(m, parts):
     return out
 
 
-def _sublattices_of_index(r, m):
-    """All sublattices of Z^r of index m as upper-triangular HNF row bases."""
+def _sublattices_of_index(r, m, n):
+    """Sublattices of Z^r of index m whose HNF diagonal entries all divide n.
+
+    As upper-triangular HNF row bases.  Every sublattice of index m that
+    contains n * Z^r is among them: its elements vanishing on coordinates
+    < i have i-th coordinates in d_i * Z, and n * e_i is one of them.
+    """
     out = []
     for diag in _ordered_factorizations(m, r):
+        if any(n % d for d in diag):
+            continue
         def fill(i, rows):
             if i == r:
                 out.append([list(row) for row in rows])
@@ -1033,7 +972,7 @@ def enumerate_overlattices(group, n, sigma=None):
         return [Overlattice(1, eye)]
     m = n ** (r - 1)
     out = []
-    for rows in _sublattices_of_index(r, m):
+    for rows in _sublattices_of_index(r, m, n):
         lam = Lattice(rows, r)
         if all(lam.contains([n if i == j else 0 for j in range(r)]) for i in range(r)):
             out.append(Overlattice(n, tuple(tuple(b) for b in lam.basis)))

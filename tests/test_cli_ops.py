@@ -148,32 +148,68 @@ def test_unknown_op():
     assert rep["result"]["path"] == "$.op"
 
 
-def test_resource_limit_reported(nat):
-    big = D.monoid_out(monoid_from_vectors([(2, -2)], rank=2))
-    rep, code = cli.run_request(
-        {
-            "format": "satmon/1",
-            "kind": "request",
-            "op": "saturate",
-            "args": {"monoid": big},
-            "budget": "0",
-        }
-    )
-    # a zero budget is fine for saturate (no search) -- force one via face op
-    # with membership; simplest: classify a hom needing membership searches
-    hom = D.hom_out(H.MonoidHom(free_monoid(1), free_monoid(1), [(2,)]))
-    rep, code = cli.run_request(
-        {
-            "format": "satmon/1",
-            "kind": "request",
-            "op": "classify",
-            "args": {"hom": hom},
-            "budget": "0",
-        }
-    )
-    assert code in (0, 1, 2)  # must not traceback; error reports carry the limit
-    if code == 2:
-        assert rep["result"]["error"] in ("resource-limit", "invalid-input")
+def _error(request):
+    rep, code = cli.run_request(request)
+    assert code == 2, rep["result"]
+    return rep["result"]
+
+
+def test_resource_limit_reported():
+    # tsuji's saturatedness checks search under the request budget: on the
+    # charts 1 -> 3 (n = 2) and 1 -> 2 (n = 3) a torsion non-member keeps
+    # branch-and-bound busy until the budget fires
+    for k, n in ((3, 2), (2, 3)):
+        hom = D.hom_out(H.MonoidHom(free_monoid(1), free_monoid(1), [(k,)]))
+        res = _error(req("tsuji", {"hom": hom, "n": str(n)}, budget=2000))
+        assert res["error"] == "resource-limit"
+        assert res["limit"] == 2000
+
+
+def _fan_hom():
+    # N -> <(1,0), (1,1), (1,2)>, 1 -> (2,2): the image's membership witness
+    # takes a branch-and-bound node, so it trips a zero budget at parse time
+    target = monoid_from_vectors([(1, 0), (1, 1), (1, 2)])
+    return D.hom_out(H.MonoidHom(free_monoid(1), target, [(2, 2)]))
+
+
+def test_parse_time_search_obeys_the_budget():
+    res = _error(req("classify", {"hom": _fan_hom()}, budget=0))
+    assert res["error"] == "resource-limit" and res["limit"] == 0
+
+
+def test_precondition_error_reported():
+    hom = D.hom_out(H.MonoidHom(free_monoid(1), monoid_from_vectors([(2,), (3,)]), [(2,)]))
+    res = _error(req("classify", {"hom": hom}))
+    assert res["error"] == "PreconditionError"
+    assert "saturated" in res["message"]
+
+
+def test_invalid_input_reported(nat):
+    along = D.hom_out(H.MonoidHom.identity(nat))
+    arm = D.hom_out(H.MonoidHom.identity(free_monoid(2)))
+    res = _error(req("pushout", {"along": along, "arm": arm}))
+    assert res["error"] == "invalid-input"
+    assert res["message"] == "ValueError: pushout arms must share their source"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_budgets_stay_with_their_requests(tmp_path, jobs):
+    # a budget that trips must not leak into the next request, whether it
+    # runs on the same thread or another
+    batch = {
+        "format": "satmon/1",
+        "kind": "batch",
+        "requests": [req("classify", {"hom": _fan_hom()}, budget=0),
+                     req("classify", {"hom": _fan_hom()})],
+    }
+    src, out = tmp_path / "batch.json", tmp_path / "report.json"
+    src.write_text(json.dumps(batch))
+    assert cli.main(["run", str(src), "--jobs", jobs, "--out", str(out)]) == 2
+    tripped, answered = json.loads(out.read_text())["reports"]
+    assert tripped["result"]["error"] == "resource-limit"
+    assert tripped["result"]["limit"] == 0
+    assert answered["status"] in ("ok", "verdict-false")
+    assert "error" not in answered["result"]
 
 
 def test_ogus_fixture_file_parses_to_documented_data():

@@ -76,6 +76,17 @@ def test_saturate_with_torsion_ambient():
     assert not m.is_saturated()
 
 
+def test_saturate_idempotent_without_generators():
+    # the saturation of the trivial monoid is the torsion subgroup, generated
+    # by the torsion units in sorted order like every other saturation
+    for amb in (FgAbelianGroup(0, (2, 4)), FgAbelianGroup(1, (2, 2, 6)), FgAbelianGroup(2)):
+        s = AffineMonoid(amb, ()).saturate()
+        assert s.gens == tuple(sorted(s.gens))
+        assert s.saturate() == s
+        assert AffineMonoid(amb, s.gens).saturate() == s
+        assert s.is_saturated()
+
+
 def test_saturation_cone_matches_fresh_copy(monkeypatch):
     # saturate() hands its cone to the monoid it builds and marks it
     # saturated; a fresh copy recomputes all of that
@@ -94,8 +105,7 @@ def test_saturation_cone_matches_fresh_copy(monkeypatch):
     sats = known_cone_monoids_match_fresh(monkeypatch, run)
     assert len(sats) == len(monoids)
     for m in monoids:
-        if m.gens:
-            assert m.saturate().saturate() is m.saturate()
+        assert m.saturate().saturate() is m.saturate()
     with_units = [s for s in sats if any(map(any, map(s.ambient.free_part, s.units_face().gens)))]
     assert len(with_units) >= 20
     assert sum(1 for m in monoids if m.ambient.torsion) >= 40

@@ -14,7 +14,6 @@ from satmon.monoid import AffineMonoid, from_presentation, monoid_from_vectors
 from satmon.sigma import PrimeSet
 from satmon.zlat import (
     FgAbelianGroup,
-    IntMatrix,
     Lattice,
     cokernel,
     enumerate_overlattices,
@@ -22,7 +21,6 @@ from satmon.zlat import (
     nonneg_kernel_generators,
     primitive,
     quotient_by_columns,
-    snf,
     solve_integer,
     solve_nonneg,
     vdot,
@@ -35,24 +33,29 @@ from satmon.zlat import (
 # Smith normal form
 
 
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _snf(rows):
+    """Smith form from the kernel, with U * A * V = D checked here."""
+    U, D, V = kernels.snf_with_transforms(rows)
+    assert _mul(_mul(U, rows), V) == D
+    return U, D, V
+
+
 def test_snf_diag_2_3():
     # Row/column reduction turns diag(2,3) into diag(1,6).
-    d = snf([[2, 0], [0, 3]])
-    assert d.D.to_rows() == [[1, 0], [0, 6]]
-    assert d.verify([[2, 0], [0, 3]])
+    assert _snf([[2, 0], [0, 3]])[1] == [[1, 0], [0, 6]]
 
 
 def test_snf_identity():
-    d = snf([[1, 0], [0, 1]])
-    assert d.D.to_rows() == [[1, 0], [0, 1]]
-    assert d.verify([[1, 0], [0, 1]])
+    assert _snf([[1, 0], [0, 1]])[1] == [[1, 0], [0, 1]]
 
 
 def test_snf_rank_one():
     # rank-1 matrix with entry gcd 2
-    d = snf([[2, 4], [4, 8]])
-    assert d.D.to_rows() == [[2, 0], [0, 0]]
-    assert d.verify([[2, 4], [4, 8]])
+    assert _snf([[2, 4], [4, 8]])[1] == [[2, 0], [0, 0]]
 
 
 def test_snf_random_against_minors_oracle():
@@ -61,15 +64,15 @@ def test_snf_random_against_minors_oracle():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-        d = snf(rows)
-        assert d.verify(rows)
-        inv = d.invariant_factors()
+        U, D, V = _snf(rows)
+        assert all(D[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+        inv = [D[i][i] for i in range(min(r, c)) if D[i][i] != 0]
         assert inv == minors_gcd_invariants(rows)
         for i in range(1, len(inv)):
             assert inv[i] % inv[i - 1] == 0
         # transforms are unimodular
-        assert abs(_det(d.U.to_rows())) == 1
-        assert abs(_det(d.V.to_rows())) == 1
+        assert abs(_det(U)) == 1
+        assert abs(_det(V)) == 1
 
 
 def _det(mat):
@@ -230,15 +233,6 @@ def test_snf_kernel_matches_four_transform_reference():
     assert saturations >= 50
 
 
-def test_intmatrix_validation():
-    with pytest.raises(ValueError):
-        IntMatrix(2, 2, [1, 2, 3])
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.row(1) == (3, 4)
-    assert m.col(0) == (1, 3)
-    assert m.transpose().to_rows() == [[1, 3], [2, 4]]
-
-
 # ---------------------------------------------------------------------------
 # cokernels and presented groups
 
@@ -336,7 +330,8 @@ def test_solve_nonneg_against_brute_force():
         c = rng.randint(1, 3)
         rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
         b = [rng.randint(-4, 6) for _ in range(r)]
-        got = solve_nonneg(rows, b, budget=20000)
+        with zlat.node_budget(20000):
+            got = solve_nonneg(rows, b)
         brute = brute_nonneg_solve(rows, b, bound=8)
         if got.is_sat:
             x = got.witness
@@ -351,8 +346,16 @@ def test_solve_nonneg_against_brute_force():
 def test_solve_nonneg_budget_error():
     # a zero budget trips on the first branch-and-bound node; the limit is an
     # explicit error, not an UNSAT verdict
-    with pytest.raises(ResourceLimitError):
-        solve_nonneg([[2, -2]], [2], budget=0)
+    with zlat.node_budget(0):
+        with pytest.raises(ResourceLimitError) as err:
+            solve_nonneg([[2, -2]], [2])
+        assert err.value.limit == 0
+        # an inner block sets its own budget and restores the outer one
+        with zlat.node_budget(5):
+            assert solve_nonneg([[2, -2]], [2]).is_sat
+        with pytest.raises(ResourceLimitError):
+            solve_nonneg([[2, -2]], [2])
+    assert solve_nonneg([[2, -2]], [2]).is_sat
 
 
 def test_solve_nonneg_branch_bounds_do_not_stack(monkeypatch):
@@ -373,7 +376,8 @@ def test_solve_nonneg_branch_bounds_do_not_stack(monkeypatch):
     rows, _ = zlat.group_equations([(amb, m.gens, amb.zero())], nonneg=True)
     cols, dim = len(rows[0]), len(kernel_basis(rows))
     with pytest.raises(ResourceLimitError):
-        m.membership((0, 0, 1), budget=300)
+        with zlat.node_budget(300):
+            m.membership((0, 0, 1))
     assert len(sizes) == 300
     assert max(sizes) <= cols + 2 * dim
 
@@ -449,16 +453,18 @@ def _assert_saturation_properties(amb, gens):
     pad = (0,) * len(amb.torsion)
     assert set(sat.gens) == {h + pad for h in free_sat} | set(torsion)
     # every input generator is an N-combination of the output
-    for g in gens:
-        assert sat.contains(g, budget=50000)
+    with zlat.node_budget(50000):
+        for g in gens:
+            assert sat.contains(g)
     # every output element has a multiple inside the input monoid
     rows = [[g[i] for g in free] for i in range(dim)]
     for h in free_sat:
-        n = next(
-            (n for n in range(1, 25)
-             if solve_nonneg(rows, [n * x for x in h], budget=50000).is_sat),
-            None,
-        )
+        with zlat.node_budget(50000):
+            n = next(
+                (n for n in range(1, 25)
+                 if solve_nonneg(rows, [n * x for x in h]).is_sat),
+                None,
+            )
         assert n is not None, (gens, h)
         assert m.contains(amb.scale(n * amb.exponent_of_torsion(), h + pad))
     # minimality of the sharp part (removal test); units come with -u
@@ -469,7 +475,8 @@ def _assert_saturation_properties(amb, gens):
         if not rest:
             continue
         rows_rest = [[x[i] for x in rest] for i in range(dim)]
-        assert not solve_nonneg(rows_rest, list(h), budget=50000).is_sat
+        with zlat.node_budget(50000):
+            assert not solve_nonneg(rows_rest, list(h)).is_sat
     return free_sat
 
 
@@ -743,7 +750,8 @@ def test_cd_matches_hilbert_on_kernel_cones():
     for _ in range(30):
         c = rng.randint(2, 4)
         rows = [[rng.randint(-2, 2) for _ in range(c)]]
-        cd = set(nonneg_kernel_generators(rows, budget=200000))
+        with zlat.node_budget(200000):
+            cd = set(nonneg_kernel_generators(rows))
         # same monoid as a Hilbert basis: N^c cap ker(A)
         kb = kernel_basis(rows)
         if not kb:
@@ -915,8 +923,9 @@ def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
     ]
     assert _reference_cd(amat, 16, 2000) is None
     assert kernels.cd_minimal_nonneg_solutions(amat, 16, 2000) is None
-    with pytest.raises(ResourceLimitError):
-        nonneg_kernel_generators(amat, budget=2000)
+    with zlat.node_budget(2000), pytest.raises(ResourceLimitError) as err:
+        nonneg_kernel_generators(amat)
+    assert err.value.limit == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +954,35 @@ def test_overlattice_counts_match_subgroup_formula():
                 if any(vec):
                     subs.add(frozenset(tuple((k * x) % p for x in vec) for k in range(p)))
             assert len(subs) == expected
+
+
+def _reference_overlattices(r, n):
+    """The unpruned enumeration: every upper-triangular HNF of index
+    n^(r-1), kept when its lattice contains n * Z^r."""
+    m = n ** (r - 1)
+    slots = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    out = []
+    for diag in itertools.product(range(1, m + 1), repeat=r):
+        if math.prod(diag) != m:
+            continue
+        for vals in itertools.product(*(range(diag[j]) for _, j in slots)):
+            rows = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
+            for (i, j), v in zip(slots, vals):
+                rows[i][j] = v
+            lam = Lattice(rows, r)
+            if all(lam.contains([n * (i == j) for j in range(r)]) for i in range(r)):
+                out.append(zlat.Overlattice(n, tuple(tuple(b) for b in lam.basis)))
+    return sorted(out, key=lambda o: o.rows)
+
+
+def test_overlattices_match_unpruned_enumeration():
+    for r in (1, 2, 3):
+        for n in range(1, 9):
+            assert enumerate_overlattices(r, n) == _reference_overlattices(r, n), (r, n)
+    # only HNF diagonals dividing n are generated: rank 3 at n = 2, 3, 4, 6
+    # builds 14, 39, 140, 546 candidates instead of 35, 130, 651, 4550
+    counts = [len(zlat._sublattices_of_index(3, n * n, n)) for n in (2, 3, 4, 6)]
+    assert counts == [14, 39, 140, 546]
 
 
 def test_overlattice_quotients_and_coords():
