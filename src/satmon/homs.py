@@ -297,8 +297,8 @@ def integrality_tuple_generators(f: MonoidHom):
     return tuples
 
 
-def _integral_witness_exists(f: MonoidHom, tup):
-    """Is there (a3, a4, b) with b1 = f(a3)+b, b2 = f(a4)+b, a1+a3 = a2+a4?"""
+def _witness_equations(f: MonoidHom, tup):
+    """Rows and rhs over (a3, a4, b), then slack, for the witness of ``tup``."""
     a1, a2, b1, b2 = tup
     ambq = f.target.ambient
     ambp = f.source.ambient
@@ -307,7 +307,7 @@ def _integral_witness_exists(f: MonoidHom, tup):
     zp = [ambp.zero()] * len(qs)
     rhs3 = f.source.element_from_exponents(vsub(a2, a1))
     # unknowns (a3, a4, b): f(a3) + b = b1, f(a4) + b = b2, a3 - a4 = a2 - a1
-    rows, rhs = zlat.group_equations(
+    return zlat.group_equations(
         [
             (ambq, [*ims, *zq, *qs], f.target.element_from_exponents(b1)),
             (ambq, [*zq, *ims, *qs], f.target.element_from_exponents(b2)),
@@ -315,12 +315,46 @@ def _integral_witness_exists(f: MonoidHom, tup):
         ],
         nonneg=True,
     )
-    res = zlat.solve_nonneg(rows, rhs)
-    return res.is_sat
+
+
+def _integral_witness_search(f: MonoidHom, tup):
+    """Branch-and-bound search for a witness of ``tup``."""
+    return zlat.solve_nonneg(*_witness_equations(f, tup)).is_sat
+
+
+def _integral_witness_exists(f: MonoidHom, tup):
+    """Is there (a3, a4, b) with b1 = f(a3)+b, b2 = f(a4)+b, a1+a3 = a2+a4?
+
+    An ordered tuple (a1 >= a2 or a2 >= a1) is decided by substituting the
+    witness that ``is_integral`` constructs: it fits exactly when the tuple
+    lies in T, and a tuple outside T has no witness at all.  Any other tuple
+    is searched.
+    """
+    a1, a2, b1, b2 = tup
+    zero = (0,) * len(a1)
+    if all(x >= y for x, y in zip(a1, a2)):
+        x = (*zero, *vsub(a1, a2), *b1)
+    elif all(x <= y for x, y in zip(a1, a2)):
+        x = (*vsub(a2, a1), *zero, *b2)
+    else:
+        return _integral_witness_search(f, tup)
+    rows, rhs = _witness_equations(f, tup)
+    return zlat.complete_slack(rows, rhs, x) is not None
 
 
 def is_integral(f: MonoidHom) -> Verdict:
-    """Element-wise integrality via generators of the relation monoid."""
+    """Element-wise integrality via generators of the relation monoid.
+
+    Each generator (a1, a2, b1, b2) of T, in the order that
+    ``integrality_tuple_generators`` gives, needs a witness (a3, a4, b); the
+    first without one is the certificate.  An ordered generator has one by
+    construction, in any ambient, torsion included: if a1 >= a2, then
+    (0, a1 - a2, b1) is one, because f(a1 - a2) + b1 = b2 follows from
+    f(a1) + b1 = f(a2) + b2; if a2 >= a1, then (a2 - a1, 0, b2).  The
+    trivial pairs and the b-only generators are ordered.  The constructed
+    witness is checked by substitution into the witness equations, and only
+    the other generators are searched.
+    """
 
     def build():
         if _source_is_valuative(f):

@@ -204,7 +204,11 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
     node that no solution lies below gets the children v + e_j with
     (A v) . A e_j < 0 that are new on their level and lie above no solution.
     Every node of a level counts against ``budget``, so a given (A, budget)
-    always expands the same nodes and is refused at the same level.
+    always expands the same nodes and is refused at the same level.  The
+    refusal comes early: as soon as the nodes counted so far plus the
+    children made for the next level exceed ``budget``.  The next level
+    keeps every child made, so it would be refused on arrival; the answer
+    at every budget is the one of counting whole levels.
 
     Encoding: a vector is one int with ``width``-bit fields, coordinate 0
     most significant, and a guard bit at the top of each field.  No
@@ -212,8 +216,14 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
     k + 1, and at most ``budget`` levels are expanded), so the fields never
     overflow; v + e_j is ``v + unit[j]``, int order is the lexicographic
     order, and s <= v coordinatewise iff ``(v + guard - s) & guard ==
-    guard``.  Each node carries A^T A v, updated by one Gram row per child,
-    and |A v|^2 for the zero test.
+    guard``.  Each node carries |A v|^2 for the zero test and A^T A v,
+    packed the same way in ``gwidth``-bit fields that each hold the
+    coordinate plus ``bias = 2^(gwidth - 1)``.  A coordinate of A^T A v is at
+    most max|A^T A| times the coordinate sum, at most ``budget + 1``; one
+    bit more than that bound needs makes ``bias`` exceed it, so the fields
+    never borrow.  A child's A^T A v is then one add of a packed Gram row,
+    and the top bit of a field is clear exactly when its coordinate is
+    negative, so ``~g & signs`` marks the children to make.
 
     Domination is checked incrementally.  At creation a child v + e_j of a
     node that no solution lies below can only lie above a solution s with
@@ -223,16 +233,23 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
     below it.  The solutions found form an antichain, since a solution can
     only lie below nodes of higher levels.
     """
-    gram = [tuple(sum(row[j] * row[k] for row in amat) for k in range(q)) for j in range(q)]
+    gram = [[sum(row[j] * row[k] for row in amat) for k in range(q)] for j in range(q)]
     width = (budget + 1).bit_length() + 1
     fmask = (1 << width) - 1
     shifts = [width * (q - 1 - j) for j in range(q)]
     unit = [1 << sh for sh in shifts]
     guard = sum(unit) << (width - 1)
+    gbound = max((abs(x) for row in gram for x in row), default=0) * (budget + 1)
+    gwidth = gbound.bit_length() + 1
+    gmask = (1 << gwidth) - 1
+    bias = 1 << (gwidth - 1)
+    gshifts = [gwidth * (q - 1 - j) for j in range(q)]
+    signs = sum(bias << sh for sh in gshifts)
+    packed = [sum(x << sh for x, sh in zip(row, gshifts)) for row in gram]
     sols = []
     by_coord = [{} for _ in range(q)]  # j -> {s_j: solutions s with that s_j > 0}
-    # node -> (A^T A v, |A v|^2, len(sols) when the node was made)
-    level = {unit[j]: (gram[j], gram[j][j], 0) for j in range(q)}
+    # node -> (packed A^T A v, |A v|^2, len(sols) when the node was made)
+    level = {unit[j]: (signs + packed[j], gram[j][j], 0) for j in range(q)}
     order = unit
     nodes = 0
     while order:
@@ -256,10 +273,11 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
                             by_coord[j].setdefault(x, []).append(v)
                     continue
                 made = len(sols)
-                for j in range(q):
-                    gj = g[j]
-                    if gj >= 0:
-                        continue
+                neg = ~g & signs
+                while neg:
+                    bits = neg.bit_length()
+                    neg ^= 1 << (bits - 1)
+                    j = q - bits // gwidth
                     w = v + unit[j]
                     if w in nxt:
                         continue
@@ -268,8 +286,10 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
                         if (wg - s) & guard == guard:
                             break
                     else:
-                        row = gram[j]
-                        nxt[w] = (tuple([x + y for x, y in zip(g, row)]), norm + 2 * gj + row[j], made)
+                        gj = ((g >> gshifts[j]) & gmask) - bias
+                        nxt[w] = (g + packed[j], norm + 2 * gj + gram[j][j], made)
+                        if nodes + len(nxt) > budget:
+                            return None
         level = nxt
         order = sorted(nxt)
     sols.sort()

@@ -393,6 +393,26 @@ def group_equations(blocks, nonneg=False):
     return rows, rhs
 
 
+def complete_slack(rows, rhs, x):
+    """Extend x over the slack of ``group_equations(..., nonneg=True)`` rows.
+
+    ``x`` gives the main unknowns.  Each slack pair d, -d takes the quotient
+    of its row's residual by d on the side of its sign.  Returns the whole
+    vector if it is nonnegative and solves rows * y = rhs by substitution,
+    else None.
+    """
+    n = len(x)
+    y = list(x) + [0] * (len(rows[0]) - n if rows else 0)
+    for row, r in zip(rows, rhs):
+        for s in range(n, len(row), 2):
+            if row[s]:
+                q = (r - vdot(row, x)) // row[s]
+                y[s if q >= 0 else s + 1] = abs(q)
+    if min(x, default=0) < 0 or kernels.mat_vec(rows, y) != list(rhs):
+        return None
+    return tuple(y)
+
+
 def relation_lattice(ambient: FgAbelianGroup, elements):
     """{a in Z^k : sum a_i * elements_i = 0 in ambient} as a Lattice."""
     k = len(elements)
@@ -930,6 +950,23 @@ def _sublattices_of_index(r, m, n):
     return out
 
 
+def _hnf_contains(rows, i, n):
+    """Is n * e_i in the span of ``rows``, a full-rank upper triangular HNF?
+
+    Back substitution: row k is the only one with a pivot in column k, and
+    the coordinates before i are zero.
+    """
+    v = [0] * len(rows)
+    v[i] = n
+    for k in range(i, len(rows)):
+        q, rem = divmod(v[k], rows[k][k])
+        if rem:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, rows[k])]
+    return True
+
+
 def prime_factors(n):
     out = []
     k = 2
@@ -973,8 +1010,7 @@ def enumerate_overlattices(group, n, sigma=None):
     m = n ** (r - 1)
     out = []
     for rows in _sublattices_of_index(r, m, n):
-        lam = Lattice(rows, r)
-        if all(lam.contains([n if i == j else 0 for j in range(r)]) for i in range(r)):
-            out.append(Overlattice(n, tuple(tuple(b) for b in lam.basis)))
+        if all(_hnf_contains(rows, i, n) for i in range(r)):
+            out.append(Overlattice(n, tuple(map(tuple, rows))))
     out.sort(key=lambda o: o.rows)
     return out

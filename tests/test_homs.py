@@ -11,12 +11,14 @@ from conftest import (
     integrality_witness_in_box,
     face_preimage,
     ogus_data,
+    random_affine_monoid,
     rng_for,
     same_submonoid,
 )
 from satmon import homs as H
 from satmon import monoid as M
-from satmon.errors import MembershipError, TorsionPreconditionError
+from satmon import zlat
+from satmon.errors import MembershipError, ResourceLimitError, TorsionPreconditionError
 from satmon.monoid import free_monoid, monoid_from_vectors
 from satmon.sigma import PrimeSet
 from satmon.zlat import FgAbelianGroup
@@ -376,7 +378,9 @@ def test_box_witness_oracle_agrees_with_lp_witness():
     """Criterion 05's LP-free witness search matches the LP-backed one.
 
     Over the criterion-05 corpus: every relation-monoid generator, and every
-    tuple of the criterion's box (theta: up to its first violation).
+    tuple of the criterion's box (theta: up to its first violation).  Both
+    the search and the public check, which constructs the witness of an
+    ordered tuple, must agree with the box.
     """
     small_corpus, theta = criterion05_corpus()
     for f in small_corpus + [theta]:
@@ -387,6 +391,79 @@ def test_box_witness_oracle_agrees_with_lp_witness():
                 break
         cache = {}
         for tup in tuples:
-            assert integrality_witness_in_box(f, tup, cache) == (
-                H._integral_witness_exists(f, tup)
-            ), (f, tup)
+            want = integrality_witness_in_box(f, tup, cache)
+            assert H._integral_witness_search(f, tup) == want, (f, tup)
+            assert H._integral_witness_exists(f, tup) == want, (f, tup)
+
+
+def _random_linear_hom(rng, torsion):
+    """A hom out of a random affine monoid whose images are linear in the
+    source coordinates, so they respect every source relation; the target
+    lives in Z^r, or in Z^r + Z/3 when ``torsion``."""
+    src = random_affine_monoid(rng, rank=rng.randint(1, 2), max_gens=2, lo=0, hi=2)
+    amb = FgAbelianGroup(rng.randint(1, 2), (3,) if torsion else ())
+    lin = [[rng.randint(-1, 2) for _ in range(src.ambient.rank)] for _ in range(amb.dim)]
+    images = [amb.reduce(tuple(sum(c * x for c, x in zip(row, p)) for row in lin)) for p in src.gens]
+    gens = {im for im in images if any(im)}
+    extra = amb.reduce(tuple(rng.randint(-1, 2) for _ in range(amb.dim)))
+    if any(extra) and rng.random() < 0.5:
+        gens.add(extra)
+    return H.MonoidHom(src, M.AffineMonoid(amb, sorted(gens)), images)
+
+
+def _combination(coeffs, vecs, dim):
+    return tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(dim))
+
+
+def _same_element(amb, u, v):
+    """u == v in Z^rank + torsion, with the test's own arithmetic."""
+    r = amb.rank
+    return u[:r] == v[:r] and all((x - y) % d == 0 for x, y, d in zip(u[r:], v[r:], amb.torsion))
+
+
+def test_ordered_tuples_have_the_constructed_witness():
+    """Every ordered relation-monoid generator (a1 >= a2 or a2 >= a1) has the
+    witness ``is_integral`` constructs, and the search agrees.
+
+    Over the criterion-05 corpus and 200 random homs, a third of them with
+    targets in Z^r + Z/3.  The witness (0, a1 - a2, b1), or (a2 - a1, 0, b2),
+    is checked against b1 = f(a3) + b, b2 = f(a4) + b and a1 + a3 = a2 + a4
+    with the test's own arithmetic.  The search may run out of nodes only in
+    a torsion ambient, where branch-and-bound can miss a member (ROADMAP
+    item 1); it must never deny the witness.
+    """
+    rng = rng_for("constructed-witness")
+    small_corpus, theta = criterion05_corpus()
+    homs = small_corpus + [theta] + [_random_linear_hom(rng, i % 3 == 0) for i in range(200)]
+    ordered = refused = 0
+    for f in homs:
+        ambp, ambq = f.source.ambient, f.target.ambient
+        ps, qs, ims = f.source.gens, f.target.gens, f.gen_images
+        with zlat.node_budget(2000):
+            try:
+                tuples = H.integrality_tuple_generators(f)
+            except ResourceLimitError:
+                continue
+        for tup in tuples:
+            a1, a2, b1, b2 = tup
+            zero = [0] * len(a1)
+            if all(x >= y for x, y in zip(a1, a2)):
+                a3, a4, b = zero, [x - y for x, y in zip(a1, a2)], b1
+            elif all(x <= y for x, y in zip(a1, a2)):
+                a3, a4, b = [y - x for x, y in zip(a1, a2)], zero, b2
+            else:
+                continue
+            ordered += 1
+            for a, bq in ((a3, b1), (a4, b2)):
+                lhs = _combination([*a, *b], [*ims, *qs], ambq.dim)
+                assert _same_element(ambq, lhs, _combination(bq, qs, ambq.dim)), (f, tup)
+            lhs = _combination([*a1, *a3], [*ps, *ps], ambp.dim)
+            assert _same_element(ambp, lhs, _combination([*a2, *a4], [*ps, *ps], ambp.dim))
+            assert H._integral_witness_exists(f, tup), (f, tup)
+            with zlat.node_budget(300):
+                try:
+                    assert H._integral_witness_search(f, tup), (f, tup)
+                except ResourceLimitError:
+                    assert ambq.torsion, (f, tup)
+                    refused += 1
+    assert ordered > 1500 and refused < 10, (ordered, refused)

@@ -412,6 +412,9 @@ def test_group_equations_slack_columns():
     assert rhs == [9, 1, 2, 0]
     # x2 = 3 mod 4 and x1 = 9 - 2 x2 >= 0 leave (3, 3) as the only witness
     assert solve_nonneg(rows, rhs).witness[:2] == (3, 3)
+    # each slack pair takes its row's residual over d on the side of its sign
+    assert zlat.complete_slack(rows, rhs, (3, 3)) == (3, 3, 0, 1, 0, 1, 0, 3)
+    assert zlat.complete_slack(rows, rhs, (1, 4)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +901,19 @@ def test_cd_packed_kernel_matches_reference_on_relation_shaped_matrices():
         mm = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         amat = [row + [-x for x in row] for row in mm]
         _assert_cd_matches_reference_at_every_budget(amat, 2 * k, cap=300)
+
+
+def test_cd_packed_kernel_matches_reference_on_wide_entries():
+    # entries up to +-60 give A^T A entries in the thousands, so wide packed
+    # fields; the sweep over every budget refuses inside levels, where the
+    # kernel stops as soon as the next level is sure to exceed the budget
+    rng = rng_for("cd-packed-wide")
+    for _ in range(30):
+        m = rng.randint(1, 2)
+        k = rng.randint(1, 3)
+        mm = [[rng.randint(-60, 60) for _ in range(k + 1)] for _ in range(m)]
+        for amat in (mm, [row[:k] + [-x for x in row[:k]] for row in mm]):
+            _assert_cd_matches_reference_at_every_budget(amat, len(amat[0]), cap=300)
 
 
 def test_cd_packed_kernel_matches_reference_when_a_coordinate_nears_the_budget():
