@@ -272,8 +272,15 @@ def _source_is_valuative(f: MonoidHom):
     return src.is_saturated() and src.units_face().corank() <= 1
 
 
-def integrality_tuple_generators(f: MonoidHom):
-    """Generating tuples (a1, a2, b1, b2) of the relation monoid T."""
+def _relation_generators(f: MonoidHom, stop):
+    """Report each generator (a1, a2, b1, b2) of the relation monoid T to ``stop``.
+
+    One completion run over the columns [ims, -ims, qs, -qs] plus torsion
+    slack; each minimal solution cut to its first four blocks is a
+    generator.  They reach ``stop`` in completion order, the zero tuple and
+    repeats (solutions that differ only in slack) skipped, and the run ends
+    when ``stop`` returns true.
+    """
     kp = f.source.ngens
     kq = f.target.ngens
     ambq = f.target.ambient
@@ -282,19 +289,23 @@ def integrality_tuple_generators(f: MonoidHom):
     rows, _ = zlat.group_equations([(ambq, cols, ambq.zero())], nonneg=True)
     if not rows:
         rows = [[0] * (2 * kp + 2 * kq)]
-    sols = zlat.nonneg_kernel_generators(rows)
-    tuples = []
     seen = set()
-    for v in sols:
-        a1 = v[:kp]
-        a2 = v[kp: 2 * kp]
-        b1 = v[2 * kp: 2 * kp + kq]
-        b2 = v[2 * kp + kq: 2 * kp + 2 * kq]
-        key = (a1, a2, b1, b2)
-        if any(any(part) for part in key) and key not in seen:
-            seen.add(key)
-            tuples.append(key)
-    return tuples
+
+    def report(v):
+        key = (v[:kp], v[kp: 2 * kp], v[2 * kp: 2 * kp + kq], v[2 * kp + kq: 2 * kp + 2 * kq])
+        if key in seen or not any(map(any, key)):
+            return False
+        seen.add(key)
+        return stop(key)
+
+    zlat.nonneg_kernel_generators(rows, report)
+
+
+def integrality_tuple_generators(f: MonoidHom):
+    """Generating tuples (a1, a2, b1, b2) of the relation monoid T, sorted."""
+    tuples = []
+    _relation_generators(f, lambda tup: tuples.append(tup))  # None: never stops
+    return sorted(tuples)
 
 
 def _witness_equations(f: MonoidHom, tup):
@@ -345,32 +356,35 @@ def _integral_witness_exists(f: MonoidHom, tup):
 def is_integral(f: MonoidHom) -> Verdict:
     """Element-wise integrality via generators of the relation monoid.
 
-    Each generator (a1, a2, b1, b2) of T, in the order that
-    ``integrality_tuple_generators`` gives, needs a witness (a3, a4, b); the
-    first without one is the certificate.  An ordered generator has one by
-    construction, in any ambient, torsion included: if a1 >= a2, then
-    (0, a1 - a2, b1) is one, because f(a1 - a2) + b1 = b2 follows from
-    f(a1) + b1 = f(a2) + b2; if a2 >= a1, then (a2 - a1, 0, b2).  The
-    trivial pairs and the b-only generators are ordered.  The constructed
-    witness is checked by substitution into the witness equations, and only
-    the other generators are searched.
+    Each generator (a1, a2, b1, b2) of T needs a witness (a3, a4, b).  They
+    are checked one by one as completion finds them, and the first without
+    a witness, in completion order, is the certificate; completion stops
+    there.  ``True`` needs completion to finish, so a ResourceLimitError
+    means the node budget ran out before any generator without a witness
+    turned up.  An ordered generator has a witness by construction, in any
+    ambient, torsion included: if a1 >= a2, then (0, a1 - a2, b1) is one,
+    because f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if
+    a2 >= a1, then (a2 - a1, 0, b2).  The trivial pairs and the b-only
+    generators are ordered.  The constructed witness is checked by
+    substitution into the witness equations, and only the other generators
+    are searched.
     """
 
     def build():
         if _source_is_valuative(f):
             return Verdict(True, {"reason": "source is valuative"})
-        for tup in integrality_tuple_generators(f):
-            if not _integral_witness_exists(f, tup):
-                a1, a2, b1, b2 = tup
-                return Verdict(
-                    False,
-                    {
-                        "tuple_a1": a1,
-                        "tuple_a2": a2,
-                        "tuple_b1": b1,
-                        "tuple_b2": b2,
-                    },
-                )
+        failing = []
+
+        def unwitnessed(tup):
+            if _integral_witness_exists(f, tup):
+                return False
+            failing.append(tup)
+            return True
+
+        _relation_generators(f, unwitnessed)
+        if failing:
+            keys = ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2")
+            return Verdict(False, dict(zip(keys, failing[0])))
         return Verdict(True, {"reason": "all relation-monoid generators witnessed"})
 
     return f._get("integral", build)

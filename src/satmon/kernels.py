@@ -192,11 +192,19 @@ def hnf_rows(a):
     return H, pivots
 
 
-def cd_minimal_nonneg_solutions(amat, q, budget):
+def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
     """Minimal nonzero solutions of A v = 0 with v in N^q (Contejean-Devie).
 
     ``amat`` is an m x q integer matrix.  Returns the sorted list of minimal
     solutions, or None if more than ``budget`` nodes were expanded.
+
+    ``stop``, if given, is called with each minimal solution (a tuple) the
+    moment it is found, in completion order: level by level, level 0 in
+    column order, lexicographic within every later level.  A true result
+    ends the search; the sorted list of the solutions found so far is then
+    returned.  Up to that point the search expands exactly the nodes it
+    expands without ``stop``, and a ``stop`` that never returns true leaves
+    the result unchanged, None at every refused budget included.
 
     The search runs level by level from the unit vectors (level 0 in column
     order, later levels in increasing lexicographic order).  A node v with
@@ -267,6 +275,8 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
             else:
                 if not norm:
                     sols.append(v)
+                    if stop is not None and stop(tuple((v >> sh) & fmask for sh in shifts)):
+                        return _unpack_sorted(sols, shifts, fmask)
                     for j in range(q):
                         x = (v >> shifts[j]) & fmask
                         if x:
@@ -292,5 +302,8 @@ def cd_minimal_nonneg_solutions(amat, q, budget):
                             return None
         level = nxt
         order = sorted(nxt)
-    sols.sort()
-    return [tuple((s >> sh) & fmask for sh in shifts) for s in sols]
+    return _unpack_sorted(sols, shifts, fmask)
+
+
+def _unpack_sorted(sols, shifts, fmask):
+    return [tuple((s >> sh) & fmask for sh in shifts) for s in sorted(sols)]

@@ -152,6 +152,16 @@ class Lattice:
         self.basis = [tuple(H[i]) for i in range(len(pivots))]
         self.pivots = list(pivots)
 
+    @classmethod
+    def _of_hnf(cls, rows):
+        """The lattice of ``rows``, already its full-rank canonical HNF
+        (pivots 0 .. r - 1), without computing the HNF again."""
+        lat = cls.__new__(cls)
+        lat.dim = len(rows)
+        lat.basis = [tuple(row) for row in rows]
+        lat.pivots = list(range(len(rows)))
+        return lat
+
     @property
     def rank(self):
         return len(self.basis)
@@ -742,13 +752,18 @@ def hilbert_from_hrep(hrep_rows, dim):
     return sorted(sharp), [tuple(b) for b in lin]
 
 
-def nonneg_kernel_generators(rows):
-    """Minimal nonzero solutions of A x = 0, x in N^q (Contejean-Devie)."""
+def nonneg_kernel_generators(rows, stop=None):
+    """Minimal nonzero solutions of A x = 0, x in N^q (Contejean-Devie).
+
+    ``stop`` sees each solution as completion finds it and can end the
+    search early (``kernels.cd_minimal_nonneg_solutions``); the solutions
+    found by then are returned.
+    """
     q = len(rows[0]) if rows else 0
     if q == 0:
         return []
     budget = _NODE_BUDGET.get()
-    out = kernels.cd_minimal_nonneg_solutions(rows, q, budget)
+    out = kernels.cd_minimal_nonneg_solutions(rows, q, budget, stop)
     if out is None:
         raise ResourceLimitError("completion node budget exceeded", budget)
     return [tuple(v) for v in out]
@@ -877,7 +892,10 @@ class Overlattice:
 
     @cached_property
     def lattice(self):
-        """rowspan(rows) as a Lattice, so M = lattice / den."""
+        """rowspan(rows) as a Lattice, so M = lattice / den.
+
+        ``enumerate_overlattices`` fills it in from rows already in HNF.
+        """
         return Lattice(self.rows, self.rank)
 
     def coords(self, v):
@@ -1006,11 +1024,19 @@ def enumerate_overlattices(group, n, sigma=None):
         return []
     if n == 1:
         eye = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        return [Overlattice(1, eye)]
+        return [_overlattice_of_hnf(1, eye)]
     m = n ** (r - 1)
     out = []
     for rows in _sublattices_of_index(r, m, n):
         if all(_hnf_contains(rows, i, n) for i in range(r)):
-            out.append(Overlattice(n, tuple(map(tuple, rows))))
+            out.append(_overlattice_of_hnf(n, tuple(map(tuple, rows))))
     out.sort(key=lambda o: o.rows)
     return out
+
+
+def _overlattice_of_hnf(den, rows):
+    """Overlattice(den, rows) for rows in canonical HNF, its lattice filled in."""
+    ov = Overlattice(den, rows)
+    # the cached_property's own slot; a frozen dataclass forbids setattr
+    ov.__dict__["lattice"] = Lattice._of_hnf(rows)
+    return ov

@@ -421,6 +421,14 @@ def _same_element(amb, u, v):
     return u[:r] == v[:r] and all((x - y) % d == 0 for x, y, d in zip(u[r:], v[r:], amb.torsion))
 
 
+def _witness_corpus():
+    """The criterion-05 corpus and 200 random homs, a third of them with
+    targets in Z^r + Z/3."""
+    rng = rng_for("constructed-witness")
+    small_corpus, theta = criterion05_corpus()
+    return small_corpus + [theta] + [_random_linear_hom(rng, i % 3 == 0) for i in range(200)]
+
+
 def test_ordered_tuples_have_the_constructed_witness():
     """Every ordered relation-monoid generator (a1 >= a2 or a2 >= a1) has the
     witness ``is_integral`` constructs, and the search agrees.
@@ -432,11 +440,8 @@ def test_ordered_tuples_have_the_constructed_witness():
     a torsion ambient, where branch-and-bound can miss a member (ROADMAP
     item 1); it must never deny the witness.
     """
-    rng = rng_for("constructed-witness")
-    small_corpus, theta = criterion05_corpus()
-    homs = small_corpus + [theta] + [_random_linear_hom(rng, i % 3 == 0) for i in range(200)]
     ordered = refused = 0
-    for f in homs:
+    for f in _witness_corpus():
         ambp, ambq = f.source.ambient, f.target.ambient
         ps, qs, ims = f.source.gens, f.target.gens, f.gen_images
         with zlat.node_budget(2000):
@@ -467,3 +472,72 @@ def test_ordered_tuples_have_the_constructed_witness():
                     assert ambq.torsion, (f, tup)
                     refused += 1
     assert ordered > 1500 and refused < 10, (ordered, refused)
+
+
+def _first_unwitnessed_in_sorted_order(f):
+    """The sorted-list loop ``is_integral`` replaced: the first generator in
+    the full sorted list without a witness, or None if all have one."""
+    if H._source_is_valuative(f):
+        return None
+    for tup in H.integrality_tuple_generators(f):
+        if not H._integral_witness_exists(f, tup):
+            return tup
+    return None
+
+
+def _assert_integral_certificate(f, cert):
+    """A negative certificate is a relation f(a1) + b1 = f(a2) + b2 by the
+    test's own arithmetic and passes the library's re-check."""
+    a1, a2, b1, b2 = (cert[k] for k in ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2"))
+    ambq, ims, qs = f.target.ambient, f.gen_images, f.target.gens
+    lhs = _combination([*a1, *b1], [*ims, *qs], ambq.dim)
+    rhs = _combination([*a2, *b2], [*ims, *qs], ambq.dim)
+    assert _same_element(ambq, lhs, rhs), (f, cert)
+    assert H.reverify_integral_certificate(f, cert), (f, cert)
+
+
+def test_is_integral_agrees_with_the_sorted_list_loop():
+    """Checking generators as completion finds them gives the verdict of the
+    sorted-list loop wherever that loop answers (budget 2000).
+
+    The certificate may be another tuple, the first without a witness in
+    completion order; it must still be a relation without a witness.  Where
+    the loop runs out of nodes, ``is_integral`` may answer, but only False:
+    True needs the whole completion, which the loop could not finish.
+    """
+    both = 0
+    for f in _witness_corpus():
+        with zlat.node_budget(2000):
+            try:
+                want = _first_unwitnessed_in_sorted_order(f)
+                loop_answered = True
+            except ResourceLimitError:
+                loop_answered = False
+            try:
+                got = H.is_integral(f)
+            except ResourceLimitError:
+                got = None
+        if loop_answered:
+            assert got is not None and got.holds == (want is None), (f, want, got)
+            both += 1
+        elif got is not None:
+            assert not got.holds, f
+        if got is not None and not got.holds:
+            _assert_integral_certificate(f, got.certificate)
+    assert both > 150, both
+
+
+def test_is_integral_answers_before_completion_overflows():
+    # the eleventh relation-monoid generator completion finds has no
+    # witness; the full list does not fit in 2000 nodes
+    gens = [(1, 0), (1, 1), (1, 2)]
+    f = H.MonoidHom(monoid_from_vectors(gens), monoid_from_vectors(gens), [(2, 1), (4, 3), (6, 5)])
+    with zlat.node_budget(2000):
+        with pytest.raises(ResourceLimitError):
+            _first_unwitnessed_in_sorted_order(f)
+        v = H.is_integral(f)
+    assert not v.holds
+    cert = v.certificate
+    tup = tuple(cert[k] for k in ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2"))
+    assert tup == ((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 2, 0))
+    _assert_integral_certificate(f, cert)

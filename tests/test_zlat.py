@@ -857,6 +857,13 @@ def _reference_cd(amat, q, budget):
     return minimal
 
 
+def _completion_order(sols):
+    """Minimal solutions in the order completion finds them: by coordinate
+    sum, the unit vectors of level 0 in column order, later levels in
+    lexicographic order."""
+    return sorted(sols, key=lambda s: (sum(s), tuple(-x for x in s) if sum(s) == 1 else s))
+
+
 def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
     """Both kernels agree, None included, at every budget 0 .. N + 1.
 
@@ -864,9 +871,19 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
     ``nodes > budget``, so it returns None below N and its full answer from N
     on; N is found by doubling and bisection.  If N exceeds ``cap``, both
     must refuse at ``cap``.
+
+    The ``stop`` hook is checked on the same sweep.  A ``stop`` that never
+    fires leaves every result as it is, and sees the full answer in
+    completion order, or a prefix of it where the budget refuses.  A
+    ``stop`` that fires at the k-th solution has seen the first k of that
+    order and gets them back sorted; at budgets below N it sees a prefix
+    and, unless it saw k, gets None.  Every k is tried at budget N, and one
+    k per budget below.
     """
+    seen = []
     if _reference_cd(amat, q, cap) is None:
         assert kernels.cd_minimal_nonneg_solutions(amat, q, cap) is None, amat
+        assert kernels.cd_minimal_nonneg_solutions(amat, q, cap, seen.append) is None, amat
         return
     lo, hi = -1, 1
     while _reference_cd(amat, q, hi) is None:
@@ -878,9 +895,32 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
         else:
             hi = mid
     full = _reference_cd(amat, q, hi)
+    order = _completion_order(full)
+
+    def stop_at(k):
+        def stop(s):
+            seen.append(s)
+            return len(seen) == k
+        return stop
+
     for budget in range(hi + 2):
         want = full if budget >= hi else None
         assert kernels.cd_minimal_nonneg_solutions(amat, q, budget) == want, (amat, budget)
+        seen.clear()
+        assert kernels.cd_minimal_nonneg_solutions(amat, q, budget, seen.append) == want
+        assert seen == (order if want is not None else order[: len(seen)]), (amat, budget)
+        k = budget % len(order) + 1 if order else 1
+        seen.clear()
+        out = kernels.cd_minimal_nonneg_solutions(amat, q, budget, stop_at(k))
+        assert seen == order[: len(seen)] and len(seen) <= k, (amat, budget, k)
+        if len(seen) == k:
+            assert out == sorted(seen), (amat, budget, k)
+        else:
+            assert out == want, (amat, budget, k)
+    for k in range(1, len(order) + 1):
+        seen.clear()
+        out = kernels.cd_minimal_nonneg_solutions(amat, q, hi, stop_at(k))
+        assert seen == order[:k] and out == sorted(seen), (amat, k)
 
 
 def test_cd_packed_kernel_matches_reference_on_random_matrices():
@@ -994,7 +1034,12 @@ def _reference_overlattices(r, n):
 def test_overlattices_match_unpruned_enumeration():
     for r in (1, 2, 3):
         for n in range(1, 9):
-            assert enumerate_overlattices(r, n) == _reference_overlattices(r, n), (r, n)
+            out = enumerate_overlattices(r, n)
+            assert out == _reference_overlattices(r, n), (r, n)
+            # their rows are already in HNF, so their lattice skips the HNF
+            for o in out:
+                fresh = Lattice(o.rows, r)
+                assert (o.lattice.basis, o.lattice.pivots) == (fresh.basis, fresh.pivots), o
     # only HNF diagonals dividing n are generated: rank 3 at n = 2, 3, 4, 6
     # builds 14, 39, 140, 546 candidates instead of 35, 130, 651, 4550
     counts = [len(zlat._sublattices_of_index(3, n * n, n)) for n in (2, 3, 4, 6)]
