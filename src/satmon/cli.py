@@ -8,9 +8,8 @@ included), 2 error.  Reports are byte-identical across runs under
 ``--deterministic`` (default): the timing field is then emitted as null.
 
 ``--budget N`` (or a request's ``budget``) is a per-search node budget:
-every branch-and-bound and completion search of the request, saturatedness
-checks and parse-time membership checks included, may expand at most N
-nodes.  ``run_request`` sets it with ``zlat.node_budget`` for the request
+every branch-and-bound and completion search of the request, parse-time
+membership checks included, may expand at most N nodes.  ``run_request`` sets it with ``zlat.node_budget`` for the request
 alone; library code does the same with ``with zlat.node_budget(n):``.
 """
 

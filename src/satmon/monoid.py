@@ -201,6 +201,16 @@ class AffineMonoid(Memoized):
         return None
 
     def contains(self, x):
+        """Is x in the monoid?
+
+        A monoid known to be saturated is {x : the free part of x lies in
+        the span lattice and every facet value is >= 0}, torsion included,
+        so membership in it is that facet test; otherwise it is a
+        ``membership`` search.
+        """
+        if self._cache.get("is_sat"):
+            c = self.cone_coords(x)
+            return c is not None and all(vdot(f, c) >= 0 for f in self.cone_facets())
         return self.membership(x) is not None
 
     # -- saturation ------------------------------------------------------------
@@ -234,11 +244,58 @@ class AffineMonoid(Memoized):
         return self._get("sat", build)
 
     def is_saturated(self):
-        def check():
-            sat = self.saturate()
-            return all(self.contains(g) for g in sat.gens)
+        """Is P = sat(P)?  Decided from the cone, without a search.
 
-        return self._get("is_sat", check)
+        Let S = sat(P) and U the units of S: the x whose free part lies in
+        the span lattice with every facet value 0, all torsion included.
+        P = S if and only if
+          (i) the generators of P in U generate U as a group, and
+          (ii) every generator h of S outside U has the facet values of
+               some generator of P.
+        If (i) holds, the generators of P in U span the lineality space as
+        a cone, so their free parts have a relation with all coefficients
+        positive; times the torsion exponent it is a relation in the
+        ambient, which makes their monoid a group, so U is inside P.  Then
+        facet values equal to those of a generator g give h - g in U, so
+        h is in P, and with U these h generate S.  Conversely, P cap U is the monoid of P's generators in
+        U (facet values are additive and >= 0), so U inside P needs (i).
+        And h, a Hilbert-basis element, is not the sum of two elements of
+        S outside U, so h = sum a_i g_i in P has exactly one g_i outside U,
+        with a_i = 1, and h - g_i is in U: h has the facet values of g_i.
+        """
+        return self._get("is_sat", lambda: self._saturation_defect() is None)
+
+    def _saturation_defect(self):
+        """An element of sat(P) outside P, or None when P is saturated.
+
+        The element is a generator of sat(P) that fails the criterion of
+        ``is_saturated``: a Hilbert-basis element whose facet values no
+        generator of P has, or a unit outside the group that P's unit
+        generators generate.
+        """
+        sat = self.saturate()
+        _, coords, facets, _ = self._cone()
+        zero = (0,) * len(facets)
+
+        def values(c):
+            return tuple(vdot(f, c) for f in facets)
+
+        gvals = [values(c) for c in coords]
+        reached = set(gvals)
+        units = None
+        for s, c in zip(sat.gens, sat._cone()[1]):
+            v = values(c)
+            if v != zero:
+                if v not in reached:
+                    return s
+                continue
+            if units is None:
+                units = AffineMonoid(
+                    self.ambient, [g for g, gv in zip(self.gens, gvals) if gv == zero]
+                )
+            if units.integral_exponents(s) is None:
+                return s
+        return None
 
     # -- faces -----------------------------------------------------------------
 

@@ -471,7 +471,11 @@ class TypeVPresentation:
 
 
 def verify_sat_generating_affine(f: MonoidHom, elements):
-    """Affine version: do image(f) and ``elements`` sat-generate the target?"""
+    """Affine version: do image(f) and ``elements`` sat-generate the target?
+
+    The saturation of the generated submonoid is known to be saturated, so
+    each ``sat.contains`` below is a facet test, not a search.
+    """
     q = f.target
     for e in elements:
         if not q.contains(e):

@@ -9,6 +9,7 @@ from satmon import homs as H
 from satmon import monoid as M
 from satmon import valuative as V
 from satmon.sigma import PrimeSet
+from satmon.zlat import FgAbelianGroup
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,15 @@ def random_affine_monoid(rng, rank=2, max_gens=4, lo=-1, hi=2):
             return M.monoid_from_vectors(gens, rank=rank)
 
 
+def random_ambient_monoid(rng):
+    """Random monoid of rank 0-4, torsion (), (2), (3) or (2, 4), and up to
+    5 generators with entries in [-2, 2]."""
+    amb = FgAbelianGroup(rng.randint(0, 4), rng.choice([(), (), (2,), (3,), (2, 4)]))
+    gens = {amb.reduce(tuple(rng.randint(-2, 2) for _ in range(amb.dim)))
+            for _ in range(rng.randint(0, 5))}
+    return M.AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g)))
+
+
 def random_saturated_monoid(rng, rank=2, max_gens=3):
     """Random saturated, span-tight monoid (pointed or with units)."""
     m = random_affine_monoid(rng, rank=rank, max_gens=max_gens, lo=0, hi=2)
@@ -137,8 +147,6 @@ def random_endo_map(rng, p):
         target = q.saturate()
         return H.MonoidHom(p, target, images)
     if kind == "pad":
-        from satmon.zlat import FgAbelianGroup
-
         amb = p.ambient
         new_amb = FgAbelianGroup(amb.rank + 1, amb.torsion)
 

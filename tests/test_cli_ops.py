@@ -155,14 +155,28 @@ def _error(request):
 
 
 def test_resource_limit_reported():
-    # tsuji's saturatedness checks search under the request budget: on the
-    # charts 1 -> 3 (n = 2) and 1 -> 2 (n = 3) a torsion non-member keeps
-    # branch-and-bound busy until the budget fires
+    # Contejean-Devie completion of this integrality check overflows the
+    # request budget before it finds a relation-monoid generator without a
+    # witness, so classify ends in a completion refusal
+    source = monoid_from_vectors([(1, 0), (1, 1), (1, 2), (1, 3)])
+    target = monoid_from_vectors([(1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1)])
+    hom = D.hom_out(
+        H.MonoidHom(source, target, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    )
+    res = _error(req("classify", {"hom": hom}, budget=2000))
+    assert res["error"] == "resource-limit"
+    assert res["limit"] == 2000
+
+
+def test_tsuji_answers_within_the_budget():
+    # the saturatedness checks of these charts are decided from the cone;
+    # a membership search on a torsion ambient used to exhaust the budget
     for k, n in ((3, 2), (2, 3)):
         hom = D.hom_out(H.MonoidHom(free_monoid(1), free_monoid(1), [(k,)]))
-        res = _error(req("tsuji", {"hom": hom, "n": str(n)}, budget=2000))
-        assert res["error"] == "resource-limit"
-        assert res["limit"] == 2000
+        rep, code = cli.run_request(req("tsuji", {"hom": hom, "n": str(n)}, budget=2000))
+        assert code == 1, rep["result"]
+        evidence = [(e["m"], e["saturated"]) for e in rep["result"]["evidence"]]
+        assert evidence == [("1", True)] + [(str(m), False) for m in range(2, 7)]
 
 
 def _fan_hom():

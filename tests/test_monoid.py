@@ -2,7 +2,13 @@
 
 import pytest
 
-from conftest import known_cone_monoids_match_fresh, rng_for, random_fp_monoid, same_submonoid
+from conftest import (
+    known_cone_monoids_match_fresh,
+    random_ambient_monoid,
+    random_fp_monoid,
+    rng_for,
+    same_submonoid,
+)
 from satmon import monoid as M
 from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
@@ -92,11 +98,7 @@ def test_saturation_cone_matches_fresh_copy(monkeypatch):
     # saturated; a fresh copy recomputes all of that
     rng = rng_for("saturation-known-cone")
     monoids = [AffineMonoid(FgAbelianGroup(2, (3,)), ()), AffineMonoid(FgAbelianGroup(0, (2, 4)), ())]
-    for _ in range(120):
-        amb = FgAbelianGroup(rng.randint(0, 4), rng.choice([(), (), (2,), (3,), (2, 4)]))
-        gens = {amb.reduce(tuple(rng.randint(-2, 2) for _ in range(amb.dim)))
-                for _ in range(rng.randint(0, 5))}
-        monoids.append(AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g))))
+    monoids += [random_ambient_monoid(rng) for _ in range(120)]
 
     def run():
         for m in monoids:

@@ -16,7 +16,7 @@ from satmon.errors import (
 )
 from satmon.monoid import free_monoid, monoid_from_vectors
 from satmon.sigma import PrimeSet
-from satmon.zlat import Lattice, Overlattice
+from satmon.zlat import FgAbelianGroup, Lattice, Overlattice, node_budget
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,25 @@ def test_tsuji_1_2_map(nat, nat2):
     f = H.MonoidHom(nat, nat2, [(1, 2)])
     rep = V.tsuji_base_change(f, 2)
     assert rep.passes
+
+
+def test_tsuji_int_pushout_by_hand():
+    # 1 -> 3 with n = 2: the base change is Z -> Z, and its int pushout along
+    # multiplication by 2 is <2, 3> in Z up to sign, not saturated: 1 = 3 - 2
+    # has 2 * 1 in it, while its members are 0 and the integers >= 2
+    f = H.MonoidHom(free_monoid(1), free_monoid(1), [(3,)])
+    with node_budget(2000):
+        rep = V.tsuji_base_change(f, 2)
+    assert rep.evidence == ((1, True),) + tuple((m, False) for m in range(2, 7))
+    hom2 = rep.base_changed
+    p2 = hom2.source
+    mult2 = H.MonoidHom(p2, p2, [p2.ambient.scale(2, g) for g in p2.gens])
+    po = H.pushout(hom2, mult2, "int").monoid
+    assert po.ambient == FgAbelianGroup(1)
+    sign = po.gens[0][0] // abs(po.gens[0][0])
+    assert sorted(sign * g[0] for g in po.gens) == [2, 3]
+    assert not po.contains((sign,)) and po.contains((2 * sign,))
+    assert not po.is_saturated()
 
 
 def test_tsuji_requires_integral(nat2, nat):
