@@ -1,10 +1,13 @@
 """Homomorphisms of affine monoids and their classification.
 
-A MonoidHom stores one membership witness per generator image, so the
+A MonoidHom has one membership witness per generator image, so the
 induced map on groupifications is available as an integer matrix on
-exponent vectors.  Verdicts (injective, exact, integral, vertical, smooth,
-etale, Kummer etale) are certified: every negative answer carries a witness
-that can be re-checked independently.
+exponent vectors.  The constructor finds the witnesses as its proof that
+the images lie in the target, unless the target is known to be saturated:
+there the facet test is the proof, and the witnesses are found when first
+read.  Verdicts (injective, exact, integral, vertical, smooth, etale,
+Kummer etale) are certified: every negative answer carries a witness that
+can be re-checked independently.
 
 Integrality is decided by the element-wise four-tuple criterion.  The
 solution monoid T = {(a1,a2,b1,b2) : f(a1)+b1 = f(a2)+b2} is generated by
@@ -38,13 +41,13 @@ class MonoidHom(Memoized):
         self.source = source
         self.target = target
         self.gen_images = tuple(target.ambient.reduce(g) for g in gen_images)
-        wits = []
-        for im in self.gen_images:
-            w = target.membership(im)
-            if w is None:
-                raise MembershipError(f"image {im} is not a member of the target")
-            wits.append(w)
-        self.witnesses = tuple(wits)
+        self._cache = {}
+        if target._cache.get("is_sat"):
+            for im in self.gen_images:
+                if not target.contains(im):
+                    raise MembershipError(f"image {im} is not a member of the target")
+        else:
+            self._cache["witnesses"] = self._find_witnesses()
         for rho in source.relation_lattice().basis:
             acc = target.ambient.zero()
             for c, im in zip(rho, self.gen_images):
@@ -54,7 +57,20 @@ class MonoidHom(Memoized):
                 raise ValueError(
                     f"images do not respect the source relation {tuple(rho)}"
                 )
-        self._cache = {}
+
+    def _find_witnesses(self):
+        wits = []
+        for im in self.gen_images:
+            w = self.target.membership(im)
+            if w is None:
+                raise MembershipError(f"image {im} is not a member of the target")
+            wits.append(w)
+        return tuple(wits)
+
+    @property
+    def witnesses(self):
+        """Per image, some a in N^ngens(target) with image = sum a_j h_j."""
+        return self._get("witnesses", self._find_witnesses)
 
     @classmethod
     def identity(cls, m: AffineMonoid):

@@ -4,7 +4,9 @@ pi_1 is exposed only through its finite quotients: the n-stage is (dual to)
 P^gp tensor Z/n, and connected abelian covers of index n correspond to
 overlattices M of P^gp with [M : P^gp] = n and all prime factors of n
 outside the fixed prime set.  The cover monoid is the saturation of P
-inside M: same cone, refined lattice.
+inside M: same cone, refined lattice.  P -> cone cap M is exact exactly
+when P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
+sat(P)), so the base is checked once, not each cover.
 
 Stages for different moduli m | n are compatible through the standard
 divisibility maps (reduce invariants mod m); no profinite object is ever
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from . import zlat
 from .errors import CoprimalityError, PreconditionError
-from .homs import MonoidHom, gp_profile, is_exact, is_injective
+from .homs import MonoidHom
 from .monoid import AffineMonoid
 from .zlat import FgAbelianGroup, Overlattice
 
@@ -75,6 +77,11 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
     c . rows / den, so a facet normal phi of p becomes rows . phi up to the
     positive factor den: dividing by the (positive) gcd keeps it primitive
     and on the same side.
+
+    The structure map needs no check once p is saturated.  p spans Z^r
+    and M contains Z^r with finite index, so the inclusion is injective
+    with a finite cokernel.  The preimage of cone cap M in Z^r is
+    cone cap Z^r = sat(p), so the map is exact exactly when p = sat(p).
     """
     coords = []
     for g in p.gens:
@@ -90,15 +97,7 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
         FgAbelianGroup(over.rank), coords, span, sorted(normals)
     )
     cover = sub.saturate()
-    hom = MonoidHom(p, cover, coords)
-    prof = gp_profile(hom)
-    if prof.cokernel_rank != 0:
-        raise PreconditionError("cover cokernel must be finite")
-    if not is_injective(hom).holds or not is_exact(hom).holds:
-        raise PreconditionError(
-            "cover construction requires a saturated base (injective + exact failed)"
-        )
-    return KummerCover(p, over, cover, hom)
+    return KummerCover(p, over, cover, MonoidHom(p, cover, coords))
 
 
 def enumerate_covers(p: AffineMonoid, n, sigma):
@@ -106,7 +105,9 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
 
     Requires the ambient group of p to be torsion-free and spanned by the
     generators (P^gp = ambient); use AffineMonoid.intrinsic() first if
-    needed.
+    needed.  p must be saturated; this is checked once, after the modulus,
+    and leaves p known to be saturated, so a later ``p.contains`` is the
+    facet test.
     """
     if p.ambient.torsion:
         raise PreconditionError("cover enumeration requires a torsion-free groupification")
@@ -120,6 +121,10 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
             "generators must span the ambient group; pass the intrinsic copy"
         )
     overs = zlat.enumerate_overlattices(p.ambient, n, sigma)
+    if not p.is_saturated():
+        raise PreconditionError(
+            "cover construction requires a saturated base (injective + exact failed)"
+        )
     span, _, facets, _ = p._cone()
     return [_cover_from_overlattice(p, o, span, facets) for o in overs]
 

@@ -45,6 +45,63 @@ def test_hom_validation_rejects_bad_images(nat2, nat):
         H.MonoidHom(mono, free_monoid(1), [(1,), (1,)])
 
 
+def _count_membership(monkeypatch):
+    calls = []
+    search = M.AffineMonoid.membership
+
+    def counted(self, x):
+        calls.append(x)
+        return search(self, x)
+
+    monkeypatch.setattr(M.AffineMonoid, "membership", counted)
+    return calls
+
+
+def test_hom_into_saturated_target_finds_witnesses_when_read(monkeypatch):
+    calls = _count_membership(monkeypatch)
+    rng = rng_for("lazy-hom-witnesses")
+    homs = rejected = 0
+    while homs < 30:
+        r = rng.randint(1, 3)
+        q = random_affine_monoid(rng, rank=r, max_gens=r + 2, lo=-1, hi=3).saturate()
+        assert q._cache["is_sat"]
+        k = rng.randint(1, 3)
+        images = [
+            q.element_from_exponents([rng.randint(0, 2) for _ in q.gens]) for _ in range(k)
+        ]
+        del calls[:]
+        f = H.MonoidHom(free_monoid(k), q, images)
+        assert calls == []  # the facet test proved the images are members
+        wits = f.witnesses
+        assert len(calls) == k
+        for im, w in zip(f.gen_images, wits):
+            assert len(w) == q.ngens and min(w, default=0) >= 0
+            total = tuple(sum(c * g[i] for c, g in zip(w, q.gens)) for i in range(r))
+            assert total == im
+        assert f.witnesses is wits and len(calls) == k
+        outside = tuple(-x for x in q.gens[0])
+        if q.membership(outside) is None:
+            with pytest.raises(MembershipError):
+                H.MonoidHom(free_monoid(1), q, [outside])
+            rejected += 1
+        homs += 1
+    assert rejected >= 10
+
+
+def test_hom_into_unknown_target_searches_once_per_image(monkeypatch):
+    # <2, 3> in Z is not saturated; nothing has said whether it is
+    q = monoid_from_vectors([(2,), (3,)])
+    calls = _count_membership(monkeypatch)
+    f = H.MonoidHom(free_monoid(3), q, [(2,), (5,), (6,)])
+    assert calls == [(2,), (5,), (6,)]
+    for w, im in zip(f.witnesses, f.gen_images):
+        assert min(w) >= 0 and 2 * w[0] + 3 * w[1] == im[0]
+    assert len(calls) == 3  # the witnesses were the constructor's proof
+    with pytest.raises(MembershipError):
+        H.MonoidHom(free_monoid(1), q, [(1,)])
+    assert "is_sat" not in q._cache
+
+
 def test_gp_profile_doubling(nat):
     prof = H.gp_profile(doubling(nat))
     assert prof.kernel.order() == 1

@@ -5,10 +5,11 @@ import pytest
 from conftest import known_cone_monoids_match_fresh, random_affine_monoid, rng_for, same_submonoid
 from satmon import homs as H
 from satmon import monoid as M
-from satmon import pi1
+from satmon import pi1, zlat
 from satmon.errors import CoprimalityError, PreconditionError
 from satmon.monoid import free_monoid, from_presentation, FpMonoid
 from satmon.sigma import PrimeSet
+from satmon.zlat import FgAbelianGroup
 
 
 def test_pi1_quotient_examples(nat, nat2):
@@ -126,3 +127,60 @@ def test_cover_cones_match_fresh_copies(monkeypatch):
     assert len(subs) >= 100
     assert {n for _, n in bases} == {2, 3, 4, 6}
 
+
+def test_covers_refuse_a_non_saturated_base():
+    # <2, 3> spans Z but misses 1: the base is checked after the modulus
+    p = M.monoid_from_vectors([(2,), (3,)])
+    with pytest.raises(
+        PreconditionError,
+        match=r"^cover construction requires a saturated base \(injective \+ exact failed\)$",
+    ):
+        pi1.enumerate_covers(p, 2, PrimeSet.of(3))
+    with pytest.raises(CoprimalityError):
+        pi1.enumerate_covers(M.monoid_from_vectors([(2,), (3,)]), 3, PrimeSet.of(3))
+
+
+def _full_rank_bases(rng, count, rank, saturated):
+    """Random monoids that span Z^rank, saturated ones taken in Z^rank."""
+    out = []
+    while len(out) < count:
+        m = random_affine_monoid(rng, rank=rank, max_gens=rank + 2, lo=-1, hi=3)
+        if m.span_lattice().rank == rank:
+            out.append(m.saturate() if saturated else m.intrinsic()[0])
+    return out
+
+
+def test_cover_properties_hold_per_cover():
+    # the per-cover checks that enumerate_covers proves once from the base;
+    # exactness is checked on a fresh copy of the base, so its membership
+    # tests search instead of reading the base's facets
+    rng = rng_for("cover-per-cover-oracle")
+    cases = [(b, n) for r, k in ((1, 2), (2, 6)) for b in _full_rank_bases(rng, k, r, True)
+             for n in range(2, 9)]
+    cases += [(b, n) for b in _full_rank_bases(rng, 4, 3, True) for n in (2, 3)]
+    seen = 0
+    for base, n in cases:
+        r = base.ambient.rank
+        for c in pi1.enumerate_covers(base, n, PrimeSet.empty()):
+            fresh_base = M.AffineMonoid(base.ambient, base.gens)
+            hom = H.MonoidHom(fresh_base, c.cover, c.hom.gen_images)
+            assert H.gp_profile(hom).cokernel_rank == 0
+            assert H.is_injective(hom).holds and H.is_exact(hom).holds
+            fresh = M.AffineMonoid(FgAbelianGroup(r), hom.gen_images).saturate()
+            assert c.cover.gens == fresh.gens
+            seen += 1
+    assert seen >= 400
+
+
+def test_first_cover_exact_iff_base_saturated():
+    rng = rng_for("cover-exactness-iff-saturated")
+    verdicts = []
+    for r in (1, 2, 2, 2, 3, 3):
+        for p in _full_rank_bases(rng, 8, r, False):
+            over = zlat.enumerate_overlattices(r, 2)[0]
+            coords = [over.coords(g) for g in p.gens]
+            cover = M.AffineMonoid(FgAbelianGroup(r), coords).saturate()
+            exact = H.is_exact(H.MonoidHom(p, cover, coords)).holds
+            assert exact == p.is_saturated(), p
+            verdicts.append(exact)
+    assert 5 <= verdicts.count(False) <= len(verdicts) - 5
