@@ -9,8 +9,13 @@ included), 2 error.  Reports are byte-identical across runs under
 
 ``--budget N`` (or a request's ``budget``) is a per-search node budget:
 every branch-and-bound and completion search of the request, parse-time
-membership checks included, may expand at most N nodes.  ``run_request`` sets it with ``zlat.node_budget`` for the request
-alone; library code does the same with ``with zlat.node_budget(n):``.
+membership checks included, may expand at most N nodes.  Without it,
+``main`` gives the request the value of ``SATMON_BUDGET`` if that is set
+(under ``run``, each request of the document that has no budget of its
+own), so a malformed value is a schema violation of that request; the
+fallback is ``zlat.DEFAULT_NODE_BUDGET``.  ``run_request`` sets the budget
+with ``zlat.node_budget`` for the request alone; library code does the same
+with ``with zlat.node_budget(n):``.
 """
 
 import argparse
@@ -450,29 +455,32 @@ def build_parser():
     def add(name, help_):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("input", nargs="?", default="-", help="input document (default stdin)")
-        sp.add_argument("--sigma", default=None, help="comma-separated primes, e.g. 2,3")
-        sp.add_argument(
-            "--sigma-complement",
-            default=None,
-            help="all primes except these (comma-separated)",
-        )
-        sp.add_argument(
-            "--budget", type=int, default=None, help="node budget of each search"
-        )
+        if name == "run":
+            sp.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="run batch requests on this many threads, outputs merged in "
+                "input order (CPU-bound ops get no speed-up from it)",
+            )
+        else:
+            sp.add_argument("--sigma", default=None, help="comma-separated primes, e.g. 2,3")
+            sp.add_argument(
+                "--sigma-complement",
+                default=None,
+                help="all primes except these (comma-separated)",
+            )
+            sp.add_argument(
+                "--budget", type=int, default=None, help="node budget of each search"
+            )
+        if name == "pushout":
+            sp.add_argument(
+                "--category", default=None, help="pushout category: mon, int, or sat"
+            )
         sp.add_argument("--out", default=None, help="write the report to a file")
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="run batch requests on this many threads, outputs merged in input "
-            "order (CPU-bound ops get no speed-up from it)",
-        )
         det = sp.add_mutually_exclusive_group()
         det.add_argument("--deterministic", dest="deterministic", action="store_true", default=True)
         det.add_argument("--no-deterministic", dest="deterministic", action="store_false")
-        sp.add_argument(
-            "--category", default=None, help="pushout category: mon, int, or sat"
-        )
         return sp
 
     for name, h in (
@@ -499,16 +507,23 @@ def build_parser():
     return ap
 
 
+def _default_budget(request, budget):
+    """Give a request document, or each item of a batch, ``budget`` unless it
+    has a budget of its own."""
+    if not isinstance(request, dict):
+        return
+    items = request.get("requests") if request.get("kind") == "batch" else [request]
+    for item in items if isinstance(items, list) else ():
+        if isinstance(item, dict):
+            item.setdefault("budget", budget)
+
+
 def main(argv=None):
     ns = build_parser().parse_args(argv)
-    env_budget = os.environ.get("SATMON_BUDGET")
     doc = _read_doc(ns.input)
+    budget = os.environ.get("SATMON_BUDGET")
     if ns.command == "run":
         request = doc
-        if isinstance(request, dict) and request.get("kind") == "batch":
-            report, code = run_batch(request, jobs=ns.jobs, deterministic=ns.deterministic)
-            _emit(report, ns.out)
-            return code
     else:
         request = {
             "format": FORMAT,
@@ -519,13 +534,16 @@ def main(argv=None):
         sg = _sigma_doc(ns)
         if sg is not None:
             request["sigma"] = sg
-        if ns.budget is not None:
-            request["budget"] = str(ns.budget)
-        elif env_budget is not None:
-            request["budget"] = env_budget
-        if ns.category is not None:
+        if getattr(ns, "category", None) is not None:
             request["args"]["category"] = ns.category
-    report, code = run_request(request, deterministic=ns.deterministic)
+        if ns.budget is not None:
+            budget = str(ns.budget)
+    if budget is not None:
+        _default_budget(request, budget)
+    if ns.command == "run" and isinstance(request, dict) and request.get("kind") == "batch":
+        report, code = run_batch(request, jobs=ns.jobs, deterministic=ns.deterministic)
+    else:
+        report, code = run_request(request, deterministic=ns.deterministic)
     _emit(report, ns.out)
     return code
 

@@ -291,28 +291,30 @@ def _source_is_valuative(f: MonoidHom):
 def _relation_generators(f: MonoidHom, stop):
     """Report each generator (a1, a2, b1, b2) of the relation monoid T to ``stop``.
 
-    One completion run over the columns [ims, -ims, qs, -qs] plus torsion
-    slack; each minimal solution cut to its first four blocks is a
-    generator.  They reach ``stop`` in completion order, the zero tuple and
-    repeats (solutions that differ only in slack) skipped, and the run ends
-    when ``stop`` returns true.
+    One completion run over the columns [ims, -ims, qs, -qs] plus the torsion
+    slack of ``group_equations``, each slack column -d preceded by its mirror
+    d so the slack is free; each minimal solution cut to its first four
+    blocks is a generator.  A minimal solution other than a slack pair has
+    one side of each pair at 0 (else it would lie above that pair), so its
+    main part fixes its slack and no two share a tuple.  They reach ``stop``
+    in completion order, the zero tuple skipped, and the run ends when
+    ``stop`` returns true.
     """
     kp = f.source.ngens
     kq = f.target.ngens
     ambq = f.target.ambient
     ims, qs = f.gen_images, f.target.gens
-    cols = [*ims, *map(vneg, ims), *qs, *map(vneg, qs)]
-    rows, _ = zlat.group_equations([(ambq, cols, ambq.zero())], nonneg=True)
+    n = 2 * kp + 2 * kq
+    rows, _ = zlat.group_equations(
+        [(ambq, [*ims, *map(vneg, ims), *qs, *map(vneg, qs)], ambq.zero())]
+    )
+    rows = [row[:n] + [x for c in row[n:] for x in (-c, c)] for row in rows]
     if not rows:
-        rows = [[0] * (2 * kp + 2 * kq)]
-    seen = set()
+        rows = [[0] * n]
 
     def report(v):
-        key = (v[:kp], v[kp: 2 * kp], v[2 * kp: 2 * kp + kq], v[2 * kp + kq: 2 * kp + 2 * kq])
-        if key in seen or not any(map(any, key)):
-            return False
-        seen.add(key)
-        return stop(key)
+        key = (v[:kp], v[kp: 2 * kp], v[2 * kp: 2 * kp + kq], v[2 * kp + kq: n])
+        return any(map(any, key)) and stop(key)
 
     zlat.nonneg_kernel_generators(rows, report)
 
@@ -325,7 +327,11 @@ def integrality_tuple_generators(f: MonoidHom):
 
 
 def _witness_equations(f: MonoidHom, tup):
-    """Rows and rhs over (a3, a4, b), then slack, for the witness of ``tup``."""
+    """Rows and rhs over (a3, a4, b), then slack, for the witness of ``tup``.
+
+    Columns and right-hand sides are reduced, so a witness has no negative
+    slack and ``solve_nonneg`` searches over all columns.
+    """
     a1, a2, b1, b2 = tup
     ambq = f.target.ambient
     ambp = f.source.ambient
@@ -338,9 +344,8 @@ def _witness_equations(f: MonoidHom, tup):
         [
             (ambq, [*ims, *zq, *qs], f.target.element_from_exponents(b1)),
             (ambq, [*zq, *ims, *qs], f.target.element_from_exponents(b2)),
-            (ambp, [*ps, *map(vneg, ps), *zp], rhs3),
-        ],
-        nonneg=True,
+            (ambp, [*ps, *map(ambp.neg, ps), *zp], rhs3),
+        ]
     )
 
 
@@ -352,21 +357,23 @@ def _integral_witness_search(f: MonoidHom, tup):
 def _integral_witness_exists(f: MonoidHom, tup):
     """Is there (a3, a4, b) with b1 = f(a3)+b, b2 = f(a4)+b, a1+a3 = a2+a4?
 
-    An ordered tuple (a1 >= a2 or a2 >= a1) is decided by substituting the
-    witness that ``is_integral`` constructs: it fits exactly when the tuple
-    lies in T, and a tuple outside T has no witness at all.  Any other tuple
-    is searched.
+    An ordered tuple (a1 >= a2 or a2 >= a1) is decided by the witness that
+    ``is_integral`` constructs: it fits exactly when the tuple lies in T,
+    and a tuple outside T has no witness at all.  For a1 >= a2 the witness
+    (0, a1 - a2, b1) fits when f(a1 - a2) + b1 = b2 in the target group, and
+    a2 >= a1 is the mirror case.  Any other tuple is searched.
     """
     a1, a2, b1, b2 = tup
-    zero = (0,) * len(a1)
     if all(x >= y for x, y in zip(a1, a2)):
-        x = (*zero, *vsub(a1, a2), *b1)
+        a, b, c = vsub(a1, a2), b1, b2
     elif all(x <= y for x, y in zip(a1, a2)):
-        x = (*vsub(a2, a1), *zero, *b2)
+        a, b, c = vsub(a2, a1), b2, b1
     else:
         return _integral_witness_search(f, tup)
-    rows, rhs = _witness_equations(f, tup)
-    return zlat.complete_slack(rows, rhs, x) is not None
+    q = f.target
+    return q.ambient.add(f.apply_exponents(a), q.element_from_exponents(b)) == (
+        q.element_from_exponents(c)
+    )
 
 
 def is_integral(f: MonoidHom) -> Verdict:
@@ -381,9 +388,8 @@ def is_integral(f: MonoidHom) -> Verdict:
     ambient, torsion included: if a1 >= a2, then (0, a1 - a2, b1) is one,
     because f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if
     a2 >= a1, then (a2 - a1, 0, b2).  The trivial pairs and the b-only
-    generators are ordered.  The constructed witness is checked by
-    substitution into the witness equations, and only the other generators
-    are searched.
+    generators are ordered.  The constructed witness is checked in the
+    target group, and only the other generators are searched.
     """
 
     def build():
@@ -624,7 +630,10 @@ class VidalResult:
 
 
 def direct_sum(g1: FgAbelianGroup, g2: FgAbelianGroup):
-    """Canonical form of g1 + g2 with the two embeddings (as column maps)."""
+    """Canonical form of g1 + g2 with the two embeddings and the split.
+
+    ``split`` sends an element of the sum to its unique pair of components.
+    """
     n = g1.dim + g2.dim
     cols = []
     for j, d in enumerate(g1.torsion):
@@ -643,7 +652,11 @@ def direct_sum(g1: FgAbelianGroup, g2: FgAbelianGroup):
     def embed2(v):
         return pres.project((0,) * g1.dim + tuple(v))
 
-    return pres.group, embed1, embed2
+    def split(v):
+        x = pres.lift(v)
+        return g1.reduce(x[: g1.dim]), g2.reduce(x[g1.dim:])
+
+    return pres.group, embed1, embed2, split
 
 
 def vidal_decompose(f: MonoidHom) -> VidalResult:
@@ -676,7 +689,7 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
     cokpres = zlat.quotient_by_columns(kq, relq_cols + fcols)
     ncoker = cokpres.group
 
-    eamb, embq, embn = direct_sum(q.gp_presentation().group, ncoker)
+    eamb, embq, embn, split = direct_sum(q.gp_presentation().group, ncoker)
     qgp = q.gp_presentation()
 
     def q_to_e(exp):
@@ -716,9 +729,7 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
     bwd_cols = []
     for c in range(eamb.dim):
         coord = tuple(1 if t == c else 0 for t in range(eamb.dim))
-        # solve coord = embq(a) + embn(t): recover (a, t) from the direct sum
-        # use the presentation: lift through the construction of direct_sum
-        a, t = _split_direct_sum(q.gp_presentation().group, ncoker, eamb, embq, embn, coord)
+        a, t = split(coord)  # coord = embq(a) + embn(t)
         aexp = qgp.lift(a)
         yt = [0] * kq
         for j in range(ncoker.dim):
@@ -765,23 +776,6 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
         if not dmon.contains(apply_cols(eamb, damb, bwd_cols, g)):
             verified = False
     return VidalResult(dmon, emon, tuple(fwd_cols), tuple(bwd_cols), verified)
-
-
-def _split_direct_sum(g1, g2, eamb, embq, embn, coord):
-    """Invert the direct-sum coordinate change on a single coordinate."""
-    # brute-force over the torsion is unnecessary: solve linearly over Z by
-    # stacking the embedding columns and reducing modulo eamb relations.
-    n1, n2 = g1.dim, g2.dim
-    cols = []
-    for i in range(n1):
-        cols.append(embq(tuple(1 if t == i else 0 for t in range(n1))))
-    for j in range(n2):
-        cols.append(embn(tuple(1 if t == j else 0 for t in range(n2))))
-    # solve sum x_i cols_i = coord in eamb
-    sol = zlat.solve_integer(*zlat.group_equations([(eamb, cols, coord)]))
-    assert sol is not None
-    x = sol[: n1 + n2]
-    return g1.reduce(x[:n1]), g2.reduce(x[n1:])
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ class AffineMonoid(Memoized):
             # a generator is its own witness: e_i, checked by substitution
             i = self.gens.index(x)
             return tuple(1 if j == i else 0 for j in range(self.ngens))
-        rows, rhs = zlat.group_equations([(amb, self.gens, x)], nonneg=True)
+        # generators and x are reduced, so no slack of a witness is negative
+        rows, rhs = zlat.group_equations([(amb, self.gens, x)])
         res = zlat.solve_nonneg(rows, rhs)
         if res.is_sat:
             return tuple(res.witness[: self.ngens])

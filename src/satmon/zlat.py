@@ -14,7 +14,6 @@ everything here is safe to share across threads.
 
 import contextvars
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from . import kernels
 from ._lp import INFEASIBLE, LinearSystem
 from .errors import CoprimalityError, ResourceLimitError
 
-DEFAULT_NODE_BUDGET = int(os.environ.get("SATMON_BUDGET", "1000000"))
+DEFAULT_NODE_BUDGET = 1_000_000
 # Node budget of each branch-and-bound and completion search, set for a
 # block of work with ``node_budget``.  A context variable, so each thread
 # (each request of a ``--jobs`` batch) sees its own.
@@ -374,53 +373,30 @@ def cokernel(a):
     return pres.group, pres
 
 
-def group_equations(blocks, nonneg=False):
+def group_equations(blocks):
     """Integer rows and right-hand side for equations in f.g. abelian groups.
 
     Each block (group, columns, rhs) states sum_j x_j * columns[j] = rhs in
     ``group``; all blocks share the main unknowns x_j.  A block gives one row
     per free coordinate, then one per torsion coordinate Z/d, and that row
-    gets a slack column d, or the pair d, -d when the unknowns are to be
-    nonnegative (so the slack stays free).  Slack columns follow the main
-    columns, block by block.  Entries are used as given, not reduced mod d.
+    gets a slack column -d.  Slack columns follow the main columns, block by
+    block.  Entries are used as given, not reduced mod d.  With columns and
+    rhs reduced into [0, d), a solution whose main unknowns are nonnegative
+    has nonnegative slack, since d s = sum_j x_j c_j - r > -d.
     """
     ncols = len(blocks[0][1])
-    width = 2 if nonneg else 1
-    nslack = width * sum(len(g.torsion) for g, _, _ in blocks)
+    nslack = sum(len(g.torsion) for g, _, _ in blocks)
     rows, rhs = [], []
     s = ncols
     for g, cols, r in blocks:
         for i in range(g.dim):
             row = [c[i] for c in cols] + [0] * nslack
             if i >= g.rank:
-                d = g.torsion[i - g.rank]
-                row[s] = d
-                if nonneg:
-                    row[s + 1] = -d
-                s += width
+                row[s] = -g.torsion[i - g.rank]
+                s += 1
             rows.append(row)
             rhs.append(r[i])
     return rows, rhs
-
-
-def complete_slack(rows, rhs, x):
-    """Extend x over the slack of ``group_equations(..., nonneg=True)`` rows.
-
-    ``x`` gives the main unknowns.  Each slack pair d, -d takes the quotient
-    of its row's residual by d on the side of its sign.  Returns the whole
-    vector if it is nonnegative and solves rows * y = rhs by substitution,
-    else None.
-    """
-    n = len(x)
-    y = list(x) + [0] * (len(rows[0]) - n if rows else 0)
-    for row, r in zip(rows, rhs):
-        for s in range(n, len(row), 2):
-            if row[s]:
-                q = (r - vdot(row, x)) // row[s]
-                y[s if q >= 0 else s + 1] = abs(q)
-    if min(x, default=0) < 0 or kernels.mat_vec(rows, y) != list(rhs):
-        return None
-    return tuple(y)
 
 
 def relation_lattice(ambient: FgAbelianGroup, elements):

@@ -232,3 +232,56 @@ def test_cli_budget_env():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["request"]["budget"] == "250000"
+
+
+def test_cli_budget_env_malformed_is_a_schema_violation():
+    doc = {"monoid": D.monoid_out(M.monoid_from_vectors([(2,), (3,)]))}
+    proc = _run_cli(["saturate"], json.dumps(doc), SATMON_BUDGET="abc")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["result"]["error"] == "schema-violation"
+    assert rep["result"]["path"] == "$.budget"
+
+
+def test_cli_run_budget_env_fills_requests_without_their_own(tmp_path, monkeypatch):
+    mon = {"monoid": D.monoid_out(M.monoid_from_vectors([(2,), (3,)]))}
+    item = {"format": "satmon/1", "kind": "request", "op": "saturate", "args": mon}
+    batch = {"format": "satmon/1", "kind": "batch",
+             "requests": [dict(item, budget="1000"), item]}
+    src, out = tmp_path / "batch.json", tmp_path / "report.json"
+    src.write_text(json.dumps(batch))
+    monkeypatch.setenv("SATMON_BUDGET", "abc")
+    assert cli.main(["run", str(src), "--out", str(out)]) == 2
+    own, filled = json.loads(out.read_text())["reports"]
+    assert own["status"] == "ok" and own["request"]["budget"] == "1000"
+    assert filled["request"]["budget"] == "abc"
+    assert filled["result"]["error"] == "schema-violation"
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps(item))
+    monkeypatch.setenv("SATMON_BUDGET", "5000")
+    assert cli.main(["run", str(single), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["request"]["budget"] == "5000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--budget", "5"],
+    ["run", "--sigma", "2"],
+    ["run", "--sigma-complement", "2"],
+    ["run", "--category", "sat"],
+    ["saturate", "--jobs", "2"],
+    ["saturate", "--category", "sat"],
+    ["classify", "--category", "sat"],
+])
+def test_cli_flags_only_on_the_subcommands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_flags_accepted_where_read():
+    parse = cli.build_parser().parse_args
+    assert parse(["run", "--jobs", "2"]).jobs == 2
+    assert parse(["pushout", "--category", "sat"]).category == "sat"
+    ns = parse(["classify", "--budget", "5", "--sigma", "2"])
+    assert (ns.budget, ns.sigma) == (5, "2")

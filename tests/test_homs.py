@@ -1,5 +1,7 @@
 """Morphism taxonomy: profiles, predicates, pushouts, Vidal, semistable."""
 
+import time
+
 import pytest
 
 from conftest import (
@@ -529,6 +531,28 @@ def test_ordered_tuples_have_the_constructed_witness():
                     assert ambq.torsion, (f, tup)
                     refused += 1
     assert ordered > 1500 and refused < 10, (ordered, refused)
+
+
+def test_torsion_witness_reproducer_is_found():
+    # The witness a4 = (0,1,0), b = (0,3,0) exists; the search finds one only
+    # if no torsion slack is a ray of its LP.
+    src = monoid_from_vectors([(0, 1), (1, 0), (2, 1)])
+    amb = FgAbelianGroup(2, (3,))
+    tgt = M.AffineMonoid(amb, [(0, 0, 2), (0, 2, 2), (0, 4, 0)])
+    f = H.MonoidHom(src, tgt, tgt.gens)
+    a1, a2, b1, b2 = tup = ((0, 1, 0), (0, 0, 0), (0, 3, 0), (1, 0, 2))
+    t0 = time.perf_counter()
+    with zlat.node_budget(2000):
+        res = zlat.solve_nonneg(*H._witness_equations(f, tup))
+    assert time.perf_counter() - t0 < 1.0
+    assert res.is_sat
+    a3, a4, b = res.witness[:3], res.witness[3:6], res.witness[6:9]
+    assert min(res.witness[:9]) >= 0
+    qs, ps = tgt.gens, src.gens
+    for a, bq in ((a3, b1), (a4, b2)):
+        lhs = _combination([*a, *b], [*f.gen_images, *qs], amb.dim)
+        assert _same_element(amb, lhs, _combination(bq, qs, amb.dim))
+    assert _combination([*a1, *a3], [*ps, *ps], 2) == _combination([*a2, *a4], [*ps, *ps], 2)
 
 
 def _first_unwitnessed_in_sorted_order(f):

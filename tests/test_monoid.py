@@ -1,5 +1,7 @@
 """Affine monoids: presentations, saturation, membership, faces, quotients."""
 
+import time
+
 import pytest
 
 from conftest import (
@@ -12,7 +14,7 @@ from conftest import (
 from satmon import monoid as M
 from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
-from satmon.zlat import FgAbelianGroup
+from satmon.zlat import FgAbelianGroup, node_budget
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,76 @@ def test_membership_of_a_generator_is_its_unit_vector():
         assert w is not None and min(w) >= 0
         assert n.element_from_exponents(w) == (x,)
     assert n.membership((-1,)) is None
+
+
+def _sum_in(amb, coeffs, vecs):
+    """sum c_i v_i in Z^rank + torsion, with the test's own arithmetic."""
+    r = amb.rank
+    tot = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(amb.dim)]
+    return tuple(tot[:r]) + tuple(x % d for x, d in zip(tot[r:], amb.torsion))
+
+
+def test_torsion_membership_reproducers_are_decided():
+    # Decided only if no torsion slack is a ray of the branch-and-bound LP.
+    notes_example = [(1, 0, 0, 2), (1, 1, 0, 1), (1, 1, 1, 2), (1, 2, 0, 1), (0, 0, 0, 1)]
+    cases = [
+        (FgAbelianGroup(1, (3,)), [(1, 1), (1, 0)], (0, 1), False),
+        (FgAbelianGroup(3, (3,)), notes_example, (1, 1, 0, 0), True),
+    ]
+    for amb, gens, x, member in cases:
+        m = AffineMonoid(amb, gens)
+        t0 = time.perf_counter()
+        with node_budget(2000):
+            a = m.membership(x)
+        assert time.perf_counter() - t0 < 1.0
+        assert (a is not None) == member
+        if member:
+            assert min(a) >= 0 and _sum_in(amb, a, m.gens) == x
+
+
+def _sums_up_to(amb, gens, bound):
+    """Every sum of ``gens`` whose first coordinate is at most ``bound``.
+    Each generator's first coordinate is >= 1, so these are all the sums of
+    at most ``bound`` generators that can have that first coordinate."""
+    zero = amb.zero()
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _sum_in(amb, (1, 1), (x, g))
+                if y[0] <= bound and y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def test_torsion_membership_matches_enumeration():
+    """On 1,000 random monoids in Z^r + T, every membership verdict agrees
+    with an enumeration of the sums, and none is refused at 2,000 nodes."""
+    rng = rng_for("torsion-membership")
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        amb = FgAbelianGroup(rng.randint(1, 3), rng.choice([(2,), (3,), (2, 4), (2, 2)]))
+        gens = set()
+        for _ in range(rng.randint(1, 4)):
+            g = (rng.randint(1, 2),) + tuple(rng.randint(-2, 2) for _ in range(amb.rank - 1))
+            gens.add(g + tuple(rng.randrange(d) for d in amb.torsion))
+        m = AffineMonoid(amb, sorted(gens))
+        inside = _sum_in(amb, [rng.randint(0, 2) for _ in m.gens], m.gens)
+        outside = (rng.randint(0, 4),) + tuple(
+            rng.randint(-3, 3) for _ in range(amb.rank - 1)
+        ) + tuple(rng.randrange(d) for d in amb.torsion)
+        for x in (inside, outside):
+            members = _sums_up_to(amb, m.gens, x[0])
+            with node_budget(2000):
+                a = m.membership(x)
+            assert (a is not None) == (x in members), (m, x)
+            if a is not None:
+                assert min(a) >= 0 and _sum_in(amb, a, m.gens) == x, (m, x, a)
+            verdicts[a is not None] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 500, verdicts
 
 
 # ---------------------------------------------------------------------------

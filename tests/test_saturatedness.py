@@ -67,8 +67,10 @@ def _in_saturation(m, x):
 
 
 def test_is_saturated_matches_search_and_box_oracles():
+    # The search refuses almost no monoid, so the box oracle also checks
+    # every monoid with torsion.
     rng = rng_for("saturatedness-differential")
-    answered = refused = with_torsion = 0
+    answered = with_torsion = boxed = 0
     for _ in range(250):
         m = random_ambient_monoid(rng)
         verdict = _fresh(m).is_saturated()
@@ -76,14 +78,16 @@ def test_is_saturated_matches_search_and_box_oracles():
             with node_budget(200):
                 old = _saturated_by_search(_fresh(m))
         except ResourceLimitError:
-            refused += 1
+            old = None
+        if old is None or m.ambient.torsion:
             members = _box_oracle(m)
             assert verdict == all(s in members for s in m.saturate().gens), m
-            continue
-        answered += 1
-        with_torsion += bool(m.ambient.torsion)
-        assert verdict == old, m
-    assert answered >= 200 and with_torsion >= 60 and refused >= 5
+            boxed += 1
+        if old is not None:
+            answered += 1
+            with_torsion += bool(m.ambient.torsion)
+            assert verdict == old, m
+    assert answered >= 200 and with_torsion >= 60 and boxed >= 60
 
 
 def test_saturation_defect_is_in_the_saturation_and_not_in_the_monoid():

@@ -359,10 +359,11 @@ def test_solve_nonneg_budget_error():
 
 
 def test_solve_nonneg_branch_bounds_do_not_stack(monkeypatch):
-    # The slack pair d, -d of a torsion coordinate is a ray of the LP that
-    # branch-and-bound cannot exhaust, so this non-member runs into its node
-    # budget.  Each branch bound replaces the earlier one on the same
-    # parameter and side, so a node's LP keeps at most cols + 2*dim rows.
+    # The generator (0,1,1) has free part 0 and order 2, so twice it, with
+    # one unit of each slack, is a ray of the LP that branch-and-bound cannot
+    # exhaust, and this non-member runs into its node budget.  Each branch
+    # bound replaces the earlier one on the same parameter and side, so a
+    # node's LP keeps at most cols + 2*dim rows.
     sizes = []
 
     class Spy(zlat.LinearSystem):
@@ -373,7 +374,7 @@ def test_solve_nonneg_branch_bounds_do_not_stack(monkeypatch):
     monkeypatch.setattr(zlat, "LinearSystem", Spy)
     amb = FgAbelianGroup(1, (2, 2))
     m = AffineMonoid(amb, [(0, 1, 1), (2, 0, 0), (2, 1, 0)])
-    rows, _ = zlat.group_equations([(amb, m.gens, amb.zero())], nonneg=True)
+    rows, _ = zlat.group_equations([(amb, m.gens, amb.zero())])
     cols, dim = len(rows[0]), len(kernel_basis(rows))
     with pytest.raises(ResourceLimitError):
         with zlat.node_budget(300):
@@ -394,27 +395,17 @@ def test_group_equations_slack_columns():
     rows, rhs = zlat.group_equations(blocks)
     assert rows == [
         [1, 2, 0, 0, 0],
-        [1, 0, 2, 0, 0],
-        [3, -1, 0, 4, 0],
-        [1, 2, 0, 0, 3],
+        [1, 0, -2, 0, 0],
+        [3, -1, 0, -4, 0],
+        [1, 2, 0, 0, -3],
     ]
     assert rhs == [9, 1, 2, 0]
     x = solve_integer(rows, rhs)
     assert g.reduce((x[0] + 2 * x[1], x[0], 3 * x[0] - x[1])) == (9, 1, 2)
     assert h.is_zero((x[0] + 2 * x[1],))
-    rows, rhs = zlat.group_equations(blocks, nonneg=True)
-    assert rows == [
-        [1, 2, 0, 0, 0, 0, 0, 0],
-        [1, 0, 2, -2, 0, 0, 0, 0],
-        [3, -1, 0, 0, 4, -4, 0, 0],
-        [1, 2, 0, 0, 0, 0, 3, -3],
-    ]
-    assert rhs == [9, 1, 2, 0]
-    # x2 = 3 mod 4 and x1 = 9 - 2 x2 >= 0 leave (3, 3) as the only witness
-    assert solve_nonneg(rows, rhs).witness[:2] == (3, 3)
-    # each slack pair takes its row's residual over d on the side of its sign
-    assert zlat.complete_slack(rows, rhs, (3, 3)) == (3, 3, 0, 1, 0, 1, 0, 3)
-    assert zlat.complete_slack(rows, rhs, (1, 4)) is None
+    # x2 = 3 mod 4 and x1 = 9 - 2 x2 >= 0 leave (3, 3) as the only witness;
+    # each slack is its row's residual over d
+    assert solve_nonneg(rows, rhs).witness == (3, 3, 1, 1, 3)
 
 
 # ---------------------------------------------------------------------------
