@@ -1,10 +1,10 @@
 """Exact two-phase simplex over an ordered field, pivoting over integers.
 
-Constraint data is rational (ints or Fractions); the objective row may carry
-``Quad`` entries (elements of Q(sqrt(d))).  Since pivoting only ever divides
-constraint rows by rational pivots, every visited vertex is rational, and
-maximizing a Q(sqrt(d))-linear functional over a rational polyhedron is
-exact.  Bland's rule guarantees termination.
+Constraint data is rational (ints or Fractions); the objective may be a
+Q(sqrt(d))-linear functional c + c_sqrt*sqrt(d), given as its two rational
+rows.  Since pivoting only ever divides constraint rows by rational pivots,
+every visited vertex is rational, and maximizing such a functional over a
+rational polyhedron is exact.  Bland's rule guarantees termination.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  The whole system
 A x = b is first scaled by one positive common denominator, so it is
@@ -17,14 +17,13 @@ Then D becomes p.  A negative pivot, which only happens when an artificial
 is driven out of the basis, negates T and D so that D stays positive.
 Each phase keeps its objective as rows of T that the pivot updates: the
 reduced costs times D, with minus D times the objective value in the
-right-hand column.  A ``Quad`` objective a + b*sqrt(d) is carried as two
-integer rows, for a and b, and its signs are read off the pair of ints.
+right-hand column.  A Q(sqrt(d)) objective is carried as two integer
+rows, its rational and its sqrt(d) part, and each sign is read off a pair
+of ints by ``sign_a_plus_b_sqrt_d``.
 """
 
 from fractions import Fraction
 from math import lcm
-
-from ._field import Quad, _sign_a_plus_b_sqrt_d
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -42,6 +41,19 @@ class SimplexResult:
 
     def __repr__(self):
         return f"SimplexResult({self.status}, value={self.value})"
+
+
+def sign_a_plus_b_sqrt_d(a, b, d):
+    """Exact sign of a + b*sqrt(d) for rational a, b and square-free d >= 2 (or b = 0)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return (b > 0) - (b < 0)
+    # Opposite signs: compare |a| with |b|sqrt(d) via squares.
+    lhs = a * a
+    rhs = b * b * d
+    s = (lhs > rhs) - (lhs < rhs)
+    return s if a > 0 else -s
 
 
 def _scale_to_ints(rows):
@@ -79,7 +91,7 @@ def _run(rows, m, basis, den, ncols, d):
         if d:
             za, zb = rows[m], rows[m + 1]
             enter = next(
-                (j for j in range(ncols) if _sign_a_plus_b_sqrt_d(za[j], zb[j], d) > 0),
+                (j for j in range(ncols) if sign_a_plus_b_sqrt_d(za[j], zb[j], d) > 0),
                 -1,
             )
         else:
@@ -106,26 +118,15 @@ def _run(rows, m, basis, den, ncols, d):
         basis[leave] = enter
 
 
-def _objective_rows(c):
-    """Integer objective rows (one, or two for a Quad objective) and d."""
-    d = 0
-    for v in c:
-        if isinstance(v, Quad) and v.b:
-            if d and v.d != d:
-                raise TypeError("mixed quadratic fields")
-            d = v.d
-    parts = [[v.a if isinstance(v, Quad) else v for v in c]]
-    if d:
-        parts.append([v.b if isinstance(v, Quad) else 0 for v in c])
-    return _scale_to_ints(parts), d
-
-
-def simplex_max(a_rows, b, c):
+def simplex_max(a_rows, b, c, sqrt=None):
     """Maximize c.x subject to a_rows . x == b, x >= 0.
 
-    Returns a SimplexResult; on infeasibility, ``farkas`` is a vector y with
-    y.A <= 0 componentwise and y.b > 0 (checked by the caller's tests).
-    A and b are ints or Fractions; the system is scaled by one common
+    With ``sqrt = (d, c_sqrt)`` the objective is (c + c_sqrt*sqrt(d)).x, for
+    a square-free d >= 2, and the optimal ``value`` is the pair (c.x,
+    c_sqrt.x); otherwise it is the Fraction c.x.  Returns a SimplexResult;
+    on infeasibility, ``farkas`` is a vector y with y.A <= 0 componentwise
+    and y.b > 0 (checked by the caller's tests).  A, b and the objective
+    rows are ints or Fractions; the system is scaled by one common
     denominator before the first pivot.
     """
     ab_rows = _scale_to_ints([list(r) + [bi] for r, bi in zip(a_rows, b)])
@@ -174,8 +175,9 @@ def simplex_max(a_rows, b, c):
                     break
 
     # Phase 2 on the real columns: D*c priced out against the basis.
-    objs, d = _objective_rows(c)
-    for obj in objs:
+    d, c_sqrt = sqrt if sqrt is not None else (0, None)
+    objs = [c] if c_sqrt is None else [c, c_sqrt]
+    for obj in _scale_to_ints(objs):
         z = [den * v for v in obj] + [0]
         for i in range(m):
             cb = obj[basis[i]] if basis[i] < n else 0
@@ -189,8 +191,8 @@ def simplex_max(a_rows, b, c):
             x[basis[i]] = Fraction(rows[i][-1], den)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, x=x)
-    value = sum((c[j] * x[j] for j in range(n)), Fraction(0))
-    return SimplexResult(OPTIMAL, x=x, value=value)
+    value = [sum((obj[j] * x[j] for j in range(n)), Fraction(0)) for obj in objs]
+    return SimplexResult(OPTIMAL, x=x, value=value[0] if c_sqrt is None else tuple(value))
 
 
 class LinearSystem:
@@ -243,13 +245,16 @@ class LinearSystem:
             amat.append(out)
         return cols, width, amat
 
-    def maximize(self, obj):
+    def maximize(self, obj, sqrt=None):
+        """``simplex_max`` of obj (plus sqrt = (d, obj_sqrt)) on the original variables."""
         cols, width, amat = self._standardize()
-        c = [Fraction(0)] * width
-        for j, (v, s) in enumerate(cols):
-            if obj[v]:
-                c[j] = c[j] + obj[v] * s
-        res = simplex_max(amat, self.rhs, c)
+
+        def split(row):
+            return [row[v] * s for v, s in cols] + [0] * (width - len(cols))
+
+        if sqrt is not None:
+            sqrt = (sqrt[0], split(sqrt[1]))
+        res = simplex_max(amat, self.rhs, split(obj), sqrt)
         if res.x is not None:
             vals = [Fraction(0)] * self.nvars
             for j, (v, s) in enumerate(cols):

@@ -76,12 +76,6 @@ class MonoidHom(Memoized):
     def identity(cls, m: AffineMonoid):
         return cls(m, m, m.gens)
 
-    @classmethod
-    def inclusion(cls, sub: AffineMonoid, sup: AffineMonoid):
-        if sub.ambient != sup.ambient:
-            raise ValueError("inclusion requires a shared ambient group")
-        return cls(sub, sup, sub.gens)
-
     def apply_exponents(self, a):
         """Image in the target ambient of the source element sum(a_i * g_i)."""
         amb = self.target.ambient
@@ -570,6 +564,7 @@ class PushoutResult:
     monoid: AffineMonoid  # None in the mon category
     left: MonoidHom  # P -> Q (None in mon)
     right: MonoidHom  # Q0 -> Q (None in mon)
+    presentation: zlat.QuotientPresentation  # Z^(gens P + gens Q0) / relations (None in mon)
 
 
 def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
@@ -608,12 +603,12 @@ def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
         rels.append((pad_left(arm.witnesses[i]), pad_right(along.witnesses[i])))
     fp = FpMonoid(n, tuple(rels))
     if category == "mon":
-        return PushoutResult("mon", fp, None, None, None)
+        return PushoutResult("mon", fp, None, None, None, None)
     qint, images, pres = from_presentation(fp)
     target = qint if category == "int" else qint.saturate()
     left = MonoidHom(p, target, images[:kp])
     right = MonoidHom(q0, target, images[kp:])
-    return PushoutResult(category, fp, target, left, right)
+    return PushoutResult(category, fp, target, left, right, pres)
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +667,8 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
     dmon = po.monoid
     damb = dmon.ambient
     # presentation of the pushout ambient over the 2*kq exponent generators
+    dpres = po.presentation
     relq = q.relation_lattice()
-    cols = []
-    for rho in relq.basis:
-        cols.append(list(rho) + [0] * kq)
-    for rho in relq.basis:
-        cols.append([0] * kq + list(rho))
-    for i in range(f.source.ngens):
-        cols.append(list(f.witnesses[i]) + [-x for x in f.witnesses[i]])
-    dpres = zlat.quotient_by_columns(2 * kq, cols)
-    assert dpres.group == damb
 
     # cokernel presentation for classes in N = Q^gp/P^gp
     relq_cols = [list(b) for b in relq.basis]

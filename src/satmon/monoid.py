@@ -439,18 +439,6 @@ class AffineMonoid(Memoized):
                 return tuple(vals), images, pres
         raise NotHeightOneError("quotient by the face is not isomorphic to N")
 
-    # -- summaries ------------------------------------------------------------
-
-    def invariants(self):
-        gp = self.gp_presentation().group
-        return {
-            "gp_rank": gp.rank,
-            "gp_torsion": tuple(gp.torsion),
-            "n_faces": len(self.faces()),
-            "n_gens": self.ngens,
-            "saturated": self.is_saturated(),
-        }
-
 
 def _cone_data(span, coords, facets):
     """The ``_cone`` tuple: kills[j][i] says facet j vanishes on generator i."""

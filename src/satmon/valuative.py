@@ -12,8 +12,13 @@ modulo the rational relation space.  Clearing denominators turns a rational
 solution into N*x = iota(w) + sum a_i q_i with integral w >= 0, a >= 0 --
 any torsion discrepancy dies after multiplying by the exponent -- and
 conversely an integral solution scales down.  Lex-nonnegativity of v is
-split into sign patterns (first t levels zero, level t+1 positive); each
-pattern is one exact LP whose only irrational data is the objective row.
+decided by one lexicographic pass over the levels: level t is maximized
+over the solutions on which the earlier levels vanish, each an exact LP
+whose only irrational data is the objective's sqrt(d) row.  A positive or
+unbounded maximum proves membership, an infeasible system or a negative
+maximum refutes it, and a zero maximum constrains level t to vanish before
+the next level is tried.  Every Q(sqrt(d)) value is a pair of rationals
+(a, b) for a + b*sqrt(d), signed by ``sign_a_plus_b_sqrt_d``.
 """
 
 import math
@@ -22,8 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import zlat
-from ._field import Quad, is_squarefree
-from ._lp import LinearSystem, OPTIMAL, UNBOUNDED
+from ._lp import INFEASIBLE, UNBOUNDED, LinearSystem, sign_a_plus_b_sqrt_d
 from .errors import (
     MembershipError,
     NonDivisibleBaseError,
@@ -52,6 +56,16 @@ def _frac_vec(v):
     return tuple(Fraction(x) for x in v)
 
 
+def is_squarefree(d):
+    """Is the positive integer d divisible by no square > 1?"""
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
 @dataclass(frozen=True)
 class LevelForm:
     """Linear form with coefficients rational + rational*sqrt(d)."""
@@ -59,18 +73,21 @@ class LevelForm:
     rational: tuple  # Fractions, length = rank
     irrational: tuple  # Fractions, length = rank
 
-    def value(self, x, d):
+    def sign(self, x, d):
+        """Exact sign of the form's value at x, in Q(sqrt(d))."""
         a = sum((Fraction(c) * Fraction(v) for c, v in zip(self.rational, x)), Fraction(0))
         b = sum((Fraction(c) * Fraction(v) for c, v in zip(self.irrational, x)), Fraction(0))
-        return Quad(a, b, d)
+        return sign_a_plus_b_sqrt_d(a, b, d)
 
 
 class OrderedLattice:
     """Z^rank (Q^rank when divisible) with a total lex-chain order."""
 
     def __init__(self, rank, levels, d=0, divisible=False):
-        if not is_squarefree(d):
-            raise ValueError("d must be square-free and >= 0")
+        # sqrt(1) is rational: d = 1 would split each level into two
+        # independent rows and lose the order's totality check.
+        if d != 0 and (d < 2 or not is_squarefree(d)):
+            raise ValueError("d must be 0 or a square-free integer >= 2")
         self.rank = rank
         self.d = d
         self.divisible = bool(divisible)
@@ -96,7 +113,7 @@ class OrderedLattice:
         """-1, 0, +1 of the first nonzero level value; exact."""
         self.check_element(x)
         for f in self.levels:
-            s = f.value(x, self.d).sign()
+            s = f.sign(x, self.d)
             if s:
                 return s
         return 0
@@ -383,11 +400,12 @@ class TypeVPresentation:
             rels.append(((Fraction(0),) * self.base.rank, tuple(rho)))
         return rels
 
-    def member(self, x, gens=None, witness=False):
+    def member(self, x, gens=None):
         """Is x (a lift pair) in the saturation of <V, gens>?
 
         ``gens`` defaults to the images of Q0's generators; pass other lift
-        pairs to probe sat-generation by a different finite set.
+        pairs to probe sat-generation by a different finite set.  The levels
+        are decided in one lexicographic pass (see the module docstring).
         """
         xv, xa = _frac_vec(x[0]), tuple(x[1])
         if gens is None:
@@ -395,69 +413,44 @@ class TypeVPresentation:
         nu = self.base.rank
         k = len(gens)
         rels = self.relation_vectors()
-        nr = len(rels)
-        nvars = nu + k + nr
-        nonneg = [False] * nu + [True] * k + [False] * nr
+        nvars = nu + k + len(rels)
+        sys = LinearSystem(nvars, [False] * nu + [True] * k + [False] * len(rels))
+        for i in range(nu):
+            row = [0] * nvars
+            row[i] = 1
+            for j, g in enumerate(gens):
+                row[nu + j] = Fraction(g[0][i])
+            for t, r in enumerate(rels):
+                row[nu + k + t] = Fraction(r[0][i])
+            sys.eq(row, Fraction(xv[i]))
+        for i in range(self.q0.ngens):
+            row = [0] * nvars
+            for j, g in enumerate(gens):
+                row[nu + j] = Fraction(g[1][i])
+            for t, r in enumerate(rels):
+                row[nu + k + t] = Fraction(r[1][i])
+            sys.eq(row, Fraction(xa[i]))
 
-        def build(extra_eq_rows):
-            sys = LinearSystem(nvars, nonneg)
-            for i in range(nu):
-                row = [0] * nvars
-                row[i] = 1
-                for j, g in enumerate(gens):
-                    row[nu + j] = Fraction(g[0][i])
-                for t, r in enumerate(rels):
-                    row[nu + k + t] = Fraction(r[0][i])
-                sys.eq(row, Fraction(xv[i]))
-            for i in range(self.q0.ngens):
-                row = [0] * nvars
-                for j, g in enumerate(gens):
-                    row[nu + j] = Fraction(g[1][i])
-                for t, r in enumerate(rels):
-                    row[nu + k + t] = Fraction(r[1][i])
-                sys.eq(row, Fraction(xa[i]))
-            for coeffs, rhs in extra_eq_rows:
-                sys.eq(coeffs, rhs)
-            return sys
+        def v_row(coeffs):
+            return [Fraction(c) for c in coeffs] + [0] * (nvars - nu)
 
         d = self.base.d
-        nlev = len(self.base.levels)
-        for t in range(nlev + 1):
-            extra = []
-            for f in self.base.levels[:t]:
-                row = [0] * nvars
-                for i in range(nu):
-                    row[i] = Fraction(f.rational[i])
-                extra.append((row, Fraction(0)))
-                if d:
-                    row2 = [0] * nvars
-                    for i in range(nu):
-                        row2[i] = Fraction(f.irrational[i])
-                    extra.append((row2, Fraction(0)))
-            if t == nlev:
-                for i in range(nu):
-                    row = [0] * nvars
-                    row[i] = 1
-                    extra.append((row, Fraction(0)))
-                sys = build(extra)
-                pt = sys.feasible_point()
-                if pt is not None:
-                    return (True, pt) if witness else True
-                continue
-            f = self.base.levels[t]
-            obj = [Fraction(0)] * nvars
-            for i in range(nu):
-                obj[i] = Quad(f.rational[i], f.irrational[i], d) if d else Fraction(f.rational[i])
-            sys = build(extra)
-            res = sys.maximize(obj)
+        for f in self.base.levels:
+            res = sys.maximize(v_row(f.rational), (d, v_row(f.irrational)) if d else None)
             if res.status == UNBOUNDED:
-                return (True, res.x) if witness else True
-            if res.status == OPTIMAL:
-                val = res.value
-                pos = val.sign() > 0 if isinstance(val, Quad) else val > 0
-                if pos:
-                    return (True, res.x) if witness else True
-        return (False, None) if witness else False
+                return True
+            if res.status == INFEASIBLE:
+                return False
+            a, b = res.value if d else (res.value, 0)
+            s = sign_a_plus_b_sqrt_d(a, b, d)
+            if s:
+                return s > 0
+            sys.eq(v_row(f.rational), Fraction(0))
+            if d:
+                sys.eq(v_row(f.irrational), Fraction(0))
+        for i in range(nu):
+            sys.eq(v_row(1 if t == i else 0 for t in range(nu)), Fraction(0))
+        return sys.feasible_point() is not None
 
     def verify_sat_generating(self, gens):
         """Do the given lift pairs sat-generate Q over V?"""

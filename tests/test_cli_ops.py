@@ -57,6 +57,18 @@ def test_op_blowup_and_vcp(nat2, lex2):
     assert out["chosen"] == ["0", "1"] and out["factors_through_base"]
 
 
+def test_vcp_refuses_a_lattice_with_d_one(nat2):
+    # x + y*sqrt(1) = x + y vanishes on (1, -1): not a total order
+    lattice = dict(D.lattice_out(V.quadratic_line(2)), d="1")
+    ideal = D.ideal_out(V.MonoidIdeal(nat2, ((1, 0), (0, 1))))
+    rep, code = cli.run_request(
+        req("vcp", {"ideal": ideal, "lattice": lattice, "images": [["1", "0"], ["0", "1"]]})
+    )
+    assert code == 2
+    assert rep["result"]["error"] == "schema-violation"
+    assert rep["result"]["path"] == "$.args.lattice"
+
+
 def test_op_tsuji(nat):
     hom = D.hom_out(H.MonoidHom(nat, free_monoid(1), [(2,)]))
     out = run_ok("tsuji", {"hom": hom, "n": "2"})

@@ -1,41 +1,96 @@
-"""Quadratic-field scalars and the exact simplex."""
+"""Exact signs in Q(sqrt(d)) and the exact simplex."""
 
 from fractions import Fraction
 
 import pytest
 
-from satmon._field import Quad, quad_sign
+from conftest import rng_for
 from satmon import _lp
-from satmon._lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, simplex_max
-
-
-def test_quad_arithmetic():
-    a = Quad(1, 1, 2)  # 1 + sqrt(2)
-    b = Quad(1, -1, 2)  # 1 - sqrt(2)
-    assert a * b == Quad(-1, 0, 2)
-    assert a + b == Quad(2, 0, 2)
-    assert (a - 1) * (a - 1) == Quad(2, 0, 2)  # sqrt(2)^2 = 2
-    inv = a.inverse()
-    assert a * inv == Quad(1, 0, 2)
+from satmon._lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearSystem,
+    sign_a_plus_b_sqrt_d,
+    simplex_max,
+)
 
 
 def test_quad_comparisons():
-    r2 = Quad(0, 1, 2)
-    assert r2 > 1
-    assert r2 < Fraction(3, 2)
-    assert Quad(Fraction(7, 5), 0, 2) < r2  # 1.4 < sqrt(2)
-    assert Quad(Fraction(17, 12), 0, 2) > r2  # 17/12 > sqrt(2)
-    assert quad_sign(-1, 1, 2) == 1
-    assert quad_sign(1, -1, 2) == -1
-    assert quad_sign(2, -1, 2) == 1
-    assert quad_sign(0, 0, 2) == 0
-    assert quad_sign(-3, 2, 2) < 0  # 2*sqrt(2) = sqrt(8) < 3
+    # sqrt(2) > 1, sqrt(2) < 3/2, 7/5 < sqrt(2) < 17/12
+    assert sign_a_plus_b_sqrt_d(-1, 1, 2) == 1
+    assert sign_a_plus_b_sqrt_d(Fraction(-3, 2), 1, 2) == -1
+    assert sign_a_plus_b_sqrt_d(Fraction(7, 5), -1, 2) == -1
+    assert sign_a_plus_b_sqrt_d(Fraction(17, 12), -1, 2) == 1
+    assert sign_a_plus_b_sqrt_d(1, -1, 2) == -1
+    assert sign_a_plus_b_sqrt_d(2, -1, 2) == 1
+    assert sign_a_plus_b_sqrt_d(0, 0, 2) == 0
+    assert sign_a_plus_b_sqrt_d(-3, 2, 2) < 0  # 2*sqrt(2) = sqrt(8) < 3
 
 
-def test_quad_mixed_arithmetic():
-    assert Quad(1, 1, 2) - Fraction(1, 2) == Quad(Fraction(1, 2), 1, 2)
-    assert Fraction(1, 2) + Quad(0, 1, 2) == Quad(Fraction(1, 2), 1, 2)
-    assert 2 * Quad(1, 1, 2) == Quad(2, 2, 2)
+def _isqrt_floor(n):
+    """Largest integer r with r*r <= n, by bisection (n >= 0)."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _oracle_sign(a, b, d):
+    """Sign of a + b*sqrt(d) by locating b*sqrt(d) between integers.
+
+    With a = p/q and b = r/s over positive denominators, the sign is that of
+    p*s + r*q*sqrt(d).  Bracket r*q*sqrt(d) = +-sqrt(r^2 q^2 d) between
+    consecutive integers; it is irrational unless it is zero, because d is
+    square-free and >= 2, so the bracket decides unless p*s hits it exactly.
+    """
+    p, q = a.numerator, a.denominator
+    r, s = b.numerator, b.denominator
+    lhs = p * s
+    n = r * r * q * q * d
+    root = _isqrt_floor(n)
+    if root * root == n:  # only when r == 0
+        t = lhs + (root if r > 0 else -root)
+        return (t > 0) - (t < 0)
+    # r*q*sqrt(d) lies strictly between +-root and +-(root + 1)
+    lo, hi = (root, root + 1) if r > 0 else (-root - 1, -root)
+    if lhs + lo >= 0:
+        return 1
+    if lhs + hi <= 0:
+        return -1
+    # -lhs lies strictly inside the bracket: compare squares
+    if r > 0:
+        return 1 if n > lhs * lhs else -1
+    return -1 if n > lhs * lhs else 1
+
+
+def test_sign_differential_against_bracketing_oracle():
+    rng = rng_for("sign-fuzz")
+    zeros = 0
+    for d in (2, 3, 5, 6, 7):
+        cases = []
+        for trial in range(400):
+            if trial % 10 == 0:
+                a, b = Fraction(0), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            elif trial % 10 == 1:
+                a, b = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(0)
+            else:
+                a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+                b = Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+            cases.append((a, b))
+        # the rationals p/q next to sqrt(d) on either side, q < 40
+        for q in range(1, 40):
+            p = _isqrt_floor(d * q * q)
+            for a in (Fraction(p, q), Fraction(p + 1, q)):
+                cases += [(-a, Fraction(1)), (a, Fraction(-1))]
+        for a, b in cases:
+            zeros += a == 0 and b == 0
+            assert sign_a_plus_b_sqrt_d(a, b, d) == _oracle_sign(a, b, d), (a, b, d)
+    assert zeros > 0
 
 
 def test_simplex_basic_optimum():
@@ -76,9 +131,9 @@ def test_linear_system_quad_objective():
     # max x + sqrt(2)*y on the segment x + y = 1, x, y >= 0 -> sqrt(2) at (0,1)
     sys = LinearSystem(2, nonneg=[True, True])
     sys.eq([1, 1], 1)
-    res = sys.maximize([Quad(1, 0, 2), Quad(0, 1, 2)])
+    res = sys.maximize([1, 0], sqrt=(2, [0, 1]))
     assert res.status == OPTIMAL
-    assert res.value == Quad(0, 1, 2)
+    assert res.value == (0, 1)
     assert res.x == [0, 1]
 
 
@@ -113,13 +168,13 @@ def test_simplex_rational_rows():
 
 def test_simplex_quad_objective_decided_by_sqrt_part():
     # on x + y = 1 the rational parts prefer x, the sqrt(2) part decides
-    res = simplex_max([[1, 1]], [1], [Quad(Fraction(7, 5), 0, 2), Quad(0, 1, 2)])
+    res = simplex_max([[1, 1]], [1], [Fraction(7, 5), 0], sqrt=(2, [0, 1]))
     assert res.status == OPTIMAL
-    assert res.x == [0, 1] and res.value == Quad(0, 1, 2)
-    res = simplex_max([[1, 1]], [1], [Quad(Fraction(17, 12), 0, 2), Quad(0, 1, 2)])
-    assert res.x == [1, 0] and res.value == Quad(Fraction(17, 12), 0, 2)
+    assert res.x == [0, 1] and res.value == (0, 1)
+    res = simplex_max([[1, 1]], [1], [Fraction(17, 12), 0], sqrt=(2, [0, 1]))
+    assert res.x == [1, 0] and res.value == (Fraction(17, 12), 0)
     # 2 - sqrt(2) > 1/2, although the sqrt(2) coefficient is negative
-    res = simplex_max([[1, 1]], [1], [Fraction(1, 2), Quad(2, -1, 2)])
+    res = simplex_max([[1, 1]], [1], [Fraction(1, 2), 2], sqrt=(2, [0, -1]))
     assert res.x == [0, 1]
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 from conftest import rng_for
 from satmon import homs as H
 from satmon import valuative as V
-from satmon._field import Quad
 from satmon._lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_max
 from satmon.kernels import snf_with_transforms
 from satmon.monoid import free_monoid, monoid_from_vectors
@@ -32,26 +31,48 @@ def _basic_solutions(a, b):
             yield x
 
 
-def _brute_lp_max(a, b, c):
+def _sign_sqrt2(a, b):
+    """Sign of a + b*sqrt(2) for rational a, b: with opposite signs, the
+    part with the larger square wins (a^2 = 2 b^2 only at a = b = 0)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > 2 * b * b else sb
+
+
+def _objective_pair(c, c_sqrt, x):
+    """(c.x, c_sqrt.x), or (c.x,) without c_sqrt."""
+    rows = [c] if c_sqrt is None else [c, c_sqrt]
+    return tuple(sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in rows)
+
+
+def _brute_lp_max(a, b, c, c_sqrt=None):
     """max c.x over A x = b, x >= 0 by enumerating basic solutions.
 
-    Returns (status, value), value None unless OPTIMAL.  A feasible LP has a
-    basic feasible solution; it is unbounded iff some ray r >= 0 with
-    A r = 0 has c.r > 0, and then iff some basic solution r >= 0 of
-    [A; 1] r = [0; 1] has c.r > 0.
+    With ``c_sqrt`` the objective is (c + c_sqrt*sqrt(2)).x and each value
+    is the pair (c.x, c_sqrt.x).  Returns (status, value), value None unless
+    OPTIMAL.  A feasible LP has a basic feasible solution; it is unbounded
+    iff some ray r >= 0 with A r = 0 has c.r > 0, and then iff some basic
+    solution r >= 0 of [A; 1] r = [0; 1] has c.r > 0.
     """
     n = len(a[0])
 
-    def val(x):
-        return sum((c[j] * x[j] for j in range(n)), Fraction(0))
+    def sign(v):
+        return _sign_sqrt2(v[0], v[1] if c_sqrt is not None else 0)
 
-    values = [val(x) for x in _basic_solutions(a, b)]
+    values = [_objective_pair(c, c_sqrt, x) for x in _basic_solutions(a, b)]
     if not values:
         return INFEASIBLE, None
     rays = _basic_solutions(a + [[1] * n], [0] * len(a) + [1])
-    if any(val(r) > 0 for r in rays):
+    if any(sign(_objective_pair(c, c_sqrt, r)) > 0 for r in rays):
         return UNBOUNDED, None
-    return OPTIMAL, max(values)
+    best = values[0]
+    for v in values[1:]:
+        if sign([p - q for p, q in zip(v, best)]) > 0:
+            best = v
+    return OPTIMAL, best if c_sqrt is not None else best[0]
 
 
 def _solve_square(a, b):
@@ -91,10 +112,10 @@ def _solve_square(a, b):
 
 
 def test_simplex_fuzz_against_basic_solutions():
-    """Integer and Fraction constraint data; integer, Fraction and Quad
-    objectives.  Every status must match the oracle, and every result is
-    checked: a feasible x (of the optimal value when OPTIMAL), or a Farkas
-    vector y with y.A <= 0 and y.b > 0."""
+    """Integer and Fraction constraint data; integer, Fraction and
+    Q(sqrt(2)) objectives.  Every status must match the oracle, and every
+    result is checked: a feasible x (of the optimal value when OPTIMAL), or
+    a Farkas vector y with y.A <= 0 and y.b > 0."""
     rng = rng_for("lp-fuzz")
 
     def entry(rational):
@@ -103,19 +124,20 @@ def test_simplex_fuzz_against_basic_solutions():
 
     seen = set()
     for trial in range(600):
-        kind = trial % 3  # 0: ints, 1: Fractions, 2: Fractions with a Quad objective
+        kind = trial % 3  # 0: ints, 1: Fractions, 2: Fractions with a sqrt(2) objective
         m = rng.randint(1, 3)
         n = rng.randint(m, 5)
         a = [[entry(kind) for _ in range(n)] for _ in range(m)]
         b = [entry(kind) for _ in range(m)]
         if m > 1 and rng.random() < 0.2:
             a[-1], b[-1] = list(a[0]), b[0]  # a redundant row
+        c_sqrt = None
         if kind == 2:
-            c = [Quad(entry(True), rng.randint(-2, 2), 2) for _ in range(n)]
+            c, c_sqrt = map(list, zip(*[(entry(True), rng.randint(-2, 2)) for _ in range(n)]))
         else:
             c = [entry(kind) for _ in range(n)]
-        res = simplex_max(a, b, c)
-        status, best = _brute_lp_max(a, b, c)
+        res = simplex_max(a, b, c, sqrt=None if c_sqrt is None else (2, c_sqrt))
+        status, best = _brute_lp_max(a, b, c, c_sqrt)
         assert res.status == status, (a, b, c)
         seen.add((kind, status))
         if status == INFEASIBLE:
@@ -129,7 +151,8 @@ def test_simplex_fuzz_against_basic_solutions():
         assert all(x >= 0 for x in res.x)
         if status == OPTIMAL:
             assert res.value == best
-            assert res.value == sum((c[j] * res.x[j] for j in range(n)), Fraction(0))
+            value = _objective_pair(c, c_sqrt, res.x)
+            assert res.value == (value[0] if c_sqrt is None else value)
     assert len(seen) == 9  # every status on every kind of data
 
 

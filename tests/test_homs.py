@@ -1,5 +1,6 @@
 """Morphism taxonomy: profiles, predicates, pushouts, Vidal, semistable."""
 
+import itertools
 import time
 
 import pytest
@@ -154,6 +155,40 @@ def test_exact_agrees_with_box_oracle_on_corpus(nat, nat2):
         got = H.is_exact(f).holds
         violation = hom_preimage_box_violation(f, radius=4)
         assert got == (violation is None), f
+
+
+def test_exact_with_torsion_in_the_source_group():
+    # P = <(1,0), (0,1)> is {(a, t) : a >= 0} in Z + Z/2 and maps by
+    # (a, t) -> a, so P^gp = Z + Z/2 has the kernel {0} + Z/2 and its
+    # torsion generator (0, 1) is among the preimage generators.
+    p = monoid_from_vectors([(1, 0), (0, 1)], rank=1, torsion=(2,))
+    box = [(a, t) for a in range(-4, 5) for t in (0, 1)]
+    assert [x for x in box if x[0] == 0] == [(0, 0), (0, 1)]  # the kernel: Z/2
+    cases = [
+        (monoid_from_vectors([(1,)]), lambda a: a >= 0, [(0, 1), (1, 0)], None),
+        (monoid_from_vectors([(1,), (-1,)]), lambda a: True, [(-1, 0), (0, 1), (1, 0)], (-1, 0)),
+    ]
+    for target, in_target, gens, outside in cases:
+        f = H.MonoidHom(p, target, [(1,), (0,)])
+        assert H.gp_profile(f).kernel == FgAbelianGroup(0, (2,))
+        assert H.preimage_generators(f) == gens
+        v = H.is_exact(f)
+        assert v.holds == (outside is None)
+        if outside is not None:
+            assert v.certificate["preimage_element_outside_source"] == outside
+        # box re-check: the preimage is {(a, t) : a in target}, the sums of
+        # the generators fill it, and P misses exactly the certificate side
+        preimage = {x for x in box if in_target(x[0])}
+        sums = set()
+        for coeffs in itertools.product(range(5), repeat=len(gens)):
+            a = sum(c * g[0] for c, g in zip(coeffs, gens))
+            t = sum(c * g[1] for c, g in zip(coeffs, gens)) % 2
+            if -4 <= a <= 4:
+                sums.add((a, t))
+        assert sums == preimage
+        missed = sorted(x for x in preimage if x[0] < 0)
+        assert (outside is None) == (not missed)
+        assert outside is None or outside in missed
 
 
 # ---------------------------------------------------------------------------

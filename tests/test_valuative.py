@@ -47,6 +47,19 @@ def test_total_order_validation():
     assert V.OrderedLattice(2, [((F(1, 2), F(0)), (F(0), F(1, 3)))], d=2).rank == 2
 
 
+def test_d_must_be_zero_or_squarefree_at_least_two():
+    # sqrt(1) = 1 is rational: x + y*sqrt(1) vanishes on (1, -1), as x + y
+    # does with d = 0, so neither order is total
+    x_plus_y = [((F(1), F(0)), (F(0), F(1)))]
+    for d in (1, 4, 12, -2):
+        with pytest.raises(ValueError, match="square-free"):
+            V.OrderedLattice(2, x_plus_y, d=d)
+    with pytest.raises(ValueError, match="not total"):
+        V.OrderedLattice(2, [((F(1), F(1)), (F(0), F(0)))], d=0)
+    for d in (2, 3, 5, 6, 7, 10):
+        assert V.OrderedLattice(2, x_plus_y, d=d).sign((1, -1)) != 0
+
+
 def test_divisible_elements():
     dv = V.divisible_nonneg(1)
     assert dv.is_member((F(1, 2),))
@@ -75,9 +88,26 @@ def test_member_half_v(half_v_presentation):
     assert tv.member(((F(1), F(-7)), (0, 0)))
 
 
+def test_member_zero_level_vanishes_in_both_parts():
+    # V in Z^3 ordered by v1 + v2*sqrt(2), then v3; the chart N -> N is
+    # anchored at A = (0, 1, -5), so the lifts of x = (B, 0) sweep the
+    # values B - lambda*A, lambda >= 0.  For B = (0, 0, -1) the first level
+    # peaks at 0 only where lambda = 0: v3 = -1 there, so x is not in Q.  If
+    # only the rational part v1 were held at 0, v3 = -1 + 5*lambda would be
+    # unbounded.
+    levels = [
+        ((F(1), F(0), F(0)), (F(0), F(1), F(0))),
+        ((F(0), F(0), F(1)), (F(0), F(0), F(0))),
+    ]
+    base = V.OrderedLattice(3, levels, d=2)
+    chart = H.MonoidHom(free_monoid(1), free_monoid(1), [(1,)])
+    tv = V.TypeVPresentation(base, chart, [(0, 1, -5)])
+    assert not tv.member(((F(0), F(0), F(-1)), (0,)))
+    assert tv.member(((F(0), F(0), F(1)), (0,)))
+
+
 def test_member_witness(half_v_presentation):
-    ok, wit = half_v_presentation.member(((F(0), F(0)), (1, -6)), witness=True)
-    assert ok and wit is not None
+    assert half_v_presentation.member(((F(0), F(0)), (1, -6)))
 
 
 def test_sat_generating_half_v(half_v_presentation):
@@ -177,7 +207,7 @@ def test_trichotomy_perfectoid_shadow():
 def _sign_at(gamma, x):
     """Sign of a possibly rational point under the level-form order."""
     for f in gamma.levels:
-        s = f.value(x, gamma.d).sign()
+        s = f.sign(x, gamma.d)
         if s:
             return s
     return 0
@@ -198,8 +228,7 @@ def _coset_min_exists_bruteforce(gamma, over, rep, box=8):
         x = tuple(F(rep[i]) + delta[i] for i in range(r))
         if _sign_at(gamma, x) < 0:
             continue
-        vals = [f.value(x, gamma.d) for f in gamma.levels[:-1]]
-        if all(v.sign() == 0 for v in vals):
+        if all(f.sign(x, gamma.d) == 0 for f in gamma.levels[:-1]):
             return True
     return False
 
