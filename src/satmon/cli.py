@@ -9,7 +9,9 @@ included), 2 error.  Reports are byte-identical across runs under
 
 ``--budget N`` (or a request's ``budget``) is a per-search node budget:
 every branch-and-bound and completion search of the request, parse-time
-membership checks included, may expand at most N nodes.  Without it,
+membership checks included, may expand at most N nodes, and every trial
+division (of a lattice's d, of each prime of the prime set) may try at
+most N divisors.  Without it,
 ``main`` gives the request the value of ``SATMON_BUDGET`` if that is set
 (under ``run``, each request of the document that has no budget of its
 own), so a malformed value is a schema violation of that request; the
@@ -360,11 +362,11 @@ def run_request(request, deterministic=True):
         op = o["op"]
         if op not in _OPS:
             raise SchemaError("$.op", f"unknown operation {op!r}")
-        sigma = _parse_sigma(o.get("sigma"), "$.sigma")
         budget = (
             D._int(o["budget"], "$.budget") if "budget" in o else DEFAULT_NODE_BUDGET
         )
         with node_budget(budget):
+            sigma = _parse_sigma(o.get("sigma"), "$.sigma")
             data, ok = _OPS[op](o["args"], sigma, "$.args")
         code = 0 if ok else 1
         status = "ok" if ok else "verdict-false"

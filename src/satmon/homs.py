@@ -49,11 +49,7 @@ class MonoidHom(Memoized):
         else:
             self._cache["witnesses"] = self._find_witnesses()
         for rho in source.relation_lattice().basis:
-            acc = target.ambient.zero()
-            for c, im in zip(rho, self.gen_images):
-                if c:
-                    acc = target.ambient.add(acc, target.ambient.scale(c, im))
-            if not target.ambient.is_zero(acc):
+            if not target.ambient.is_zero(self.apply_exponents(rho)):
                 raise ValueError(
                     f"images do not respect the source relation {tuple(rho)}"
                 )
@@ -78,12 +74,7 @@ class MonoidHom(Memoized):
 
     def apply_exponents(self, a):
         """Image in the target ambient of the source element sum(a_i * g_i)."""
-        amb = self.target.ambient
-        acc = amb.zero()
-        for c, im in zip(a, self.gen_images):
-            if c:
-                acc = amb.add(acc, amb.scale(c, im))
-        return acc
+        return self.target.ambient.combine(a, self.gen_images)
 
     def exp_image(self, a):
         """Exponent-level image: column combination of the witnesses."""
@@ -114,10 +105,15 @@ def compose(f: MonoidHom, g: MonoidHom):
 @dataclass(frozen=True)
 class GpProfile:
     kernel: FgAbelianGroup
-    cokernel: FgAbelianGroup
+    # Z^{#gens(Q)} modulo Q's relations and the images of P's generators
+    cokernel_presentation: zlat.QuotientPresentation
     cokernel_rank: int
     torsion_order: int
     kernel_witness: tuple = None  # exponent vector in Z^{#gens(P)}, or None
+
+    @property
+    def cokernel(self):
+        return self.cokernel_presentation.group
 
     def kernel_order(self):
         return self.kernel.order()
@@ -138,7 +134,8 @@ def gp_profile(f: MonoidHom) -> GpProfile:
         relq = f.target.relation_lattice()
         fcols = [f.exp_image(tuple(1 if t == i else 0 for t in range(kp))) for i in range(kp)]
         cols = [list(b) for b in relq.basis] + [list(c) for c in fcols]
-        coker = zlat.quotient_by_columns(kq, cols).group
+        cokpres = zlat.quotient_by_columns(kq, cols)
+        coker = cokpres.group
         frows = [[fcols[i][j] for i in range(kp)] for j in range(kq)]
         pre = zlat.preimage_lattice(frows, relq, kp)
         kb = pre.basis
@@ -160,7 +157,7 @@ def gp_profile(f: MonoidHom) -> GpProfile:
             )
             witness = exp
         t = math.prod(coker.torsion) if coker.torsion else 1
-        return GpProfile(kernel, coker, coker.rank, t, witness)
+        return GpProfile(kernel, cokpres, coker.rank, t, witness)
 
     return f._get("gp_profile", build)
 
@@ -509,18 +506,13 @@ def ramification_indices(f: MonoidHom) -> RamificationReport:
     _require_saturated(f.target, "target")
     out = []
     skipped = []
-    span, coords, facets, kills = f.target._cone()
+    # the face each generator image generates; an image lies on a face
+    # exactly when the face contains that one
+    image_faces = [f.target.face_generated_by([im]) for im in f.gen_images]
     for face in f.target.faces():
         if face.corank() != 1:
             continue
-        j_active = [
-            j for j in range(len(facets)) if all(kills[j][i] for i in face.indices)
-        ]
-        pre_idxs = []
-        for i in range(f.source.ngens):
-            c = f.target.cone_coords(f.gen_images[i])
-            if all(vdot(facets[j], c) == 0 for j in j_active):
-                pre_idxs.append(i)
+        pre_idxs = [i for i, g in enumerate(image_faces) if face.contains_face(g)]
         pre_face = f.source.face_from_indices(tuple(pre_idxs))
         if pre_face.corank() != 1:
             skipped.append(face.indices)
@@ -583,7 +575,6 @@ def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
     kp = p.ngens
     kq0 = q0.ngens
     n = kp + kq0
-    rels = []
 
     def pad_left(v):
         return tuple(v) + (0,) * kq0
@@ -591,14 +582,8 @@ def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
     def pad_right(v):
         return (0,) * kp + tuple(v)
 
-    for rho in p.relation_lattice().basis:
-        u = tuple(max(x, 0) for x in rho)
-        v = tuple(max(-x, 0) for x in rho)
-        rels.append((pad_left(u), pad_left(v)))
-    for rho in q0.relation_lattice().basis:
-        u = tuple(max(x, 0) for x in rho)
-        v = tuple(max(-x, 0) for x in rho)
-        rels.append((pad_right(u), pad_right(v)))
+    rels = [(pad_left(u), pad_left(v)) for u, v in p.relation_pairs()]
+    rels += [(pad_right(u), pad_right(v)) for u, v in q0.relation_pairs()]
     for i in range(along.source.ngens):
         rels.append((pad_left(arm.witnesses[i]), pad_right(along.witnesses[i])))
     fp = FpMonoid(n, tuple(rels))
@@ -668,12 +653,9 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
     damb = dmon.ambient
     # presentation of the pushout ambient over the 2*kq exponent generators
     dpres = po.presentation
-    relq = q.relation_lattice()
 
-    # cokernel presentation for classes in N = Q^gp/P^gp
-    relq_cols = [list(b) for b in relq.basis]
-    fcols = [list(f.exp_image(tuple(1 if t == i else 0 for t in range(f.source.ngens)))) for i in range(f.source.ngens)]
-    cokpres = zlat.quotient_by_columns(kq, relq_cols + fcols)
+    # classes in N = Q^gp/P^gp
+    cokpres = prof.cokernel_presentation
     ncoker = cokpres.group
 
     eamb, embq, embn, split = direct_sum(q.gp_presentation().group, ncoker)
@@ -728,11 +710,7 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
         bwd_cols.append(img)
 
     def apply_cols(amb_from, amb_to, cols_, v):
-        acc = amb_to.zero()
-        for c, col in zip(amb_from.reduce(v), cols_):
-            if c:
-                acc = amb_to.add(acc, amb_to.scale(c, col))
-        return acc
+        return amb_to.combine(amb_from.reduce(v), cols_)
 
     verified = True
     # well-definedness on torsion coordinates
@@ -784,11 +762,8 @@ def semistable_extension(p: AffineMonoid, pi, n):
             raise MembershipError("with n = 0 the relation forces pi = 0")
         return MonoidHom.identity(p), []
     kp = p.ngens
-    rels = []
-    for rho in p.relation_lattice().basis:
-        u = tuple(max(x, 0) for x in rho) + (0,) * n
-        v = tuple(max(-x, 0) for x in rho) + (0,) * n
-        rels.append((u, v))
+    pad = (0,) * n
+    rels = [(u + pad, v + pad) for u, v in p.relation_pairs()]
     rels.append((tuple(wit) + (0,) * n, (0,) * kp + (1,) * n))
     fp = FpMonoid(kp + n, tuple(rels))
     target, images, pres = from_presentation(fp)

@@ -64,20 +64,6 @@ class AffineMonoid(Memoized):
         self.gens = gens
         self._cache = {}
 
-    @classmethod
-    def with_known_cone(cls, ambient: FgAbelianGroup, gens, span: Lattice, facets):
-        """The monoid on ``gens`` whose cone is already known.
-
-        ``span`` must be the saturated lattice spanned by the free parts of
-        ``gens`` (canonical basis) and ``facets`` the sorted primitive facet
-        normals in its coordinates: what ``_cone`` would compute.  The
-        generator coordinates and the kill table are derived from them.
-        """
-        m = cls(ambient, gens)
-        coords = [span.coords(f) for f in m.free_gens()]
-        m._cache["cone"] = _cone_data(span, coords, facets)
-        return m
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -118,11 +104,14 @@ class AffineMonoid(Memoized):
         )
 
     def element_from_exponents(self, a):
-        v = self.ambient.zero()
-        for c, g in zip(a, self.gens):
-            if c:
-                v = self.ambient.add(v, self.ambient.scale(c, g))
-        return v
+        return self.ambient.combine(a, self.gens)
+
+    def relation_pairs(self):
+        """Each basis relation rho as the pair (rho+, rho-) of N^ngens vectors."""
+        return [
+            (tuple(max(x, 0) for x in rho), tuple(max(-x, 0) for x in rho))
+            for rho in self.relation_lattice().basis
+        ]
 
     def integral_exponents(self, x):
         """Some a in Z^ngens with sum a_i g_i = x, or None if x is outside P^gp."""
@@ -144,11 +133,8 @@ class AffineMonoid(Memoized):
         preserved, so homomorphism data transports index-wise.
         """
         pres = self.gp_presentation()
-        gens = [
-            pres.project(tuple(1 if t == i else 0 for t in range(self.ngens)))
-            for i in range(self.ngens)
-        ]
-        new = AffineMonoid(pres.group, gens)
+        # distinct nonzero generators have distinct nonzero classes in P^gp
+        new = _monoid_of_quotient(pres)[0]
 
         def to_new(x):
             a = self.integral_exponents(x)
@@ -219,30 +205,15 @@ class AffineMonoid(Memoized):
     def saturate(self):
         """Saturation inside the ambient group: {x : n x in P for some n>=1}.
 
-        The result has the same cone and span lattice, so it is built with
+        The result has the same cone and span lattice, so it is built from
         them, and it is its own saturation.
         """
-
-        def build():
-            amb = self.ambient
-            nt = len(amb.torsion)
-            gens = [
-                (0,) * amb.rank + tuple(1 if t == j else 0 for t in range(nt))
-                for j in range(nt)
-            ]
-            span, coords, facets, _ = self._cone()
-            if any(any(c) for c in coords):
-                # the Hilbert basis of the facet cone in span coordinates
-                sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
-                for h in sharp + units + [vneg(u) for u in units]:
-                    free = [vdot(col, h) for col in zip(*span.basis)]
-                    gens.append(tuple(free) + (0,) * nt)
-            sat = AffineMonoid.with_known_cone(amb, sorted(set(gens)), span, facets)
-            sat._cache["sat"] = sat
-            sat._cache["is_sat"] = True
-            return sat
-
-        return self._get("sat", build)
+        return self._get(
+            "sat",
+            lambda: saturation_of_cone(
+                self.ambient, self.span_lattice(), self.cone_facets()
+            ),
+        )
 
     def is_saturated(self):
         """Is P = sat(P)?  Decided from the cone, without a search.
@@ -312,28 +283,21 @@ class AffineMonoid(Memoized):
         )
 
     def faces(self):
-        """All faces, as Face objects sorted by (size, indices)."""
+        """All faces, as Face objects sorted by (size, indices).
+
+        A face is the set of generators on which some set of facets
+        vanishes, so the faces are the whole generator set cut by the zero
+        set of each facet in turn.
+        """
 
         def build():
-            found = {self._closure(())}
-            found.add(self._closure(tuple(range(self.ngens))))
-            for i in range(self.ngens):
-                found.add(self._closure((i,)))
-            changed = True
-            while changed:
-                changed = False
-                pairs = sorted(found)
-                for a in pairs:
-                    for b in pairs:
-                        u = tuple(sorted(set(a) | set(b)))
-                        c = self._closure(u)
-                        if c not in found:
-                            found.add(c)
-                            changed = True
-                            if len(found) > MAX_FACES:
-                                raise ResourceLimitError(
-                                    "face count exceeds configured bound", MAX_FACES
-                                )
+            found = {tuple(range(self.ngens))}
+            for row in self._cone()[3]:
+                found |= {tuple(i for i in face if row[i]) for face in found}
+                if len(found) > MAX_FACES:
+                    raise ResourceLimitError(
+                        "face count exceeds configured bound", MAX_FACES
+                    )
             return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
 
         return self._get("faces", build)
@@ -389,20 +353,10 @@ class AffineMonoid(Memoized):
         """
         face = self._validate_face(face)
         k = self.ngens
-        rel = self.relation_lattice()
-        cols = [list(b) for b in rel.basis]
+        cols = [list(b) for b in self.relation_lattice().basis]
         for i in face.indices:
             cols.append([1 if t == i else 0 for t in range(k)])
-        pres = zlat.quotient_by_columns(k, cols)
-        images = [
-            pres.project(tuple(1 if t == i else 0 for t in range(k)))
-            for i in range(k)
-        ]
-        mono_gens = []
-        for im in images:
-            if not pres.group.is_zero(im) and im not in mono_gens:
-                mono_gens.append(im)
-        return AffineMonoid(pres.group, mono_gens), images, pres
+        return _monoid_of_quotient(zlat.quotient_by_columns(k, cols))
 
     def _validate_face(self, face):
         if isinstance(face, Face):
@@ -444,6 +398,44 @@ def _cone_data(span, coords, facets):
     """The ``_cone`` tuple: kills[j][i] says facet j vanishes on generator i."""
     kills = [tuple(vdot(f, c) == 0 for c in coords) for f in facets]
     return span, coords, facets, kills
+
+
+def saturation_of_cone(ambient: FgAbelianGroup, span: Lattice, facets):
+    """The saturated monoid {x : free part in ``span``, facet values >= 0}.
+
+    ``span`` is a saturated lattice in the free part of ``ambient``
+    (canonical basis) and ``facets`` the sorted primitive facet normals of
+    a cone in its coordinates, empty when the cone is all of ``span``.  The
+    generators are the torsion basis and the Hilbert basis of the cone;
+    the monoid carries that cone and is known to be its own saturation.
+    """
+    nt = len(ambient.torsion)
+    gens = [
+        (0,) * ambient.rank + tuple(1 if t == j else 0 for t in range(nt))
+        for j in range(nt)
+    ]
+    if span.rank:
+        sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
+        for h in sharp + units + [vneg(u) for u in units]:
+            free = [vdot(col, h) for col in zip(*span.basis)]
+            gens.append(tuple(free) + (0,) * nt)
+    sat = AffineMonoid(ambient, sorted(set(gens)))
+    coords = [span.coords(f) for f in sat.free_gens()]
+    sat._cache.update(cone=_cone_data(span, coords, facets), sat=sat, is_sat=True)
+    return sat
+
+
+def _monoid_of_quotient(pres):
+    """(monoid, images, pres) for a quotient presentation of Z^ngens.
+
+    ``images[i]`` is the class of the i-th standard generator; the monoid
+    they generate has these classes as generators, deduplicated in order
+    and without zeros.
+    """
+    k = pres.ngens
+    images = [pres.project(tuple(1 if t == i else 0 for t in range(k))) for i in range(k)]
+    gens = dict.fromkeys(im for im in images if not pres.group.is_zero(im))
+    return AffineMonoid(pres.group, list(gens)), images, pres
 
 
 def _ratio(group, x, h):
@@ -490,14 +482,10 @@ class Face:
             return AffineMonoid(self.monoid.ambient, ())
         return AffineMonoid(self.monoid.ambient, self.gens)
 
-    def span_basis(self):
-        """Basis of the saturated lattice spanned by the face's free parts."""
-        amb = self.monoid.ambient
-        lat = Lattice([amb.free_part(g) for g in self.gens], amb.rank)
-        return lat.saturation().basis
-
     def dim(self):
-        return len(self.span_basis())
+        """Rank of the lattice spanned by the free parts of the face's generators."""
+        amb = self.monoid.ambient
+        return Lattice([amb.free_part(g) for g in self.gens], amb.rank).rank
 
     def corank(self):
         return self.monoid.span_lattice().rank - self.dim()
@@ -529,19 +517,8 @@ def from_presentation(p: FpMonoid):
     Z^n / <u - v>, ``images[i]`` is the image of the i-th standard generator
     (the monoid's gens are these, deduplicated and without zeros).
     """
-    cols = [
-        tuple(a - b for a, b in zip(u, v)) for u, v in p.relations
-    ]
-    pres = zlat.quotient_by_columns(p.ngens, cols)
-    images = [
-        pres.project(tuple(1 if t == i else 0 for t in range(p.ngens)))
-        for i in range(p.ngens)
-    ]
-    gens = []
-    for im in images:
-        if not pres.group.is_zero(im) and im not in gens:
-            gens.append(im)
-    return AffineMonoid(pres.group, gens), images, pres
+    cols = [tuple(a - b for a, b in zip(u, v)) for u, v in p.relations]
+    return _monoid_of_quotient(zlat.quotient_by_columns(p.ngens, cols))
 
 
 def free_monoid(rank):

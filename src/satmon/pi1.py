@@ -4,8 +4,9 @@ pi_1 is exposed only through its finite quotients: the n-stage is (dual to)
 P^gp tensor Z/n, and connected abelian covers of index n correspond to
 overlattices M of P^gp with [M : P^gp] = n and all prime factors of n
 outside the fixed prime set.  The cover monoid is the saturation of P
-inside M: same cone, refined lattice.  P -> cone cap M is exact exactly
-when P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
+inside M: same cone, refined lattice, so it is built straight from P's
+facets rewritten in M-coordinates.  P -> cone cap M is exact exactly when
+P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
 sat(P)), so the base is checked once, not each cover.
 
 Stages for different moduli m | n are compatible through the standard
@@ -14,11 +15,12 @@ materialized, and roots of unity enter only as abstract cyclic groups.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import zlat
 from .errors import CoprimalityError, PreconditionError
 from .homs import MonoidHom
-from .monoid import AffineMonoid
+from .monoid import AffineMonoid, saturation_of_cone
 from .zlat import FgAbelianGroup, Overlattice
 
 
@@ -41,9 +43,10 @@ def pi1_quotient(p: AffineMonoid, n, sigma) -> Pi1Quotient:
     """Invariants of P^gp tensor Z/n (n coprime to the prime set)."""
     if n < 1:
         raise ValueError("modulus must be >= 1")
-    for q in set(zlat.prime_factors(n)):
-        if not sigma.coprime(q):
-            raise CoprimalityError(f"modulus {n} shares the prime {q} with the prime set")
+    if not sigma.coprime(n):
+        raise CoprimalityError(
+            f"modulus {n} is not coprime to the prime set {sigma.describe()}"
+        )
     k = p.ngens
     rel = p.relation_lattice()
     cols = [list(b) for b in rel.basis]
@@ -73,10 +76,11 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
     """The cover of p for one overlattice M, given p's span lattice and facets.
 
     p spans Z^r, so ``span`` is the identity lattice, which is also the span
-    of p's generators in M-coordinates.  A point with M-coordinates c is
+    of the cover in M-coordinates.  A point with M-coordinates c is
     c . rows / den, so a facet normal phi of p becomes rows . phi up to the
     positive factor den: dividing by the (positive) gcd keeps it primitive
-    and on the same side.
+    and on the same side.  The cover is cone cap M, the saturated monoid of
+    those facets.
 
     The structure map needs no check once p is saturated.  p spans Z^r
     and M contains Z^r with finite index, so the inclusion is injective
@@ -93,10 +97,7 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
         psi = [zlat.vdot(row, phi) for row in over.rows]
         g = zlat.vgcd(psi)
         normals.append(tuple(x // g for x in psi))
-    sub = AffineMonoid.with_known_cone(
-        FgAbelianGroup(over.rank), coords, span, sorted(normals)
-    )
-    cover = sub.saturate()
+    cover = saturation_of_cone(FgAbelianGroup(over.rank), span, sorted(normals))
     return KummerCover(p, over, cover, MonoidHom(p, cover, coords))
 
 
@@ -125,7 +126,7 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
         raise PreconditionError(
             "cover construction requires a saturated base (injective + exact failed)"
         )
-    span, _, facets, _ = p._cone()
+    span, facets = p.span_lattice(), p.cone_facets()
     return [_cover_from_overlattice(p, o, span, facets) for o in overs]
 
 
@@ -140,24 +141,7 @@ def finite_pset_decomposition(cover: KummerCover):
     n = cover.deck_invariants().exponent_of_torsion()
     q = cover.cover
     amb = q.ambient
-    elems = set()
-    counter = [0] * q.ngens
-    while True:
-        v = amb.zero()
-        for c, g in zip(counter, q.gens):
-            if c:
-                v = amb.add(v, amb.scale(c, g))
-        elems.add(v)
-        i = q.ngens - 1
-        while i >= 0:
-            counter[i] += 1
-            if counter[i] < n:
-                break
-            counter[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    t_set = sorted(elems)
+    t_set = sorted({amb.combine(c, q.gens) for c in product(range(n), repeat=q.ngens)})
     if cover.hom.gen_images:
         image = AffineMonoid(amb, cover.hom.gen_images)
         in_image = lambda x: image.membership(x) is not None

@@ -9,16 +9,17 @@ primes and check that nothing remains.
 
 from dataclasses import dataclass
 
+from .zlat import trial_divisors
+
 
 def _check_primes(ps):
+    """Trial division of each p, charged to the node budget."""
     for p in ps:
         if p < 2:
             raise ValueError(f"{p} is not a prime")
-        k = 2
-        while k * k <= p:
+        for k in trial_divisors(lambda k: k * k <= p):
             if p % k == 0:
                 raise ValueError(f"{p} is not a prime")
-            k += 1
 
 
 @dataclass(frozen=True)

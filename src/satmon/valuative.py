@@ -24,7 +24,7 @@ the next level is tried.  Every Q(sqrt(d)) value is a pair of rationals
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import zlat
 from ._lp import INFEASIBLE, UNBOUNDED, LinearSystem, sign_a_plus_b_sqrt_d
@@ -57,13 +57,18 @@ def _frac_vec(v):
 
 
 def is_squarefree(d):
-    """Is the positive integer d divisible by no square > 1?"""
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    """Is the positive integer d divisible by no square > 1?
+
+    Trial division, charged to the node budget, strips the primes up to the
+    cube root of what is left; the rest then has at most two prime factors,
+    so it is square-free unless it is a square > 1.
+    """
+    for k in zlat.trial_divisors(lambda k: k * k * k <= d):
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return False
+    return d == 1 or math.isqrt(d) ** 2 != d
 
 
 @dataclass(frozen=True)
@@ -272,11 +277,7 @@ class LatticeMap:
             if lattice.sign(v) < 0:
                 raise ValueError(f"anchor image {v} is negative in V")
         for rho in source.relation_lattice().basis:
-            acc = [Fraction(0)] * lattice.rank
-            for c, im in zip(rho, self.images):
-                for i in range(lattice.rank):
-                    acc[i] += c * im[i]
-            if any(acc):
+            if any(self.eval_exponents(rho)):
                 raise ValueError("anchor does not respect the source relations")
 
     def eval_exponents(self, a):
@@ -578,23 +579,12 @@ def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap):
 
 def _ideal_candidates(p: AffineMonoid, coeff_bound):
     """Small elements of P (sums of generators, coefficients <= bound)."""
-    out = []
-    k = p.ngens
-    counter = [0] * k
-    while True:
-        if any(counter):
-            out.append(p.element_from_exponents(counter))
-        i = k - 1
-        while i >= 0:
-            counter[i] += 1
-            if counter[i] <= coeff_bound:
-                break
-            counter[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    dedup = sorted(set(out), key=lambda v: (sum(abs(x) for x in v), v))
-    return dedup
+    out = {
+        p.element_from_exponents(c)
+        for c in product(range(coeff_bound + 1), repeat=p.ngens)
+        if any(c)
+    }
+    return sorted(out, key=lambda v: (sum(abs(x) for x in v), v))
 
 
 def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
@@ -736,7 +726,7 @@ def _extension_of_base(base: OrderedLattice, anchor_vals, n, sigma=None):
     return KummerLatticeExtension(w, over, tuple(old_basis), quot, ok)
 
 
-def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None):
+def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
     """Flatten by blowup, base change by the ramification lcm, extend V.
 
     Produces W (a Kummer etale extension of V), the finitely presented
@@ -751,8 +741,7 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None, a=None):
                 "with a nonempty prime set the chart must be etale"
             )
     if ideal is not None:
-        if a is None:
-            a, _, _, _, _ = vcp_select(tv.p0, ideal, tv.anchor)
+        a, _, _, _, _ = vcp_select(tv.p0, ideal, tv.anchor)
         kato = kato_verify(tv.chart, ideal, a, tv.anchor)
         if not (kato.integral and kato.factors_through_base):
             raise SearchFailureError("supplied ideal does not flatten the chart")
@@ -841,13 +830,9 @@ def gr_finiteness(tv: TypeVPresentation):
         rhs = [sum(c[j] * arows[t][j] for j in range(len(keep))) for t in range(k)]
         sol = zlat.solve_integer(stack, rhs) if (uw or relq) else ([] if not any(rhs) else None)
         assert sol is not None
-        v = [Fraction(0)] * tv.base.rank
-        for i in range(len(uw)):
-            for t in range(tv.base.rank):
-                v[t] += sol[i] * tv.anchor.images[i][t]
+        vv = tv.anchor.eval_exponents(sol)
         pos = tuple(max(x, 0) for x in c)
         negv = tuple(max(-x, 0) for x in c)
-        vv = tuple(v)
         if tv.base.sign(vv) >= 0:
             relations.append((((Fraction(0),) * tv.base.rank, pos), (vv, negv)))
         else:
@@ -866,10 +851,7 @@ def gr_finiteness(tv: TypeVPresentation):
         if sol is None:
             complete = False
             continue
-        balance = list(lhs_v)
-        for i in range(len(uw)):
-            for t in range(tv.base.rank):
-                balance[t] += sol[i] * tv.anchor.images[i][t]
+        balance = [a + b for a, b in zip(lhs_v, tv.anchor.eval_exponents(sol))]
         if any(balance):
             complete = False
     return GrReport(

@@ -48,6 +48,21 @@ def node_budget(n):
         _NODE_BUDGET.reset(token)
 
 
+def trial_divisors(more):
+    """k = 2, 3, 4, ... while ``more(k)``: one trial division, a node per k.
+
+    A trial division is a search like any other: reaching a divisor past
+    the node budget raises ResourceLimitError carrying the budget.
+    """
+    budget = _NODE_BUDGET.get()
+    k = 2
+    while more(k):
+        if k > budget + 1:
+            raise ResourceLimitError("trial division node budget exceeded", budget)
+        yield k
+        k += 1
+
+
 # ---------------------------------------------------------------------------
 # small vector helpers
 
@@ -268,6 +283,14 @@ class FgAbelianGroup:
 
     def scale(self, k, u):
         return self.reduce(vscale(k, u))
+
+    def combine(self, coeffs, elements):
+        """sum coeffs[i] * elements[i], reduced once at the end."""
+        acc = [0] * self.dim
+        for c, g in zip(coeffs, elements):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, g)]
+        return self.reduce(acc)
 
     def is_zero(self, v):
         return all(a == 0 for a in self.reduce(v))
@@ -961,24 +984,11 @@ def _hnf_contains(rows, i, n):
     return True
 
 
-def prime_factors(n):
-    out = []
-    k = 2
-    while k * k <= n:
-        while n % k == 0:
-            out.append(k)
-            n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def enumerate_overlattices(group, n, sigma=None):
     """All M with L <= M <= L tensor Q and [M : L] = n, L = Z^rank.
 
-    ``group`` must be torsion-free.  Every prime factor of n must avoid the
-    prime set; otherwise CoprimalityError.  Deterministic, duplicate-free.
+    ``group`` must be torsion-free.  n must be coprime to the prime set;
+    otherwise CoprimalityError.  Deterministic, duplicate-free.
     """
     if isinstance(group, FgAbelianGroup):
         if group.torsion:
@@ -988,12 +998,10 @@ def enumerate_overlattices(group, n, sigma=None):
         r = int(group)
     if n < 1:
         raise ValueError("index must be >= 1")
-    if sigma is not None:
-        for p in set(prime_factors(n)):
-            if not sigma.coprime(p):
-                raise CoprimalityError(
-                    f"index {n} shares the prime {p} with the fixed prime set"
-                )
+    if sigma is not None and not sigma.coprime(n):
+        raise CoprimalityError(
+            f"index {n} is not coprime to the prime set {sigma.describe()}"
+        )
     if r == 0:
         if n == 1:
             return [Overlattice(1, ())]

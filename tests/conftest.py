@@ -402,30 +402,12 @@ def same_submonoid(a, b):
     return all(b.contains(g) for g in a.gens) and all(a.contains(g) for g in b.gens)
 
 
-def known_cone_monoids_match_fresh(monkeypatch, run):
-    """Run ``run()`` and check every monoid it built with a known cone.
-
-    Each monoid that ``AffineMonoid.with_known_cone`` returned (saturations
-    and cover sub-monoids) must have the cached cone, saturation and
-    saturatedness of a fresh copy on the same generators, whose data is
-    computed from scratch.  Returns the monoids checked.
-    """
-    built = []
-    make = M.AffineMonoid.with_known_cone.__func__
-
-    def record(cls, *args):
-        m = make(cls, *args)
-        built.append(m)
-        return m
-
-    with monkeypatch.context() as mp:
-        mp.setattr(M.AffineMonoid, "with_known_cone", classmethod(record))
-        run()
-    for m in built:
-        fresh = M.AffineMonoid(m.ambient, m.gens)
-        assert m._cone() == fresh._cone(), m
-        assert m.saturate() == fresh.saturate(), m
-        assert m.saturate()._cone() == fresh.saturate()._cone(), m
-        assert m.is_saturated() == fresh.is_saturated(), m
-    return built
-
+def assert_matches_fresh(m):
+    """m carries its cone, and its cached cone, saturation and saturatedness
+    are those of a fresh copy on the same generators, computed from scratch."""
+    assert "cone" in m._cache, m
+    fresh = M.AffineMonoid(m.ambient, m.gens)
+    assert m._cone() == fresh._cone(), m
+    assert m.saturate() == fresh.saturate(), m
+    assert m.saturate()._cone() == fresh.saturate()._cone(), m
+    assert m.is_saturated() == fresh.is_saturated(), m

@@ -112,7 +112,14 @@ def test_version_mismatch():
 
 @pytest.mark.parametrize(
     "name",
-    ["saturate_numsg", "classify_half_s3", "covers_n2", "ogus_pushout"],
+    [
+        "saturate_numsg",
+        "classify_half_s3",
+        "covers_n2",
+        "ogus_pushout",
+        "spec_units_torsion",
+        "rft_lex_ramified",
+    ],
 )
 def test_golden_reports(name):
     request = json.loads(_golden(f"{name}.request.json"))

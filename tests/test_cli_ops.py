@@ -1,6 +1,7 @@
 """End-to-end dispatch of every subcommand through run_request."""
 
 import json
+import time
 
 import pytest
 
@@ -117,6 +118,41 @@ def test_op_kummer_classify(lex2):
 def test_op_pi1(nat2):
     out = run_ok("pi1", {"monoid": D.monoid_out(nat2), "n": "3"}, sigma={"primes": ["2"]})
     assert out["group"]["torsion"] == ["3", "3"]
+
+
+def test_large_moduli_are_not_factored(nat, nat2):
+    # coprimality to the prime set is decided without factoring n, so a
+    # 15-digit prime modulus costs no trial division
+    n = str(10**14 + 31)
+    for op, m in (("pi1", nat2), ("covers", nat)):
+        t0 = time.perf_counter()
+        rep, code = cli.run_request(
+            req(op, {"monoid": D.monoid_out(m), "n": n}, {"primes": ["2", "3"]}, budget=100000)
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 0, rep["result"]
+    assert rep["result"]["count"] == "1"
+    res = _error(req("pi1", {"monoid": D.monoid_out(nat), "n": str(2 * (10**14 + 31))},
+                     {"primes": ["2", "3"]}))
+    assert res["error"] == "CoprimalityError"
+    assert f"{2 * (10**14 + 31)}" in res["message"] and "{2,3}" in res["message"]
+
+
+def test_trial_divisions_are_charged_to_the_budget(nat):
+    # a 30-digit d and a 20-digit prime of the prime set: trial division
+    # past the budget is a resource limit that carries the budget
+    lat = D.lattice_out(V.quadratic_line(2))
+    lat["d"] = str(10**29 + 319)
+    over = {"den": "1", "rows": [["1", "0"], ["0", "1"]]}
+    big_prime = {"primes": [str(10**19 + 51)]}
+    for request in (
+        req("kummer-classify", {"gamma": lat, "overlattice": over}, budget=100000),
+        req("pi1", {"monoid": D.monoid_out(nat), "n": "2"}, big_prime, budget=100000),
+    ):
+        t0 = time.perf_counter()
+        res = _error(request)
+        assert time.perf_counter() - t0 < 1.0
+        assert res["error"] == "resource-limit" and res["limit"] == 100000
 
 
 def test_op_vidal(half_inclusion):

@@ -5,16 +5,17 @@ import time
 import pytest
 
 from conftest import (
-    known_cone_monoids_match_fresh,
+    assert_matches_fresh,
+    random_affine_monoid,
     random_ambient_monoid,
     random_fp_monoid,
     rng_for,
     same_submonoid,
 )
 from satmon import monoid as M
-from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError
+from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError, ResourceLimitError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
-from satmon.zlat import FgAbelianGroup, node_budget
+from satmon.zlat import FgAbelianGroup, Lattice, node_budget
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +96,15 @@ def test_saturate_idempotent_without_generators():
         assert s.is_saturated()
 
 
-def test_saturation_cone_matches_fresh_copy(monkeypatch):
+def test_saturation_cone_matches_fresh_copy():
     # saturate() hands its cone to the monoid it builds and marks it
     # saturated; a fresh copy recomputes all of that
     rng = rng_for("saturation-known-cone")
     monoids = [AffineMonoid(FgAbelianGroup(2, (3,)), ()), AffineMonoid(FgAbelianGroup(0, (2, 4)), ())]
     monoids += [random_ambient_monoid(rng) for _ in range(120)]
-
-    def run():
-        for m in monoids:
-            m.saturate()
-
-    sats = known_cone_monoids_match_fresh(monkeypatch, run)
-    assert len(sats) == len(monoids)
+    sats = [m.saturate() for m in monoids]
+    for s in sats:
+        assert_matches_fresh(s)
     for m in monoids:
         assert m.saturate().saturate() is m.saturate()
     with_units = [s for s in sats if any(map(any, map(s.ambient.free_part, s.units_face().gens)))]
@@ -231,6 +228,57 @@ def test_faces_of_saturated_triangle():
     faces = m.faces()
     assert len(faces) == 4
     assert {f.indices for f in faces} == {(), (0,), (2,), (0, 1, 2)}
+
+
+def _union_closure_faces(m):
+    """The faces as the closures of the single generators, closed under
+    pairwise unions: the former ``faces`` algorithm, kept as an oracle."""
+    found = {m._closure(()), m._closure(tuple(range(m.ngens)))}
+    found |= {m._closure((i,)) for i in range(m.ngens)}
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(found):
+            for b in sorted(found):
+                c = m._closure(tuple(sorted(set(a) | set(b))))
+                if c not in found:
+                    found.add(c)
+                    changed = True
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _saturated_span_dim(face):
+    """Face dimension from the saturated span of its free parts: the
+    former ``Face.dim``, kept as an oracle."""
+    amb = face.monoid.ambient
+    return len(Lattice([amb.free_part(g) for g in face.gens], amb.rank).saturation().basis)
+
+
+def test_faces_match_the_union_closure_oracle():
+    # every face is an intersection of facets; the union closure of the
+    # former algorithm finds the same faces, and the rank of the free parts
+    # is the dimension of their saturated span
+    rng = rng_for("faces-oracle")
+    monoids = [random_ambient_monoid(rng) for _ in range(3000)]
+    for rank in (4, 5):
+        for _ in range(12):
+            m = random_affine_monoid(rng, rank=rank, max_gens=rank + 2, lo=-1, hi=2)
+            monoids.append(m.saturate())
+    for m in monoids:
+        faces = m.faces()
+        assert [f.indices for f in faces] == _union_closure_faces(m), m
+        assert [f.dim() for f in faces] == [_saturated_span_dim(f) for f in faces], m
+    sizes = [len(m.faces()) for m in monoids[3000:]]
+    assert max(sizes) >= 20
+
+
+def test_face_count_over_the_bound_is_refused(monkeypatch):
+    # N^3 has 8 faces, N^2 has 4
+    monkeypatch.setattr(M, "MAX_FACES", 5)
+    assert len(free_monoid(2).faces()) == 4
+    with pytest.raises(ResourceLimitError) as e:
+        free_monoid(3).faces()
+    assert e.value.limit == 5
 
 
 def test_spec_bijection_under_saturation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import known_cone_monoids_match_fresh, random_affine_monoid, rng_for, same_submonoid
+from conftest import assert_matches_fresh, random_affine_monoid, rng_for, same_submonoid
 from satmon import homs as H
 from satmon import monoid as M
 from satmon import pi1, zlat
@@ -107,9 +107,9 @@ def test_covers_require_spanning(nat):
         pi1.enumerate_covers(sub, 3, PrimeSet.empty())
 
 
-def test_cover_cones_match_fresh_copies(monkeypatch):
-    # every cover's sub-monoid takes its cone from the base, and its
-    # saturation (the cover) inherits that cone
+def test_cover_cones_match_fresh_copies():
+    # every cover is built from the base's cone and carries it; a fresh
+    # copy on the same generators recomputes it
     rng = rng_for("cover-known-cone")
     bases = []
     while len(bases) < 24:
@@ -117,14 +117,10 @@ def test_cover_cones_match_fresh_copies(monkeypatch):
         m = random_affine_monoid(rng, rank=r, max_gens=r + 2, lo=-1, hi=3)
         if m.span_lattice().rank == r:
             bases.append((m.saturate(), rng.choice((2, 3, 4, 6))))
-
-    def run():
-        for base, n in bases:
-            pi1.enumerate_covers(base, n, PrimeSet.of(5))
-
-    built = known_cone_monoids_match_fresh(monkeypatch, run)
-    subs = [m for m in built if m.saturate() is not m]
-    assert len(subs) >= 100
+    covers = [c for base, n in bases for c in pi1.enumerate_covers(base, n, PrimeSet.of(5))]
+    for c in covers:
+        assert_matches_fresh(c.cover)
+    assert len(covers) >= 100
     assert {n for _, n in bases} == {2, 3, 4, 6}
 
 

@@ -12,6 +12,7 @@ from satmon.errors import (
     MembershipError,
     NonDivisibleBaseError,
     NotIntegralError,
+    ResourceLimitError,
     SearchFailureError,
 )
 from satmon.monoid import free_monoid, monoid_from_vectors
@@ -58,6 +59,39 @@ def test_d_must_be_zero_or_squarefree_at_least_two():
         V.OrderedLattice(2, [((F(1), F(1)), (F(0), F(0)))], d=0)
     for d in (2, 3, 5, 6, 7, 10):
         assert V.OrderedLattice(2, x_plus_y, d=d).sign((1, -1)) != 0
+
+
+def _squarefree_by_trial_squares(d):
+    """Is no k^2 with 2 <= k <= sqrt(d) a divisor of d?  The former
+    ``is_squarefree``, kept as an oracle."""
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_is_squarefree_matches_trial_squares():
+    # the cofactor left after the cube root has at most two prime factors:
+    # p^2 with p above the cube root must still be caught
+    rng = rng_for("squarefree")
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    ds = list(range(1, 3000)) + [rng.randint(1, 10**6) for _ in range(3000)]
+    ds += [p * p for p in primes] + [p * p * q for p in primes[:20] for q in primes[-20:]]
+    ds += [p * q for p in primes[-30:] for q in primes[-30:]]
+    for d in ds:
+        assert V.is_squarefree(d) == _squarefree_by_trial_squares(d), d
+
+
+def test_is_squarefree_charges_the_node_budget():
+    d = 10**29 + 319  # a 30-digit prime: its cube root is far above the budget
+    with node_budget(1000):
+        with pytest.raises(ResourceLimitError) as e:
+            V.is_squarefree(d)
+    assert e.value.limit == 1000
+    with node_budget(1000):
+        assert V.is_squarefree(997 * 991 * 983) and not V.is_squarefree(4 * d)
 
 
 def test_divisible_elements():

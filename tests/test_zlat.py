@@ -1046,8 +1046,29 @@ def test_overlattice_quotients_and_coords():
         assert o.coords((1, 0)) is not None
 
 
+def test_combine_matches_stepwise_add_and_scale():
+    # combine reduces once at the end; adding the reduced multiples one at a
+    # time gives the same element, also from unreduced inputs
+    rng = rng_for("combine")
+    for _ in range(400):
+        amb = FgAbelianGroup(rng.randint(0, 3), rng.choice([(), (2,), (3,), (2, 4), (2, 6, 12)]))
+        k = rng.randint(0, 5)
+        elems = [tuple(rng.randint(-13, 13) for _ in range(amb.dim)) for _ in range(k)]
+        coeffs = [rng.randint(-4, 4) for _ in range(k)]
+        acc = amb.zero()
+        for c, g in zip(coeffs, elems):
+            acc = amb.add(acc, amb.scale(c, g))
+        assert amb.combine(coeffs, elems) == acc
+
+
 def test_overlattice_coprimality_error():
     with pytest.raises(CoprimalityError):
         enumerate_overlattices(2, 4, PrimeSet.of(2))
     with pytest.raises(CoprimalityError):
         enumerate_overlattices(1, 3, PrimeSet.all_except(5))
+    # decided without factoring n: a 20-digit prime index of a rank-1 lattice
+    n = 10**19 + 51
+    with pytest.raises(CoprimalityError) as e:
+        enumerate_overlattices(1, n, PrimeSet.all_except(5))
+    assert f"{n}" in str(e.value) and "all primes except {5}" in str(e.value)
+    assert len(enumerate_overlattices(1, n, PrimeSet.of(2, 3))) == 1
