@@ -9,9 +9,10 @@ included), 2 error.  Reports are byte-identical across runs under
 
 ``--budget N`` (or a request's ``budget``) is a per-search node budget:
 every branch-and-bound and completion search of the request, parse-time
-membership checks included, may expand at most N nodes, and every trial
-division (of a lattice's d, of each prime of the prime set) may try at
-most N divisors.  Without it,
+membership checks included, may expand at most N nodes, every trial
+division (of a lattice's d, of each prime of the prime set, of a cover
+index) may try at most N divisors, and an overlattice enumeration
+(``covers``) may build at most N Hermite forms.  Without it,
 ``main`` gives the request the value of ``SATMON_BUDGET`` if that is set
 (under ``run``, each request of the document that has no budget of its
 own), so a malformed value is a schema violation of that request; the
@@ -473,7 +474,10 @@ def build_parser():
                 help="all primes except these (comma-separated)",
             )
             sp.add_argument(
-                "--budget", type=int, default=None, help="node budget of each search"
+                "--budget",
+                type=int,
+                default=None,
+                help="node budget of each search, trial division and overlattice enumeration",
             )
         if name == "pushout":
             sp.add_argument(

@@ -11,6 +11,7 @@ faces) is cached on first use.  All operations are pure.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import zlat
 from .errors import (
@@ -150,22 +151,22 @@ class AffineMonoid(Memoized):
         def build():
             free = self.free_gens()
             span = Lattice(free, self.ambient.rank).saturation()
-            coords = [span.coords(f) for f in free]
+            coords = tuple(span.coords(f) for f in free)
             nonzero = [c for c in coords if any(c)]
             facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
-            return _cone_data(span, coords, facets)
+            return Cone(span, coords, tuple(facets))
 
         return self._get("cone", build)
 
     def cone_facets(self):
-        return self._cone()[2]
+        return self._cone().facets
 
     def span_lattice(self):
-        return self._cone()[0]
+        return self._cone().span
 
     def cone_coords(self, x):
         """Coordinates of the free part of x in the span lattice, or None."""
-        span = self._cone()[0]
+        span = self._cone().span
         return span.coords(self.ambient.free_part(self.ambient.reduce(x)))
 
     # -- membership ----------------------------------------------------------
@@ -206,14 +207,20 @@ class AffineMonoid(Memoized):
         """Saturation inside the ambient group: {x : n x in P for some n>=1}.
 
         The result has the same cone and span lattice, so it is built from
-        them, and it is its own saturation.
+        them, on the rays and triangulation of the cone when it is pointed,
+        and it is its own saturation.
         """
-        return self._get(
-            "sat",
-            lambda: saturation_of_cone(
-                self.ambient, self.span_lattice(), self.cone_facets()
-            ),
-        )
+
+        def build():
+            cone = self._cone()
+            if cone.rays is None:
+                return saturation_of_cone(self.ambient, cone.span, cone.facets)
+            rays = [r for r, _ in cone.rays]
+            return saturation_of_cone(
+                self.ambient, cone.span, cone.facets, rays, cone.triangulation
+            )
+
+        return self._get("sat", build)
 
     def is_saturated(self):
         """Is P = sat(P)?  Decided from the cone, without a search.
@@ -246,16 +253,16 @@ class AffineMonoid(Memoized):
         generators generate.
         """
         sat = self.saturate()
-        _, coords, facets, _ = self._cone()
+        facets = self.cone_facets()
         zero = (0,) * len(facets)
 
         def values(c):
             return tuple(vdot(f, c) for f in facets)
 
-        gvals = [values(c) for c in coords]
+        gvals = [values(c) for c in self._cone().coords]
         reached = set(gvals)
         units = None
-        for s, c in zip(sat.gens, sat._cone()[1]):
+        for s, c in zip(sat.gens, sat._cone().coords):
             v = values(c)
             if v != zero:
                 if v not in reached:
@@ -272,15 +279,8 @@ class AffineMonoid(Memoized):
     # -- faces -----------------------------------------------------------------
 
     def _closure(self, idxs):
-        span, coords, facets, kills = self._cone()
-        j_active = [
-            j for j in range(len(facets)) if all(kills[j][i] for i in idxs)
-        ]
-        return tuple(
-            i
-            for i in range(self.ngens)
-            if all(kills[j][i] for j in j_active)
-        )
+        active = [row for row in self._cone().kills if all(row[i] for i in idxs)]
+        return tuple(i for i in range(self.ngens) if all(row[i] for row in active))
 
     def faces(self):
         """All faces, as Face objects sorted by (size, indices).
@@ -292,7 +292,7 @@ class AffineMonoid(Memoized):
 
         def build():
             found = {tuple(range(self.ngens))}
-            for row in self._cone()[3]:
+            for row in self._cone().kills:
                 found |= {tuple(i for i in face if row[i]) for face in found}
                 if len(found) > MAX_FACES:
                     raise ResourceLimitError(
@@ -324,12 +324,10 @@ class AffineMonoid(Memoized):
         s = amb.zero()
         for x in elements:
             s = amb.add(s, amb.reduce(x))
-        span, coords, facets, kills = self._cone()
-        sc = span.coords(amb.free_part(s))
-        j_active = [j for j in range(len(facets)) if vdot(facets[j], sc) == 0]
-        idxs = tuple(
-            i for i in range(self.ngens) if all(kills[j][i] for j in j_active)
-        )
+        cone = self._cone()
+        sc = cone.span.coords(amb.free_part(s))
+        active = [row for f, row in zip(cone.facets, cone.kills) if vdot(f, sc) == 0]
+        idxs = tuple(i for i in range(self.ngens) if all(row[i] for row in active))
         return Face(self, idxs)
 
     # -- localization and quotients ----------------------------------------------
@@ -394,34 +392,93 @@ class AffineMonoid(Memoized):
         raise NotHeightOneError("quotient by the face is not isomorphic to N")
 
 
-def _cone_data(span, coords, facets):
-    """The ``_cone`` tuple: kills[j][i] says facet j vanishes on generator i."""
-    kills = [tuple(vdot(f, c) == 0 for c in coords) for f in facets]
-    return span, coords, facets, kills
+@dataclass(frozen=True)
+class Cone:
+    """The rational cone of a monoid's free parts, in span coordinates.
+
+    ``span`` is the saturated lattice the free parts span (the cone is
+    full-dimensional in it), ``coords`` the span coordinates of the
+    generators and ``facets`` the sorted primitive facet normals, empty when
+    the cone is all of ``span``.  The incidence, the rays and the
+    triangulation are built when first read.
+    """
+
+    span: Lattice
+    coords: tuple
+    facets: tuple
+
+    @cached_property
+    def kills(self):
+        """kills[j][i]: facet j vanishes on generator i."""
+        return tuple(tuple(vdot(f, c) == 0 for c in self.coords) for f in self.facets)
+
+    @cached_property
+    def rays(self):
+        """The extreme rays as sorted (ray, mask) pairs, or None with units.
+
+        A ray is a primitive vector, a mask has bit j when facet j vanishes
+        on it.  A nonzero generator on every facet is a unit; without one
+        the cone is pointed, and since it is generated by the generators,
+        each extreme ray carries one.  A generator on a ray vanishes on a
+        set of facets that no other nonzero point's set contains; one in a
+        face of dimension >= 2 vanishes on a proper subset of the set of a
+        ray of that face.  So the rays are the generators whose sets are
+        inclusion-maximal, divided by their (positive) gcd.
+        """
+        pairs = [
+            (c, sum(1 << j for j, row in enumerate(self.kills) if row[i]))
+            for i, c in enumerate(self.coords)
+            if any(c)
+        ]
+        masks = {m for _, m in pairs}
+        if (1 << len(self.facets)) - 1 in masks:
+            return None
+        rays = {}
+        for c, m in pairs:
+            if m not in rays and not any(m != o and m & o == m for o in masks):
+                g = zlat.vgcd(c)
+                rays[m] = tuple(x // g for x in c)
+        return tuple(sorted((r, m) for m, r in rays.items()))
+
+    @cached_property
+    def triangulation(self):
+        """The pulling triangulation on ``rays``: bitmasks of ray indices."""
+        if self.rays is None:
+            return None
+        masks = [m for _, m in self.rays]
+        return zlat.pulling_triangulation(masks, len(self.facets), self.span.rank)
 
 
-def saturation_of_cone(ambient: FgAbelianGroup, span: Lattice, facets):
+def saturation_of_cone(
+    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, simplices=None
+):
     """The saturated monoid {x : free part in ``span``, facet values >= 0}.
 
     ``span`` is a saturated lattice in the free part of ``ambient``
     (canonical basis) and ``facets`` the sorted primitive facet normals of
-    a cone in its coordinates, empty when the cone is all of ``span``.  The
-    generators are the torsion basis and the Hilbert basis of the cone;
-    the monoid carries that cone and is known to be its own saturation.
+    a cone in its coordinates, empty when the cone is all of ``span``.
+    ``rays`` and ``simplices`` are given when the cone is pointed and its
+    primitive extreme rays and a triangulation on them are known; then no
+    double description runs (``zlat.hilbert_from_hrep``).  The generators
+    are the torsion basis and the Hilbert basis of the cone, each Hilbert
+    element h being its own span coordinates; the monoid carries that cone
+    and is known to be its own saturation.
     """
     nt = len(ambient.torsion)
-    gens = [
-        (0,) * ambient.rank + tuple(1 if t == j else 0 for t in range(nt))
+    coords = {
+        (0,) * ambient.rank + tuple(1 if t == j else 0 for t in range(nt)): (0,) * span.rank
         for j in range(nt)
-    ]
+    }
     if span.rank:
-        sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
+        sharp, units = zlat.hilbert_from_hrep(facets, span.rank, rays, simplices)
+        cols = list(zip(*span.basis))
+        pad = (0,) * nt
         for h in sharp + units + [vneg(u) for u in units]:
-            free = [vdot(col, h) for col in zip(*span.basis)]
-            gens.append(tuple(free) + (0,) * nt)
-    sat = AffineMonoid(ambient, sorted(set(gens)))
-    coords = [span.coords(f) for f in sat.free_gens()]
-    sat._cache.update(cone=_cone_data(span, coords, facets), sat=sat, is_sat=True)
+            coords[tuple(vdot(col, h) for col in cols) + pad] = h
+    gens = sorted(coords)
+    sat = AffineMonoid(ambient, gens)
+    cone = Cone(span, tuple(coords[g] for g in gens), tuple(facets))
+    sat._cache.update(cone=cone, sat=sat, is_sat=True)
     return sat
 
 

@@ -5,7 +5,9 @@ P^gp tensor Z/n, and connected abelian covers of index n correspond to
 overlattices M of P^gp with [M : P^gp] = n and all prime factors of n
 outside the fixed prime set.  The cover monoid is the saturation of P
 inside M: same cone, refined lattice, so it is built straight from P's
-facets rewritten in M-coordinates.  P -> cone cap M is exact exactly when
+facets and rays rewritten in M-coordinates, on P's triangulation, which
+depends only on the ray-facet incidence and so serves every cover.
+P -> cone cap M is exact exactly when
 P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
 sat(P)), so the base is checked once, not each cover.
 
@@ -72,33 +74,42 @@ class KummerCover:
         return self.overlattice.index_over_standard()
 
 
-def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, span, facets):
-    """The cover of p for one overlattice M, given p's span lattice and facets.
+def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
+    """The cover of p for one overlattice M, given p's cone value.
 
-    p spans Z^r, so ``span`` is the identity lattice, which is also the span
-    of the cover in M-coordinates.  A point with M-coordinates c is
+    p spans Z^r, so its span is the identity lattice, which is also the
+    span of the cover in M-coordinates.  A point with M-coordinates c is
     c . rows / den, so a facet normal phi of p becomes rows . phi up to the
-    positive factor den: dividing by the (positive) gcd keeps it primitive
-    and on the same side.  The cover is cone cap M, the saturated monoid of
-    those facets.
+    positive factor den, and a ray x becomes den . x . rows^-1
+    (``over.coords``): dividing either by its (positive) gcd keeps it
+    primitive and on the same side.  The rays keep their facets, so p's
+    triangulation is one of the cover's cone.  The cover is cone cap M,
+    the saturated monoid of those facets.
 
     The structure map needs no check once p is saturated.  p spans Z^r
     and M contains Z^r with finite index, so the inclusion is injective
     with a finite cokernel.  The preimage of cone cap M in Z^r is
     cone cap Z^r = sat(p), so the map is exact exactly when p = sat(p).
     """
-    coords = []
-    for g in p.gens:
-        c = over.coords(g)
-        assert c is not None
-        coords.append(c)
-    normals = []
-    for phi in facets:
-        psi = [zlat.vdot(row, phi) for row in over.rows]
-        g = zlat.vgcd(psi)
-        normals.append(tuple(x // g for x in psi))
-    cover = saturation_of_cone(FgAbelianGroup(over.rank), span, sorted(normals))
+    coords = [over.coords(g) for g in p.gens]
+    normals = sorted(
+        _primitive([zlat.vdot(row, phi) for row in over.rows]) for phi in cone.facets
+    )
+    ambient = FgAbelianGroup(over.rank)
+    if cone.rays is None:
+        cover = saturation_of_cone(ambient, cone.span, normals)
+    else:
+        # p is saturated, so the primitive vector on each ray is a generator
+        at = dict(zip(p.gens, coords))
+        rays = [_primitive(at[x]) for x, _ in cone.rays]
+        cover = saturation_of_cone(ambient, cone.span, normals, rays, cone.triangulation)
     return KummerCover(p, over, cover, MonoidHom(p, cover, coords))
+
+
+def _primitive(v):
+    """v divided by the gcd of its entries, orientation kept."""
+    g = zlat.vgcd(v)
+    return tuple(x // g for x in v)
 
 
 def enumerate_covers(p: AffineMonoid, n, sigma):
@@ -126,8 +137,8 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
         raise PreconditionError(
             "cover construction requires a saturated base (injective + exact failed)"
         )
-    span, facets = p.span_lattice(), p.cone_facets()
-    return [_cover_from_overlattice(p, o, span, facets) for o in overs]
+    cone = p._cone()
+    return [_cover_from_overlattice(p, o, cone) for o in overs]
 
 
 def finite_pset_decomposition(cover: KummerCover):

@@ -29,7 +29,8 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # (each request of a ``--jobs`` batch) sees its own.
 _NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET)
 # Work cap of one cone computation: every ray that double description forms
-# and every point of every simplex's parallelepiped (its |det|) counts one.
+# (or that the caller knows) and every point of every simplex's
+# parallelepiped (its |det|) counts one.
 CONE_WORK_LIMIT = 4_000_000
 
 
@@ -48,17 +49,30 @@ def node_budget(n):
         _NODE_BUDGET.reset(token)
 
 
-def trial_divisors(more):
-    """k = 2, 3, 4, ... while ``more(k)``: one trial division, a node per k.
+def _node_meter(search):
+    """A function that charges one node of ``search`` per call.
 
-    A trial division is a search like any other: reaching a divisor past
-    the node budget raises ResourceLimitError carrying the budget.
+    The call past the node budget raises ResourceLimitError carrying the
+    budget, as every search does.
     """
     budget = _NODE_BUDGET.get()
+    nodes = 0
+
+    def charge():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(f"{search} node budget exceeded", budget)
+
+    return charge
+
+
+def trial_divisors(more):
+    """k = 2, 3, 4, ... while ``more(k)``: one trial division, a node per k."""
+    charge = _node_meter("trial division")
     k = 2
     while more(k):
-        if k > budget + 1:
-            raise ResourceLimitError("trial division node budget exceeded", budget)
+        charge()
         yield k
         k += 1
 
@@ -612,6 +626,21 @@ def _pulling_triangulation(face, fdim, hyperplanes, memo):
     return out
 
 
+def pulling_triangulation(masks, nrows, cdim):
+    """Pulling triangulation of a pointed cone of dimension ``cdim``.
+
+    ``masks[t]`` is the bitmask of the rows that ray t lies on, the only
+    thing the triangulation depends on; a row on every ray is an implicit
+    equation.  Returns the simplices as bitmasks of ray indices.
+    """
+    full = (1 << len(masks)) - 1
+    hyperplanes = {
+        sum(1 << t for t, m in enumerate(masks) if m >> i & 1) for i in range(nrows)
+    }
+    hyperplanes.discard(full)
+    return _pulling_triangulation(full, cdim, hyperplanes, {})
+
+
 def _parallelepiped_ys(s, W):
     """y = W (k_j L / s_j) mod L over k in prod [0, s_j), L = s_k; y = 0 first.
 
@@ -634,7 +663,7 @@ def _parallelepiped_ys(s, W):
     return ys
 
 
-def _hilbert_pointed(hrep_rows, dim):
+def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
     """Hilbert basis of {x : hrep . x >= 0} cap Z^dim for a pointed cone.
 
     Every irreducible element is a ray or a point of the half-open
@@ -643,29 +672,36 @@ def _hilbert_pointed(hrep_rows, dim):
     a candidate p is kept unless p - h lies in the cone for a kept h.  Such
     an h can be taken of degree <= deg(p) / 2, since a reducible p is a sum
     of at least two basis elements.  Rows must have rank dim.
+
+    A caller that knows the primitive extreme rays of a full-dimensional
+    cone passes them with ``simplices``, a triangulation on them as
+    bitmasks of ray indices; otherwise double description finds the rays
+    and they are triangulated by pulling.  The work charged against
+    CONE_WORK_LIMIT starts at the rays double description formed, or at the
+    number of known rays, and adds every simplex's |det|.
     """
     rows = [tuple(r) for r in hrep_rows]
-    pairs, work = _double_description(rows, dim)
-    if not pairs:
-        return []
-    rays = [r for r, _ in pairs]
-    nrays = len(rays)
-    full = (1 << nrays) - 1
-    hyperplanes = {
-        sum(1 << t for t, (_, m) in enumerate(pairs) if m >> i & 1)
-        for i in range(len(rows))
-    }
-    # a row on every ray is an implicit equation; without one the cone is
-    # full-dimensional
-    if full in hyperplanes:
-        hyperplanes.discard(full)
-        cdim = len(_independent_rows(rays, dim))
+    if rays is None:
+        pairs, work = _double_description(rows, dim)
+        if not pairs:
+            return []
+        rays = [r for r, _ in pairs]
+        masks = [m for _, m in pairs]
+        # a row on every ray is an implicit equation; without one the cone
+        # is full-dimensional
+        on_every_ray = masks[0]
+        for m in masks:
+            on_every_ray &= m
+        cdim = len(_independent_rows(rays, dim)) if on_every_ray else dim
+        simplices = pulling_triangulation(masks, len(rows), cdim)
     else:
+        work = len(rays)
         cdim = dim
+    nrays = len(rays)
     # every simplex is charged its |det| before any parallelepiped is
     # enumerated
     boxes = []
-    for simplex in _pulling_triangulation(full, cdim, hyperplanes, {}):
+    for simplex in simplices:
         idx = [t for t in range(nrays) if simplex >> t & 1]
         cols = [rays[t] for t in idx]
         if cdim == dim and abs(_det_and_adjugate(cols)[0]) == 1:
@@ -724,9 +760,16 @@ def _hilbert_pointed(hrep_rows, dim):
     )
 
 
-def hilbert_from_hrep(hrep_rows, dim):
-    """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis)."""
+def hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
+    """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis).
+
+    ``rays`` and ``simplices``, when given, are the extreme rays of the
+    cone, which is then pointed and full-dimensional, and a triangulation on
+    them (``_hilbert_pointed``); no double description runs.
+    """
     rows = [tuple(r) for r in hrep_rows]
+    if rays is not None:
+        return _hilbert_pointed(rows, dim, rays, simplices), []
     if len(_independent_rows(rows, dim)) == dim:
         # rows of rank dim: the cone is pointed, and no Smith form is needed
         # to find its (zero) lineality space
@@ -919,17 +962,22 @@ class Overlattice:
         return pres.group
 
 
-def _ordered_factorizations(m, parts):
+def _divisors(n):
+    """The divisors of n, ascending, found by (charged) trial division."""
+    small = [1] + [k for k in trial_divisors(lambda k: k * k <= n) if n % k == 0]
+    return sorted({d for k in small for d in (k, n // k)})
+
+
+def _ordered_factorizations(m, parts, divisors):
+    """Ordered factorizations of m into ``parts`` factors from ``divisors``."""
     if parts == 0:
         return [[]] if m == 1 else []
-    out = []
-    d = 1
-    while d <= m:
-        if m % d == 0:
-            for rest in _ordered_factorizations(m // d, parts - 1):
-                out.append([d] + rest)
-        d += 1
-    return out
+    return [
+        [d] + rest
+        for d in divisors
+        if m % d == 0
+        for rest in _ordered_factorizations(m // d, parts - 1, divisors)
+    ]
 
 
 def _sublattices_of_index(r, m, n):
@@ -937,14 +985,16 @@ def _sublattices_of_index(r, m, n):
 
     As upper-triangular HNF row bases.  Every sublattice of index m that
     contains n * Z^r is among them: its elements vanishing on coordinates
-    < i have i-th coordinates in d_i * Z, and n * e_i is one of them.
+    < i have i-th coordinates in d_i * Z, and n * e_i is one of them.  The
+    diagonal entries divide gcd(m, n); each Hermite form is a node of a
+    search charged to the node budget, as each trial division is.
     """
+    charge = _node_meter("overlattice enumeration")
     out = []
-    for diag in _ordered_factorizations(m, r):
-        if any(n % d for d in diag):
-            continue
+    for diag in _ordered_factorizations(m, r, _divisors(math.gcd(m, n))):
         def fill(i, rows):
             if i == r:
+                charge()
                 out.append([list(row) for row in rows])
                 return
             row = [0] * r
@@ -988,7 +1038,8 @@ def enumerate_overlattices(group, n, sigma=None):
     """All M with L <= M <= L tensor Q and [M : L] = n, L = Z^rank.
 
     ``group`` must be torsion-free.  n must be coprime to the prime set;
-    otherwise CoprimalityError.  Deterministic, duplicate-free.
+    otherwise CoprimalityError.  Deterministic, duplicate-free.  The
+    enumeration is charged to the node budget (``_sublattices_of_index``).
     """
     if isinstance(group, FgAbelianGroup):
         if group.torsion:

@@ -381,7 +381,8 @@ def integrality_box_violation(f, bound=3):
 
 def face_preimage(f, face):
     """The preimage face of a target face under a hom (by the facet test)."""
-    span, coords, facets, kills = f.target._cone()
+    cone = f.target._cone()
+    facets, kills = cone.facets, cone.kills
     j_active = [
         j for j in range(len(facets)) if all(kills[j][i] for i in face.indices)
     ]
@@ -403,11 +404,15 @@ def same_submonoid(a, b):
 
 
 def assert_matches_fresh(m):
-    """m carries its cone, and its cached cone, saturation and saturatedness
-    are those of a fresh copy on the same generators, computed from scratch."""
+    """m carries its cone, and its cached cone (with its rays and
+    triangulation), saturation and saturatedness are those of a fresh copy
+    on the same generators, computed from scratch."""
     assert "cone" in m._cache, m
     fresh = M.AffineMonoid(m.ambient, m.gens)
-    assert m._cone() == fresh._cone(), m
+    cone, fresh_cone = m._cone(), fresh._cone()
+    assert cone == fresh_cone, m
+    assert cone.rays == fresh_cone.rays, m
+    assert cone.triangulation == fresh_cone.triangulation, m
     assert m.saturate() == fresh.saturate(), m
     assert m.saturate()._cone() == fresh.saturate()._cone(), m
     assert m.is_saturated() == fresh.is_saturated(), m

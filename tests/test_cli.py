@@ -116,6 +116,7 @@ def test_version_mismatch():
         "saturate_numsg",
         "classify_half_s3",
         "covers_n2",
+        "covers_square_n3",
         "ogus_pushout",
         "spec_units_torsion",
         "rft_lex_ramified",

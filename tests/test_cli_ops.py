@@ -138,9 +138,10 @@ def test_large_moduli_are_not_factored(nat, nat2):
     assert f"{2 * (10**14 + 31)}" in res["message"] and "{2,3}" in res["message"]
 
 
-def test_trial_divisions_are_charged_to_the_budget(nat):
-    # a 30-digit d and a 20-digit prime of the prime set: trial division
-    # past the budget is a resource limit that carries the budget
+def test_trial_divisions_are_charged_to_the_budget(nat, nat2):
+    # a 30-digit d, a 20-digit prime of the prime set and the overlattices
+    # of Z^2 of a 15-digit prime index: trial division and overlattice
+    # enumeration past the budget are a resource limit that carries it
     lat = D.lattice_out(V.quadratic_line(2))
     lat["d"] = str(10**29 + 319)
     over = {"den": "1", "rows": [["1", "0"], ["0", "1"]]}
@@ -148,6 +149,8 @@ def test_trial_divisions_are_charged_to_the_budget(nat):
     for request in (
         req("kummer-classify", {"gamma": lat, "overlattice": over}, budget=100000),
         req("pi1", {"monoid": D.monoid_out(nat), "n": "2"}, big_prime, budget=100000),
+        req("covers", {"monoid": D.monoid_out(nat2), "n": str(10**14 + 31)},
+            {"primes": ["2"]}, budget=100000),
     ):
         t0 = time.perf_counter()
         res = _error(request)

@@ -13,6 +13,7 @@ from conftest import (
     same_submonoid,
 )
 from satmon import monoid as M
+from satmon import zlat
 from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError, ResourceLimitError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
 from satmon.zlat import FgAbelianGroup, Lattice, node_budget
@@ -111,6 +112,38 @@ def test_saturation_cone_matches_fresh_copy():
     assert len(with_units) >= 20
     assert sum(1 for m in monoids if m.ambient.torsion) >= 40
     assert sum(1 for m in monoids if not m.gens) >= 3
+
+
+def test_cone_rays_match_double_description_on_the_facets():
+    # the rays read off the generators' facet zero sets are the extreme rays
+    # that double description finds on the facets, with the same masks; a
+    # cone with units has none, so its saturation takes the quotient path
+    rng = rng_for("cone-rays-incidence")
+    monoids = [random_ambient_monoid(rng) for _ in range(300)]
+    while len(monoids) < 600:
+        # the Hilbert basis of a random H-cone, lower-dimensional when a
+        # row is negated
+        dim = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 2))]
+        if rng.random() < 0.3:
+            rows.append(tuple(-x for x in rows[0]))
+        sharp, units = zlat.hilbert_from_hrep(rows, dim)
+        gens = sharp + units + [tuple(-x for x in u) for u in units]
+        if gens:
+            monoids.append(monoid_from_vectors(gens, dim))
+    pointed = with_units = lower = 0
+    for m in monoids:
+        cone = m._cone()
+        rank = cone.span.rank
+        lower += rank < m.ambient.rank
+        if rank and (not cone.facets or zlat.kernel_basis([list(f) for f in cone.facets])):
+            assert cone.rays is None and cone.triangulation is None, m
+            with_units += 1
+            continue
+        pairs = zlat._double_description(list(cone.facets), rank)[0] if rank else []
+        assert cone.rays == tuple(sorted(pairs)), m
+        pointed += 1
+    assert pointed >= 300 and with_units >= 100 and lower >= 100
 
 
 def test_membership_witnesses():

@@ -124,6 +124,56 @@ def test_cover_cones_match_fresh_copies():
     assert {n for _, n in bases} == {2, 3, 4, 6}
 
 
+# lattice points of the five polygons of the satbench covers corpus
+_POLYGON_POINTS = (
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)),
+    ((0, 0), (1, 0), (2, 0), (0, 1)),
+    ((1, 0), (0, 1), (-1, -1), (0, 0)),
+    ((0, 0), (1, 0), (2, 0), (1, 1)),
+)
+
+
+def _saturation_on_facets(ambient, span, facets):
+    """Generators and cone of the saturation, built as before covers shared
+    the base's rays: double description on the facets finds the rays, and
+    each generator's span coordinates come from ``Lattice.coords``."""
+    gens = [
+        (0,) * ambient.rank + tuple(int(t == j) for t in range(len(ambient.torsion)))
+        for j in range(len(ambient.torsion))
+    ]
+    sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
+    pad = (0,) * len(ambient.torsion)
+    for h in sharp + units + [tuple(-x for x in u) for u in units]:
+        gens.append(tuple(zlat.vdot(col, h) for col in zip(*span.basis)) + pad)
+    gens = tuple(sorted(set(gens)))
+    coords = tuple(span.coords(ambient.free_part(g)) for g in gens)
+    return gens, M.Cone(span, coords, tuple(facets))
+
+
+def test_covers_match_saturation_by_double_description():
+    # every cover (n <= 8) of N^r (r <= 3), of the cones over [0, k] (k <= 3)
+    # and of the cones over five lattice polygons, sheared as in satbench,
+    # equals the saturation of its cone found without the base's rays: the
+    # facets of the generator images, and double description on them
+    rng = rng_for("cover-rays-differential")
+    families = [[tuple(int(i == j) for j in range(r)) for i in range(r)] for r in (1, 2, 3)]
+    families += [[(1, i) for i in range(k + 1)] for k in (1, 2, 3)]
+    families += [[(1, x, y) for x, y in pts] for pts in _POLYGON_POINTS]
+    seen = 0
+    for gens in families:
+        r = len(gens[0])
+        shear = [0] + [rng.randint(-1, 1) for _ in range(r - 1)]
+        base = M.monoid_from_vectors([tuple(g[i] + shear[i] * g[0] for i in range(r)) for g in gens])
+        for n in range(2, 9):
+            for c in pi1.enumerate_covers(base, n, PrimeSet.empty()):
+                images = M.AffineMonoid(FgAbelianGroup(r), c.hom.gen_images)
+                want = _saturation_on_facets(images.ambient, images.span_lattice(), images.cone_facets())
+                assert (c.cover.gens, c.cover._cone()) == want, (base, c.overlattice)
+                seen += 1
+    assert seen == 7 + 4 * 55 + 6 * 389
+
+
 def test_covers_refuse_a_non_saturated_base():
     # <2, 3> spans Z but misses 1: the base is checked after the modulus
     p = M.monoid_from_vectors([(2,), (3,)])

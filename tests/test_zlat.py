@@ -621,8 +621,12 @@ def _reference_box_hilbert(rays, hrep_rows, dim):
     return sorted(basis)
 
 
-def _reference_hilbert_from_hrep(hrep_rows, dim):
-    """``zlat.hilbert_from_hrep`` as it was, on the two reference kernels."""
+def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
+    """``zlat.hilbert_from_hrep`` as it was, on the two reference kernels.
+
+    Known rays and a triangulation are accepted and ignored: the oracle
+    finds the rays itself.
+    """
     rows = [tuple(r) for r in hrep_rows]
     lin = kernel_basis([list(r) for r in rows]) if rows else [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
@@ -1035,6 +1039,17 @@ def test_overlattices_match_unpruned_enumeration():
     # builds 14, 39, 140, 546 candidates instead of 35, 130, 651, 4550
     counts = [len(zlat._sublattices_of_index(3, n * n, n)) for n in (2, 3, 4, 6)]
     assert counts == [14, 39, 140, 546]
+
+
+def test_overlattice_enumeration_is_charged_to_the_budget():
+    # index 10007 (a prime) in Z^2: 99 trial divisions of 10007 and 10,008
+    # Hermite forms, one node each
+    with zlat.node_budget(10008):
+        assert len(enumerate_overlattices(2, 10007)) == 10008
+    for budget, search in ((98, "trial division"), (10007, "overlattice enumeration")):
+        with zlat.node_budget(budget), pytest.raises(ResourceLimitError, match=search) as err:
+            enumerate_overlattices(2, 10007)
+        assert err.value.limit == budget
 
 
 def test_overlattice_quotients_and_coords():
