@@ -8,11 +8,12 @@ included), 2 error.  Reports are byte-identical across runs under
 ``--deterministic`` (default): the timing field is then emitted as null.
 
 ``--budget N`` (or a request's ``budget``) is a per-search node budget:
-every branch-and-bound and completion search of the request, parse-time
-membership checks included, may expand at most N nodes, every trial
-division (of a lattice's d, of each prime of the prime set, of a cover
-index) may try at most N divisors, and an overlattice enumeration
-(``covers``) may build at most N Hermite forms.  Without it,
+every search and enumeration of the request, parse-time membership checks
+included, may charge at most N nodes.  That covers branch-and-bound and
+completion nodes, trial divisors, the Hermite forms of an overlattice
+enumeration, and the cones and faces of a monoid: the rays double
+description forms, each simplex's |det| in a Hilbert basis, each face,
+and each ordered pair of faces whose inclusion ``spec`` tests.  Without it,
 ``main`` gives the request the value of ``SATMON_BUDGET`` if that is set
 (under ``run``, each request of the document that has no budget of its
 own), so a malformed value is a schema violation of that request; the
@@ -32,7 +33,7 @@ from . import __version__, documents as D, homs, pi1 as pi1mod, valuative as val
 from .documents import FORMAT
 from .errors import ResourceLimitError, SatmonError, SchemaError
 from .sigma import PrimeSet
-from .zlat import DEFAULT_NODE_BUDGET, node_budget
+from .zlat import DEFAULT_NODE_BUDGET, _node_meter, node_budget
 
 
 def _parse_sigma(v, path):
@@ -94,11 +95,15 @@ def _op_spec(args, sigma, path):
     D._obj(args, path, ("monoid",))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     faces = m.faces()
-    order = []
-    for i, a in enumerate(faces):
-        for j, b in enumerate(faces):
-            if i != j and b.contains_face(a):
-                order.append([i, j])
+    # every ordered pair of faces is one inclusion test, charged up front
+    _node_meter("face inclusion")(len(faces) * (len(faces) - 1))
+    sets = [set(f.indices) for f in faces]
+    order = [
+        [i, j]
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets)
+        if i != j and a <= b
+    ]
     return {
         "faces": [{"gen_indices": [D.istr(i) for i in f.indices]} for f in faces],
         "inclusions": order,
@@ -477,7 +482,7 @@ def build_parser():
                 "--budget",
                 type=int,
                 default=None,
-                help="node budget of each search, trial division and overlattice enumeration",
+                help="node budget of each search and enumeration, cones and faces included",
             )
         if name == "pushout":
             sp.add_argument(

@@ -6,12 +6,12 @@ class SatmonError(Exception):
 
 
 class ResourceLimitError(SatmonError):
-    """A configured budget (nodes, cone work, face count) was exceeded.
+    """The node budget of one search or enumeration was exceeded.
 
     Distinct from a negative verdict: the computation was cut off, not decided.
     """
 
-    def __init__(self, message, limit=None):
+    def __init__(self, message, limit):
         super().__init__(message)
         self.limit = limit
 

@@ -509,7 +509,7 @@ def ramification_indices(f: MonoidHom) -> RamificationReport:
     # the face each generator image generates; an image lies on a face
     # exactly when the face contains that one
     image_faces = [f.target.face_generated_by([im]) for im in f.gen_images]
-    for face in f.target.faces():
+    for face in f.target.facet_faces():
         if face.corank() != 1:
             continue
         pre_idxs = [i for i, g in enumerate(image_faces) if face.contains_face(g)]

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import zlat
-from .errors import (
-    InvalidFaceError,
-    MembershipError,
-    NotHeightOneError,
-    ResourceLimitError,
-)
+from .errors import InvalidFaceError, MembershipError, NotHeightOneError
 from .zlat import FgAbelianGroup, Lattice, vdot, vneg
-
-MAX_FACES = 4096
 
 
 @dataclass(frozen=True)
@@ -287,20 +280,32 @@ class AffineMonoid(Memoized):
 
         A face is the set of generators on which some set of facets
         vanishes, so the faces are the whole generator set cut by the zero
-        set of each facet in turn.
+        set of each facet in turn.  Each face is charged one node before it is
+        kept.
         """
 
         def build():
+            charge = zlat._node_meter("face enumeration")
+            charge()
             found = {tuple(range(self.ngens))}
             for row in self._cone().kills:
-                found |= {tuple(i for i in face if row[i]) for face in found}
-                if len(found) > MAX_FACES:
-                    raise ResourceLimitError(
-                        "face count exceeds configured bound", MAX_FACES
-                    )
+                for face in list(found):
+                    cut = tuple(i for i in face if row[i])
+                    if cut not in found:
+                        charge()
+                        found.add(cut)
             return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
 
         return self._get("faces", build)
+
+    def facet_faces(self):
+        """The faces on which one facet vanishes, sorted as ``faces`` is.
+
+        They are the maximal proper faces, so every face of corank one is
+        among them, without enumerating the others.
+        """
+        found = {tuple(i for i in range(self.ngens) if row[i]) for row in self._cone().kills}
+        return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
 
     def face_from_indices(self, idxs):
         idxs = tuple(sorted(set(idxs)))

@@ -24,23 +24,21 @@ from ._lp import INFEASIBLE, LinearSystem
 from .errors import CoprimalityError, ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 1_000_000
-# Node budget of each branch-and-bound and completion search, set for a
-# block of work with ``node_budget``.  A context variable, so each thread
-# (each request of a ``--jobs`` batch) sees its own.
+# Node budget of each search and enumeration, set for a block of work with
+# ``node_budget``; only ``_node_meter`` and completion read it.  A context
+# variable, so each thread (each request of a ``--jobs`` batch) sees its own.
 _NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET)
-# Work cap of one cone computation: every ray that double description forms
-# (or that the caller knows) and every point of every simplex's
-# parallelepiped (its |det|) counts one.
-CONE_WORK_LIMIT = 4_000_000
 
 
 @contextmanager
 def node_budget(n):
-    """Every search started inside the block may expand at most ``n`` nodes.
+    """Every search or enumeration started inside the block may charge at
+    most ``n`` nodes.
 
-    The budget is per search call, not shared: each branch-and-bound or
-    completion run gets all ``n``.  Exceeding it raises ResourceLimitError
-    carrying ``n``.
+    The budget is per call, not shared: each branch-and-bound, completion,
+    trial division, overlattice enumeration, double description, Hilbert
+    basis and face enumeration gets all ``n``.  Exceeding it raises
+    ResourceLimitError carrying ``n``.
     """
     token = _NODE_BUDGET.set(n)
     try:
@@ -50,19 +48,20 @@ def node_budget(n):
 
 
 def _node_meter(search):
-    """A function that charges one node of ``search`` per call.
+    """A function ``charge(k=1)`` that adds k nodes of ``search``.
 
-    The call past the node budget raises ResourceLimitError carrying the
-    budget, as every search does.
+    It returns the running count; the call that takes the count past the
+    node budget raises ResourceLimitError carrying the budget.
     """
     budget = _NODE_BUDGET.get()
     nodes = 0
 
-    def charge():
+    def charge(k=1):
         nonlocal nodes
-        nodes += 1
+        nodes += k
         if nodes > budget:
             raise ResourceLimitError(f"{search} node budget exceeded", budget)
+        return nodes
 
     return charge
 
@@ -320,25 +319,6 @@ class FgAbelianGroup:
     def exponent_of_torsion(self):
         return self.torsion[-1] if self.torsion else 1
 
-    def torsion_elements(self, limit=100000):
-        total = math.prod(self.torsion) if self.torsion else 1
-        if total > limit:
-            raise ResourceLimitError("torsion subgroup too large to enumerate", limit)
-        out = []
-        idx = [0] * len(self.torsion)
-        while True:
-            out.append((0,) * self.rank + tuple(idx))
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < self.torsion[k]:
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
-        return out
-
     def element_order(self, v):
         v = self.reduce(v)
         if any(v[: self.rank]):
@@ -470,15 +450,6 @@ def span_presentation(ambient: FgAbelianGroup, elements):
 # 2001), followed by a degree-ordered sieve.
 
 
-def _charge(work):
-    if work > CONE_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"cone work exceeds CONE_WORK_LIMIT = {CONE_WORK_LIMIT} "
-            "(double-description rays plus parallelepiped points)",
-            CONE_WORK_LIMIT,
-        )
-
-
 def _independent_rows(rows, dim):
     """Indices of the rows independent of the rows before them (at most dim)."""
     echelon = []  # (pivot, row), each row zero at the earlier pivots
@@ -527,9 +498,9 @@ def _det_and_adjugate(a):
 def _double_description(rows, dim):
     """Extreme rays of the pointed cone {x : row . x >= 0}, with zero sets.
 
-    Returns (pairs, work): each pair is a primitive ray and the bitmask of
-    the rows it lies on (bit i for rows[i]); work counts every ray formed.
-    The rays of the simplicial cone of ``dim`` independent rows B are the
+    Returns pairs: each a primitive ray and the bitmask of the rows it lies
+    on (bit i for rows[i]).  Every ray formed is a node of the budget.  The
+    rays of the simplicial cone of ``dim`` independent rows B are the
     columns of |det B| * B^-1.  Each further row keeps the rays on its
     nonnegative side and joins each adjacent pair across it; two rays are
     adjacent when no third ray lies on every row that both lie on.
@@ -537,6 +508,8 @@ def _double_description(rows, dim):
     init = _independent_rows(rows, dim)
     if len(init) < dim:
         raise ValueError("the cone has a nonzero lineality space")
+    charge = _node_meter("double description")
+    charge(dim)
     det, adj = _det_and_adjugate([rows[i] for i in init])
     sign = 1 if det > 0 else -1
     tight = sum(1 << i for i in init)
@@ -545,7 +518,6 @@ def _double_description(rows, dim):
         col = [sign * row[j] for row in adj]
         g = vgcd(col)
         pairs.append((tuple(x // g for x in col), tight & ~(1 << init[j])))
-    work = dim
     start = set(init)
     for i, a in enumerate(rows):
         if i in start:
@@ -571,13 +543,12 @@ def _double_description(rows, dim):
                     # p and n themselves lie on every row of ``common``
                     if sum(1 for m in masks if m & common == common) > 2:
                         continue
+                    charge()
                     v = [sp * y - sn * x for x, y in zip(p, n)]
                     g = vgcd(v)
                     keep.append((tuple(x // g for x in v), common | bit))
-                    work += 1
-            _charge(work)
         pairs = keep
-    return pairs, work
+    return pairs
 
 
 def extreme_rays(hrep_rows, dim):
@@ -588,7 +559,7 @@ def extreme_rays(hrep_rows, dim):
     """
     if dim == 0:
         return []
-    pairs, _ = _double_description([tuple(r) for r in hrep_rows], dim)
+    pairs = _double_description([tuple(r) for r in hrep_rows], dim)
     return sorted(r for r, _ in pairs)
 
 
@@ -676,13 +647,13 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
     A caller that knows the primitive extreme rays of a full-dimensional
     cone passes them with ``simplices``, a triangulation on them as
     bitmasks of ray indices; otherwise double description finds the rays
-    and they are triangulated by pulling.  The work charged against
-    CONE_WORK_LIMIT starts at the rays double description formed, or at the
-    number of known rays, and adds every simplex's |det|.
+    and they are triangulated by pulling.  Each simplex is charged its |det|
+    (1 when unimodular) to the node budget, before any parallelepiped is
+    enumerated; double description is charged on its own.
     """
     rows = [tuple(r) for r in hrep_rows]
     if rays is None:
-        pairs, work = _double_description(rows, dim)
+        pairs = _double_description(rows, dim)
         if not pairs:
             return []
         rays = [r for r, _ in pairs]
@@ -695,26 +666,22 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
         cdim = len(_independent_rows(rays, dim)) if on_every_ray else dim
         simplices = pulling_triangulation(masks, len(rows), cdim)
     else:
-        work = len(rays)
         cdim = dim
     nrays = len(rays)
-    # every simplex is charged its |det| before any parallelepiped is
-    # enumerated
+    charge = _node_meter("Hilbert basis")
     boxes = []
     for simplex in simplices:
         idx = [t for t in range(nrays) if simplex >> t & 1]
         cols = [rays[t] for t in idx]
         if cdim == dim and abs(_det_and_adjugate(cols)[0]) == 1:
-            work += 1
+            charge()
             continue
         _, S, W = kernels.snf_with_transforms(
             [[c[i] for c in cols] for i in range(dim)]
         )
         s = [S[j][j] for j in range(cdim)]
-        work += math.prod(s)
-        _charge(work)
+        charge(math.prod(s))
         boxes.append((idx, s, W))
-    _charge(work)
     if not boxes:
         return sorted(rays)
     # A point is known by its row values (the rows have rank dim).  They are
@@ -840,7 +807,7 @@ def solve_nonneg(rows, b):
     b = list(b)
     if len(b) != m:
         raise ValueError("rhs length mismatch")
-    budget = _NODE_BUDGET.get()
+    charge = _node_meter("solve_nonneg")
 
     if cols == 0:
         if all(x == 0 for x in b):
@@ -871,13 +838,10 @@ def solve_nonneg(rows, b):
             sys.ge([sign if j == k else 0 for j in range(d)], rhs)
         return sys
 
-    nodes = 0
     stack = [{}]
     while stack:
         extra = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError("solve_nonneg node budget exceeded", budget)
+        nodes = charge()
         res = base_system(extra).maximize([0] * d)
         if res.status == INFEASIBLE:
             if not extra:

@@ -219,6 +219,23 @@ def test_resource_limit_reported():
     assert res["limit"] == 2000
 
 
+def test_cone_work_is_charged_to_the_request_budget():
+    # the one simplex of cone((1, 0), (1, 1001)) has |det| 1001: the
+    # Hilbert-basis search charges it before building a point, and refuses
+    m = monoid_from_vectors([(1, 0), (1, 1001)])
+    res = _error(req("saturate", {"monoid": D.monoid_out(m)}, budget=1000))
+    assert res["error"] == "resource-limit" and res["limit"] == 1000
+    assert "Hilbert basis" in res["message"]
+
+
+def test_face_inclusions_are_charged_before_they_are_tested():
+    # N^16 has 65,536 faces, so 65,536 * 65,535 ordered pairs to test: far
+    # past the default budget, refused before the first test
+    res = _error(req("spec", {"monoid": D.monoid_out(free_monoid(16))}))
+    assert res["error"] == "resource-limit" and res["limit"] == 1_000_000
+    assert "face inclusion" in res["message"]
+
+
 def test_tsuji_answers_within_the_budget():
     # the saturatedness checks of these charts are decided from the cone;
     # a membership search on a torsion ambient used to exhaust the budget

@@ -272,7 +272,6 @@ def test_group_arithmetic():
     assert g.element_order((0, 1, 0)) == 2
     assert g.element_order((0, 1, 1)) == 4
     assert g.element_order((1, 0, 0)) is None
-    assert len(g.torsion_elements()) == 8
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (3, 2))  # no divisibility chain
 
@@ -654,11 +653,28 @@ def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
 
 def test_hilbert_dimension_guard():
     # The cap is on work, not on dimension (N^9 is answered, above): the one
-    # simplex of cone((1, 0), (1, n)) has |det| n, so n parallelepiped points.
-    n = zlat.CONE_WORK_LIMIT + 1
-    with pytest.raises(ResourceLimitError, match="CONE_WORK_LIMIT") as err:
-        monoid_from_vectors([(1, 0), (1, n)]).saturate()
-    assert err.value.limit == zlat.CONE_WORK_LIMIT
+    # simplex of cone((1, 0), (1, b)) has |det| b, charged to the node budget
+    # before any parallelepiped point is built, so it fits a budget of b and
+    # b + 1 does not.
+    b = 1000
+    with zlat.node_budget(b):
+        assert len(monoid_from_vectors([(1, 0), (1, b)]).saturate().gens) == b + 1
+        with pytest.raises(ResourceLimitError, match="Hilbert basis") as err:
+            monoid_from_vectors([(1, 0), (1, b + 1)]).saturate()
+    assert err.value.limit == b
+
+
+def test_large_simplex_is_refused_before_its_points_are_built(monkeypatch):
+    # one simplex of |det| 2,924,207, past the default budget: refused
+    # before any of its 2.9M parallelepiped points is built
+    def no_points(*args):
+        raise AssertionError("a parallelepiped was enumerated")
+
+    monkeypatch.setattr(zlat, "_parallelepiped_ys", no_points)
+    rows = [(-1, -3, -3, 1), (-3, -1, 3, 2), (2, -1, 2, -2), (-2, 3, 1, -1)]
+    with pytest.raises(ResourceLimitError, match="Hilbert basis") as err:
+        zlat.hilbert_from_hrep(rows, 4)
+    assert err.value.limit == zlat.DEFAULT_NODE_BUDGET
 
 
 def _random_rows(rng, dim, fewest):
