@@ -7,13 +7,15 @@ the ops are CPU-bound, so threads do not speed them up).  Exit codes:
 included), 2 error.  Reports are byte-identical across runs under
 ``--deterministic`` (default): the timing field is then emitted as null.
 
-``--budget N`` (or a request's ``budget``) is a per-search node budget:
+``--budget N`` (or a request's ``budget``) is one node budget per request:
 every search and enumeration of the request, parse-time membership checks
-included, may charge at most N nodes.  That covers branch-and-bound and
-completion nodes, trial divisors, the Hermite forms of an overlattice
-enumeration, and the cones and faces of a monoid: the rays double
-description forms, each simplex's |det| in a Hilbert basis, each face,
-and each ordered pair of faces whose inclusion ``spec`` tests.  Without it,
+included, charges the same N nodes, and the one that takes the total past
+N is refused.  That covers branch-and-bound and completion nodes, trial
+divisors, the Hermite forms of an overlattice enumeration, the cones and
+faces of a monoid (the rays double description forms, each simplex's
+|det| in a Hilbert basis, each generator index a face cut scans, and each
+ordered pair of faces whose inclusion ``spec`` tests), and the candidates
+and combinations of the flattening-ideal search.  Without it,
 ``main`` gives the request the value of ``SATMON_BUDGET`` if that is set
 (under ``run``, each request of the document that has no budget of its
 own), so a malformed value is a schema violation of that request; the
@@ -295,7 +297,7 @@ def _op_covers(args, sigma, path):
             {
                 "overlattice": D.overlattice_out(c.overlattice),
                 "cover": D.monoid_out(c.cover),
-                "structure_gen_images": [D.ivec_out(v) for v in c.hom.gen_images],
+                "structure_gen_images": [D.ivec_out(v) for v in c.images],
                 "deck": D.group_out(c.deck_invariants()),
             }
         )
@@ -482,7 +484,7 @@ def build_parser():
                 "--budget",
                 type=int,
                 default=None,
-                help="node budget of each search and enumeration, cones and faces included",
+                help="node budget of the request, shared by all its searches and enumerations",
             )
         if name == "pushout":
             sp.add_argument(

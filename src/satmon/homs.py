@@ -374,13 +374,14 @@ def is_integral(f: MonoidHom) -> Verdict:
     are checked one by one as completion finds them, and the first without
     a witness, in completion order, is the certificate; completion stops
     there.  ``True`` needs completion to finish, so a ResourceLimitError
-    means the node budget ran out before any generator without a witness
-    turned up.  An ordered generator has a witness by construction, in any
-    ambient, torsion included: if a1 >= a2, then (0, a1 - a2, b1) is one,
-    because f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if
-    a2 >= a1, then (a2 - a1, 0, b2).  The trivial pairs and the b-only
-    generators are ordered.  The constructed witness is checked in the
-    target group, and only the other generators are searched.
+    means the node budget, which completion and the witness searches share,
+    ran out before any generator without a witness turned up.  An ordered
+    generator has a witness by construction, in any ambient, torsion
+    included: if a1 >= a2, then (0, a1 - a2, b1) is one, because
+    f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if a2 >= a1,
+    then (a2 - a1, 0, b2).  The trivial pairs and the b-only generators are
+    ordered.  The constructed witness is checked in the target group, and
+    only the other generators are searched.
     """
 
     def build():

@@ -192,11 +192,14 @@ def hnf_rows(a):
     return H, pivots
 
 
-def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
+def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
     """Minimal nonzero solutions of A v = 0 with v in N^q (Contejean-Devie).
 
-    ``amat`` is an m x q integer matrix.  Returns the sorted list of minimal
-    solutions, or None if more than ``budget`` nodes were expanded.
+    ``amat`` is an m x q integer matrix.  The search draws its nodes from a
+    budget of ``budget`` nodes that other searches may share (those inside
+    ``stop`` included): ``spend(k)`` adds k nodes and returns the nodes
+    left, and is never asked for more than are left.  Returns the sorted
+    list of minimal solutions, or None once the search needs more.
 
     ``stop``, if given, is called with each minimal solution (a tuple) the
     moment it is found, in completion order: level by level, level 0 in
@@ -211,12 +214,13 @@ def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
     A v = 0 is a solution unless an earlier solution lies below it; any other
     node that no solution lies below gets the children v + e_j with
     (A v) . A e_j < 0 that are new on their level and lie above no solution.
-    Every node of a level counts against ``budget``, so a given (A, budget)
-    always expands the same nodes and is refused at the same level.  The
-    refusal comes early: as soon as the nodes counted so far plus the
-    children made for the next level exceed ``budget``.  The next level
-    keeps every child made, so it would be refused on arrival; the answer
-    at every budget is the one of counting whole levels.
+    Every node of a level is spent when the level begins, so a given
+    (A, budget) always expands the same nodes and is refused at the same
+    level.  The refusal comes early: as soon as the children made for the
+    next level exceed the nodes left, which are read again after each
+    ``stop``.  The next level keeps every child made, so it would be
+    refused on arrival; the answer at every budget is the one of counting
+    whole levels.
 
     Encoding: a vector is one int with ``width``-bit fields, coordinate 0
     most significant, and a guard bit at the top of each field.  No
@@ -259,11 +263,11 @@ def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
     # node -> (packed A^T A v, |A v|^2, len(sols) when the node was made)
     level = {unit[j]: (signs + packed[j], gram[j][j], 0) for j in range(q)}
     order = unit
-    nodes = 0
+    left = spend(0)
     while order:
-        nodes += len(order)
-        if nodes > budget:
+        if len(order) > left:
             return None
+        left = spend(len(order))
         top = len(sols)
         nxt = {}
         for v in order:
@@ -275,8 +279,10 @@ def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
             else:
                 if not norm:
                     sols.append(v)
-                    if stop is not None and stop(tuple((v >> sh) & fmask for sh in shifts)):
-                        return _unpack_sorted(sols, shifts, fmask)
+                    if stop is not None:
+                        if stop(tuple((v >> sh) & fmask for sh in shifts)):
+                            return _unpack_sorted(sols, shifts, fmask)
+                        left = spend(0)
                     for j in range(q):
                         x = (v >> shifts[j]) & fmask
                         if x:
@@ -298,7 +304,7 @@ def cd_minimal_nonneg_solutions(amat, q, budget, stop=None):
                     else:
                         gj = ((g >> gshifts[j]) & gmask) - bias
                         nxt[w] = (g + packed[j], norm + 2 * gj + gram[j][j], made)
-                        if nodes + len(nxt) > budget:
+                        if len(nxt) > left:
                             return None
         level = nxt
         order = sorted(nxt)

@@ -280,20 +280,17 @@ class AffineMonoid(Memoized):
 
         A face is the set of generators on which some set of facets
         vanishes, so the faces are the whole generator set cut by the zero
-        set of each facet in turn.  Each face is charged one node before it is
-        kept.
+        set of each facet in turn.  Each cut is charged one node per
+        generator index it scans, before it scans them.
         """
 
         def build():
             charge = zlat._node_meter("face enumeration")
-            charge()
             found = {tuple(range(self.ngens))}
             for row in self._cone().kills:
                 for face in list(found):
-                    cut = tuple(i for i in face if row[i])
-                    if cut not in found:
-                        charge()
-                        found.add(cut)
+                    charge(len(face))
+                    found.add(tuple(i for i in face if row[i]))
             return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
 
         return self._get("faces", build)
@@ -441,8 +438,7 @@ class Cone:
         rays = {}
         for c, m in pairs:
             if m not in rays and not any(m != o and m & o == m for o in masks):
-                g = zlat.vgcd(c)
-                rays[m] = tuple(x // g for x in c)
+                rays[m] = zlat.primitive(c)
         return tuple(sorted((r, m) for m, r in rays.items()))
 
     @cached_property

@@ -17,6 +17,7 @@ materialized, and roots of unity enter only as abstract cyclic groups.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import zlat
@@ -60,12 +61,20 @@ def pi1_quotient(p: AffineMonoid, n, sigma) -> Pi1Quotient:
 
 @dataclass(frozen=True)
 class KummerCover:
-    """A connected abelian Kummer etale cover, recorded by its overlattice."""
+    """A connected abelian Kummer etale cover, recorded by its overlattice.
+
+    ``images`` are the cover coordinates of the base generators; the
+    structure map ``hom`` is built from them, and checked, when first read.
+    """
 
     base: AffineMonoid
     overlattice: Overlattice
     cover: AffineMonoid
-    hom: MonoidHom  # base -> cover
+    images: tuple
+
+    @cached_property
+    def hom(self) -> MonoidHom:
+        return MonoidHom(self.base, self.cover, self.images)
 
     def deck_invariants(self) -> FgAbelianGroup:
         return self.overlattice.quotient_by_standard()
@@ -91,9 +100,9 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     with a finite cokernel.  The preimage of cone cap M in Z^r is
     cone cap Z^r = sat(p), so the map is exact exactly when p = sat(p).
     """
-    coords = [over.coords(g) for g in p.gens]
+    coords = tuple(over.coords(g) for g in p.gens)
     normals = sorted(
-        _primitive([zlat.vdot(row, phi) for row in over.rows]) for phi in cone.facets
+        zlat.primitive([zlat.vdot(row, phi) for row in over.rows]) for phi in cone.facets
     )
     ambient = FgAbelianGroup(over.rank)
     if cone.rays is None:
@@ -101,15 +110,9 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     else:
         # p is saturated, so the primitive vector on each ray is a generator
         at = dict(zip(p.gens, coords))
-        rays = [_primitive(at[x]) for x, _ in cone.rays]
+        rays = [zlat.primitive(at[x]) for x, _ in cone.rays]
         cover = saturation_of_cone(ambient, cone.span, normals, rays, cone.triangulation)
-    return KummerCover(p, over, cover, MonoidHom(p, cover, coords))
-
-
-def _primitive(v):
-    """v divided by the gcd of its entries, orientation kept."""
-    g = zlat.vgcd(v)
-    return tuple(x // g for x in v)
+    return KummerCover(p, over, cover, coords)
 
 
 def enumerate_covers(p: AffineMonoid, n, sigma):
@@ -153,8 +156,8 @@ def finite_pset_decomposition(cover: KummerCover):
     q = cover.cover
     amb = q.ambient
     t_set = sorted({amb.combine(c, q.gens) for c in product(range(n), repeat=q.ngens)})
-    if cover.hom.gen_images:
-        image = AffineMonoid(amb, cover.hom.gen_images)
+    if cover.images:
+        image = AffineMonoid(amb, cover.images)
         in_image = lambda x: image.membership(x) is not None
     else:
         in_image = amb.is_zero

@@ -44,12 +44,11 @@ from .homs import (
 from .monoid import AffineMonoid
 from .zlat import Lattice, Overlattice
 
-# Bounds of the flattening-ideal search: ideals with up to FLATTEN_MAX_GENS
-# generators, each a sum of generators with coefficients up to
-# FLATTEN_COEFF_BOUND, and at most FLATTEN_COMBO_LIMIT antichains tried.
+# The region of the flattening-ideal search: ideals with up to
+# FLATTEN_MAX_GENS generators, each a sum of generators with coefficients up
+# to FLATTEN_COEFF_BOUND.  Its work is charged to the node budget.
 FLATTEN_MAX_GENS = 3
 FLATTEN_COEFF_BOUND = 3
-FLATTEN_COMBO_LIMIT = 20000
 
 
 def _frac_vec(v):
@@ -577,13 +576,14 @@ def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap):
     return KatoReport(ideal, a, p1, inc, hom1, integ.holds, factors)
 
 
-def _ideal_candidates(p: AffineMonoid, coeff_bound):
-    """Small elements of P (sums of generators, coefficients <= bound)."""
-    out = {
-        p.element_from_exponents(c)
-        for c in product(range(coeff_bound + 1), repeat=p.ngens)
-        if any(c)
-    }
+def _ideal_candidates(p: AffineMonoid, coeff_bound, charge):
+    """Small elements of P (sums of generators, coefficients <= bound),
+    each coefficient vector charged one node before it is summed."""
+    out = set()
+    for c in product(range(coeff_bound + 1), repeat=p.ngens):
+        charge()
+        if any(c):
+            out.add(p.element_from_exponents(c))
     return sorted(out, key=lambda v: (sum(abs(x) for x in v), v))
 
 
@@ -592,36 +592,27 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
 
     Tries ideals generated by up to FLATTEN_MAX_GENS sums of generators with
     coefficients up to FLATTEN_COEFF_BOUND, pruning generating sets that are
-    not antichains.  Raises SearchFailureError when nothing within the bounds
-    works (the caller may supply K explicitly).
+    not antichains.  Each candidate built and each combination tried is a
+    node of the "flattening-ideal search", charged to the node budget that
+    the searches it runs draw on too.  Raises SearchFailureError when
+    nothing within the bounds works (the caller may supply K explicitly).
     """
     p0 = chart.source
     if is_integral(chart).holds:
         zero = p0.ambient.zero()
         ideal = MonoidIdeal(p0, (zero,))
         return ideal, zero, kato_verify(chart, ideal, zero, anchor)
-    tried = 0
+    charge = zlat._node_meter("flattening-ideal search")
     for bound in range(1, FLATTEN_COEFF_BOUND + 1):
-        elems = _ideal_candidates(p0, bound)
+        elems = _ideal_candidates(p0, bound, charge)
         for size in range(2, FLATTEN_MAX_GENS + 1):
             for combo in combinations(elems, size):
-                antichain = True
-                for x in combo:
-                    for y in combo:
-                        if x != y and p0.contains(p0.ambient.sub(x, y)):
-                            antichain = False
-                            break
-                    if not antichain:
-                        break
-                if not antichain:
-                    continue
-                tried += 1
-                if tried > FLATTEN_COMBO_LIMIT:
-                    raise SearchFailureError(
-                        "flattening-ideal search exhausted its combination budget"
-                    )
+                charge()
+                if any(x != y and p0.contains(p0.ambient.sub(x, y))
+                       for x in combo for y in combo):
+                    continue  # not an antichain
                 ideal = MonoidIdeal(p0, combo)
-                a, _, _, ok, _ = vcp_select(p0, ideal, anchor)
+                a = vcp_select(p0, ideal, anchor)[0]
                 rep = kato_verify(chart, ideal, a, anchor)
                 if rep.integral and rep.factors_through_base:
                     return ideal, a, rep

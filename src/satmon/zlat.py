@@ -9,7 +9,8 @@ with exact LP pruning), and finite-index overlattice enumeration.
 
 All vectors are tuples of Python ints; all matrices lists of rows.  Values
 are immutable after construction and every operation is a pure function, so
-everything here is safe to share across threads.
+everything here is safe to share across threads.  Work is bounded by one
+node budget per request (``node_budget``), shared by all its searches.
 """
 
 import contextvars
@@ -24,23 +25,24 @@ from ._lp import INFEASIBLE, LinearSystem
 from .errors import CoprimalityError, ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 1_000_000
-# Node budget of each search and enumeration, set for a block of work with
-# ``node_budget``; only ``_node_meter`` and completion read it.  A context
-# variable, so each thread (each request of a ``--jobs`` batch) sees its own.
-_NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET)
+# The current block's budget as [n, nodes charged so far], None outside any
+# block; read only by ``_node_meter``.  A context variable, so each thread
+# (each request of a ``--jobs`` batch) sees its own.
+_NODE_BUDGET = contextvars.ContextVar("node_budget", default=None)
 
 
 @contextmanager
 def node_budget(n):
-    """Every search or enumeration started inside the block may charge at
-    most ``n`` nodes.
+    """One budget of ``n`` nodes for the block (one budget per request:
+    ``cli.run_request`` opens one block for each).
 
-    The budget is per call, not shared: each branch-and-bound, completion,
-    trial division, overlattice enumeration, double description, Hilbert
-    basis and face enumeration gets all ``n``.  Exceeding it raises
-    ResourceLimitError carrying ``n``.
+    Every search and enumeration started inside the block (branch-and-bound,
+    completion, trial division, overlattice enumeration, double description,
+    Hilbert basis, faces, the flattening-ideal search) charges the same
+    meter; the one that takes the total past ``n`` raises ResourceLimitError
+    carrying ``n``.  An inner block starts a fresh budget.
     """
-    token = _NODE_BUDGET.set(n)
+    token = _NODE_BUDGET.set([n, 0])
     try:
         yield n
     finally:
@@ -48,21 +50,23 @@ def node_budget(n):
 
 
 def _node_meter(search):
-    """A function ``charge(k=1)`` that adds k nodes of ``search``.
+    """A function ``charge(k=1)`` that adds k nodes of ``search`` to the
+    block's budget and returns the nodes left.
 
-    It returns the running count; the call that takes the count past the
-    node budget raises ResourceLimitError carrying the budget.
+    The call that takes the block's total past its budget, ``charge.limit``,
+    raises ResourceLimitError naming ``search`` and carrying the budget.
+    Outside any block the meter has ``DEFAULT_NODE_BUDGET`` of its own.
     """
-    budget = _NODE_BUDGET.get()
-    nodes = 0
+    block = _NODE_BUDGET.get() or [DEFAULT_NODE_BUDGET, 0]
+    limit = block[0]
 
     def charge(k=1):
-        nonlocal nodes
-        nodes += k
-        if nodes > budget:
-            raise ResourceLimitError(f"{search} node budget exceeded", budget)
-        return nodes
+        block[1] += k
+        if block[1] > limit:
+            raise ResourceLimitError(f"{search} node budget exceeded", limit)
+        return limit - block[1]
 
+    charge.limit = limit
     return charge
 
 
@@ -108,17 +112,9 @@ def vgcd(u):
 
 
 def primitive(u):
-    """Divide by the gcd; orient so the first nonzero entry is positive."""
+    """u divided by the (positive) gcd of its entries, orientation kept."""
     g = vgcd(u)
-    if g == 0:
-        return tuple(u)
-    v = tuple(a // g for a in u)
-    for a in v:
-        if a > 0:
-            return v
-        if a < 0:
-            return vneg(v)
-    return v
+    return tuple(a // g for a in u) if g else tuple(u)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +511,7 @@ def _double_description(rows, dim):
     tight = sum(1 << i for i in init)
     pairs = []
     for j in range(dim):
-        col = [sign * row[j] for row in adj]
-        g = vgcd(col)
-        pairs.append((tuple(x // g for x in col), tight & ~(1 << init[j])))
+        pairs.append((primitive([sign * row[j] for row in adj]), tight & ~(1 << init[j])))
     start = set(init)
     for i, a in enumerate(rows):
         if i in start:
@@ -545,8 +539,7 @@ def _double_description(rows, dim):
                         continue
                     charge()
                     v = [sp * y - sn * x for x, y in zip(p, n)]
-                    g = vgcd(v)
-                    keep.append((tuple(x // g for x in v), common | bit))
+                    keep.append((primitive(v), common | bit))
         pairs = keep
     return pairs
 
@@ -766,15 +759,16 @@ def nonneg_kernel_generators(rows, stop=None):
 
     ``stop`` sees each solution as completion finds it and can end the
     search early (``kernels.cd_minimal_nonneg_solutions``); the solutions
-    found by then are returned.
+    found by then are returned.  Completion spends each level it expands
+    from the block's budget, which the searches inside ``stop`` share.
     """
     q = len(rows[0]) if rows else 0
     if q == 0:
         return []
-    budget = _NODE_BUDGET.get()
-    out = kernels.cd_minimal_nonneg_solutions(rows, q, budget, stop)
+    charge = _node_meter("completion")
+    out = kernels.cd_minimal_nonneg_solutions(rows, q, charge.limit, charge, stop)
     if out is None:
-        raise ResourceLimitError("completion node budget exceeded", budget)
+        raise ResourceLimitError("completion node budget exceeded", charge.limit)
     return [tuple(v) for v in out]
 
 
@@ -839,9 +833,11 @@ def solve_nonneg(rows, b):
         return sys
 
     stack = [{}]
+    nodes = 0
     while stack:
         extra = stack.pop()
-        nodes = charge()
+        nodes += 1
+        charge()
         res = base_system(extra).maximize([0] * d)
         if res.status == INFEASIBLE:
             if not extra:

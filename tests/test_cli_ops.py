@@ -10,6 +10,7 @@ from satmon import homs as H
 from satmon import monoid as M
 from satmon import valuative as V
 from satmon.monoid import free_monoid, monoid_from_vectors
+from satmon.zlat import node_budget
 
 
 def req(op, args, sigma=None, budget=None):
@@ -217,14 +218,42 @@ def test_resource_limit_reported():
     res = _error(req("classify", {"hom": hom}, budget=2000))
     assert res["error"] == "resource-limit"
     assert res["limit"] == 2000
+    assert "completion" in res["message"]
+
+
+def test_searches_of_a_request_share_its_budget():
+    # spec on N^4: double description and face enumeration charge 4 + 43
+    # nodes, the 16 * 15 ordered face pairs 240.  Each fits a budget of 240,
+    # but not both: the request needs 287
+    m = D.monoid_out(free_monoid(4))
+    with node_budget(240):
+        assert len(free_monoid(4).faces()) == 16
+    res = _error(req("spec", {"monoid": m}, budget=240))
+    assert res["error"] == "resource-limit" and res["limit"] == 240
+    assert "face inclusion" in res["message"]
+    rep, code = cli.run_request(req("spec", {"monoid": m}, budget=287))
+    assert code == 0, rep["result"]
+
+
+def test_requests_of_a_batch_keep_their_budgets_apart():
+    # each request uses 287 of its 480 nodes (60%); on two threads, or one
+    # after the other, neither draws on the other's budget
+    item = req("spec", {"monoid": D.monoid_out(free_monoid(4))}, budget=480)
+    batch = {"format": "satmon/1", "kind": "batch", "requests": [item, item]}
+    for jobs in (1, 2):
+        rep, code = cli.run_batch(batch, jobs=jobs)
+        assert code == 0 and [r["status"] for r in rep["reports"]] == ["ok", "ok"]
 
 
 def test_cone_work_is_charged_to_the_request_budget():
     # the one simplex of cone((1, 0), (1, 1001)) has |det| 1001: the
-    # Hilbert-basis search charges it before building a point, and refuses
+    # Hilbert-basis search charges it before building a point, after the 2
+    # rays double description forms, so the request needs 1003 nodes
     m = monoid_from_vectors([(1, 0), (1, 1001)])
-    res = _error(req("saturate", {"monoid": D.monoid_out(m)}, budget=1000))
-    assert res["error"] == "resource-limit" and res["limit"] == 1000
+    rep, code = cli.run_request(req("saturate", {"monoid": D.monoid_out(m)}, budget=1003))
+    assert code == 0, rep["result"]
+    res = _error(req("saturate", {"monoid": D.monoid_out(m)}, budget=1002))
+    assert res["error"] == "resource-limit" and res["limit"] == 1002
     assert "Hilbert basis" in res["message"]
 
 

@@ -629,6 +629,7 @@ def test_is_integral_agrees_with_the_sorted_list_loop():
                 loop_answered = True
             except ResourceLimitError:
                 loop_answered = False
+        with zlat.node_budget(2000):
             try:
                 got = H.is_integral(f)
             except ResourceLimitError:
@@ -648,9 +649,9 @@ def test_is_integral_answers_before_completion_overflows():
     # witness; the full list does not fit in 2000 nodes
     gens = [(1, 0), (1, 1), (1, 2)]
     f = H.MonoidHom(monoid_from_vectors(gens), monoid_from_vectors(gens), [(2, 1), (4, 3), (6, 5)])
+    with zlat.node_budget(2000), pytest.raises(ResourceLimitError):
+        _first_unwitnessed_in_sorted_order(f)
     with zlat.node_budget(2000):
-        with pytest.raises(ResourceLimitError):
-            _first_unwitnessed_in_sorted_order(f)
         v = H.is_integral(f)
     assert not v.holds
     cert = v.certificate

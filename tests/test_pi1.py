@@ -6,7 +6,7 @@ from conftest import assert_matches_fresh, random_affine_monoid, rng_for, same_s
 from satmon import homs as H
 from satmon import monoid as M
 from satmon import pi1, zlat
-from satmon.errors import CoprimalityError, PreconditionError
+from satmon.errors import CoprimalityError, MembershipError, PreconditionError
 from satmon.monoid import free_monoid, from_presentation, FpMonoid
 from satmon.sigma import PrimeSet
 from satmon.zlat import FgAbelianGroup
@@ -40,6 +40,29 @@ def test_covers_of_nat_index3(nat):
     assert c.cover.gens == ((1,),)
     assert c.hom.gen_images == ((3,),)  # 1 maps to 3*(1/3)
     assert c.deck_invariants().torsion == (3,)
+
+
+def test_covers_build_their_structure_maps_when_read(monkeypatch):
+    # the construction proves each structure map a hom, so a covers request
+    # builds none; reading ``hom`` builds one, and so checks the images
+    from satmon import cli, documents as D
+
+    real = H.MonoidHom
+
+    def refuse(*args):
+        raise AssertionError("a structure map was built")
+
+    monkeypatch.setattr(pi1, "MonoidHom", refuse)
+    request = {"format": "satmon/1", "kind": "request", "op": "covers",
+               "args": {"monoid": D.monoid_out(free_monoid(2)), "n": "2"}}
+    rep, code = cli.run_request(request)
+    assert code == 0 and rep["result"]["count"] == "3", rep["result"]
+    monkeypatch.setattr(pi1, "MonoidHom", real)
+    c = pi1.enumerate_covers(free_monoid(2), 2, PrimeSet.empty())[0]
+    assert c.hom.gen_images == c.images
+    bad = pi1.KummerCover(c.base, c.overlattice, c.cover, ((-1, 0), (0, 1)))
+    with pytest.raises(MembershipError):
+        bad.hom
 
 
 def test_covers_of_nat2_index2(nat2):

@@ -90,8 +90,13 @@ def test_is_squarefree_charges_the_node_budget():
         with pytest.raises(ResourceLimitError) as e:
             V.is_squarefree(d)
     assert e.value.limit == 1000
-    with node_budget(1000):
+    # 982 trial divisions for the first, and one more finds 4 | 4d
+    with node_budget(983):
         assert V.is_squarefree(997 * 991 * 983) and not V.is_squarefree(4 * d)
+    with node_budget(982):
+        assert V.is_squarefree(997 * 991 * 983)
+        with pytest.raises(ResourceLimitError):
+            V.is_squarefree(4 * d)
 
 
 def test_divisible_elements():
@@ -416,6 +421,22 @@ def test_kato_bounded_search_flattens_ogus(lex2):
     ideal, a, rep = V.find_flattening_ideal(theta, anchor)
     assert rep.integral and rep.factors_through_base
     assert len(ideal.generators) >= 2
+
+
+def test_flattening_search_is_charged_to_the_budget():
+    # P = <(1, i) : i < 12> -> N, every generator to 1, is not integral.
+    # The search's first candidates are the 2^12 coefficient vectors in
+    # {0, 1}^12, one node each, so it is refused at budget 1000 and answers
+    # at 5000
+    p = monoid_from_vectors([(1, i) for i in range(12)])
+    chart = H.MonoidHom(p, free_monoid(1), [(1,)] * 12)
+    anchor = V.LatticeMap(V.lex_lattice(2), p, list(p.gens))
+    with node_budget(1000), pytest.raises(ResourceLimitError, match="flattening-ideal search") as e:
+        V.find_flattening_ideal(chart, anchor)
+    assert e.value.limit == 1000
+    with node_budget(5000):
+        ideal, _, rep = V.find_flattening_ideal(chart, anchor)
+    assert ideal.generators == ((1, 0), (1, 1)) and rep.integral
 
 
 def p_anchor_value(p, i):

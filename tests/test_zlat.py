@@ -654,14 +654,16 @@ def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
 def test_hilbert_dimension_guard():
     # The cap is on work, not on dimension (N^9 is answered, above): the one
     # simplex of cone((1, 0), (1, b)) has |det| b, charged to the node budget
-    # before any parallelepiped point is built, so it fits a budget of b and
-    # b + 1 does not.
+    # before any parallelepiped point is built, after the 2 rays double
+    # description forms for the facets.  So it fits a budget of b + 2, and
+    # cone((1, 0), (1, b + 1)) does not.
     b = 1000
-    with zlat.node_budget(b):
+    with zlat.node_budget(b + 2):
         assert len(monoid_from_vectors([(1, 0), (1, b)]).saturate().gens) == b + 1
+    with zlat.node_budget(b + 2):
         with pytest.raises(ResourceLimitError, match="Hilbert basis") as err:
             monoid_from_vectors([(1, 0), (1, b + 1)]).saturate()
-    assert err.value.limit == b
+    assert err.value.limit == b + 2
 
 
 def test_large_simplex_is_refused_before_its_points_are_built(monkeypatch):
@@ -875,6 +877,13 @@ def _completion_order(sols):
     return sorted(sols, key=lambda s: (sum(s), tuple(-x for x in s) if sum(s) == 1 else s))
 
 
+def _cd(amat, q, budget, stop=None):
+    """The completion kernel with a budget of its own."""
+    with zlat.node_budget(budget):
+        charge = zlat._node_meter("completion")
+        return kernels.cd_minimal_nonneg_solutions(amat, q, budget, charge, stop)
+
+
 def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
     """Both kernels agree, None included, at every budget 0 .. N + 1.
 
@@ -893,8 +902,8 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
     """
     seen = []
     if _reference_cd(amat, q, cap) is None:
-        assert kernels.cd_minimal_nonneg_solutions(amat, q, cap) is None, amat
-        assert kernels.cd_minimal_nonneg_solutions(amat, q, cap, seen.append) is None, amat
+        assert _cd(amat, q, cap) is None, amat
+        assert _cd(amat, q, cap, seen.append) is None, amat
         return
     lo, hi = -1, 1
     while _reference_cd(amat, q, hi) is None:
@@ -916,13 +925,13 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
 
     for budget in range(hi + 2):
         want = full if budget >= hi else None
-        assert kernels.cd_minimal_nonneg_solutions(amat, q, budget) == want, (amat, budget)
+        assert _cd(amat, q, budget) == want, (amat, budget)
         seen.clear()
-        assert kernels.cd_minimal_nonneg_solutions(amat, q, budget, seen.append) == want
+        assert _cd(amat, q, budget, seen.append) == want
         assert seen == (order if want is not None else order[: len(seen)]), (amat, budget)
         k = budget % len(order) + 1 if order else 1
         seen.clear()
-        out = kernels.cd_minimal_nonneg_solutions(amat, q, budget, stop_at(k))
+        out = _cd(amat, q, budget, stop_at(k))
         assert seen == order[: len(seen)] and len(seen) <= k, (amat, budget, k)
         if len(seen) == k:
             assert out == sorted(seen), (amat, budget, k)
@@ -930,8 +939,24 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
             assert out == want, (amat, budget, k)
     for k in range(1, len(order) + 1):
         seen.clear()
-        out = kernels.cd_minimal_nonneg_solutions(amat, q, hi, stop_at(k))
+        out = _cd(amat, q, hi, stop_at(k))
         assert seen == order[:k] and out == sorted(seen), (amat, k)
+
+
+def test_cd_kernel_leaves_to_stop_what_it_spends():
+    # x + 2y = z + 2w takes 10 nodes of completion.  A stop that spends one
+    # node of the same budget on each solution leaves it one short after the
+    # first, so at budget 10 the kernel returns None, without asking for more
+    # than is left; without that stop it answers.
+    amat = [[1, 2, -1, -2]]
+    assert _cd(amat, 4, 10) == [(0, 1, 0, 1), (0, 1, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
+    with zlat.node_budget(10):
+        witness = zlat._node_meter("witness")
+        charge = zlat._node_meter("completion")
+        seen = []
+        stop = lambda s: seen.append(s) or witness() < 0
+        assert kernels.cd_minimal_nonneg_solutions(amat, 4, 10, charge, stop) is None
+        assert seen == [(0, 1, 0, 1)] and charge(0) >= 0
 
 
 def test_cd_packed_kernel_matches_reference_on_random_matrices():
@@ -989,7 +1014,7 @@ def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
         [0, 3, 0, -3, 0, 1, 2, 0, 1, 0, 0, -1, -2, 0, -1, 0],
     ]
     assert _reference_cd(amat, 16, 2000) is None
-    assert kernels.cd_minimal_nonneg_solutions(amat, 16, 2000) is None
+    assert _cd(amat, 16, 2000) is None
     with zlat.node_budget(2000), pytest.raises(ResourceLimitError) as err:
         nonneg_kernel_generators(amat)
     assert err.value.limit == 2000
@@ -1059,10 +1084,10 @@ def test_overlattices_match_unpruned_enumeration():
 
 def test_overlattice_enumeration_is_charged_to_the_budget():
     # index 10007 (a prime) in Z^2: 99 trial divisions of 10007 and 10,008
-    # Hermite forms, one node each
-    with zlat.node_budget(10008):
+    # Hermite forms, one node each, all charged to the one budget
+    with zlat.node_budget(10107):
         assert len(enumerate_overlattices(2, 10007)) == 10008
-    for budget, search in ((98, "trial division"), (10007, "overlattice enumeration")):
+    for budget, search in ((98, "trial division"), (10106, "overlattice enumeration")):
         with zlat.node_budget(budget), pytest.raises(ResourceLimitError, match=search) as err:
             enumerate_overlattices(2, 10007)
         assert err.value.limit == budget
