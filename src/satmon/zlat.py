@@ -640,9 +640,9 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
     A caller that knows the primitive extreme rays of a full-dimensional
     cone passes them with ``simplices``, a triangulation on them as
     bitmasks of ray indices; otherwise double description finds the rays
-    and they are triangulated by pulling.  Each simplex is charged its |det|
-    (1 when unimodular) to the node budget, before any parallelepiped is
-    enumerated; double description is charged on its own.
+    and they are triangulated by pulling.  Each simplex is charged the
+    product of its Smith diagonal (|det| when full-dimensional) before any
+    parallelepiped is enumerated; double description is charged on its own.
     """
     rows = [tuple(r) for r in hrep_rows]
     if rays is None:
@@ -666,15 +666,13 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
     for simplex in simplices:
         idx = [t for t in range(nrays) if simplex >> t & 1]
         cols = [rays[t] for t in idx]
-        if cdim == dim and abs(_det_and_adjugate(cols)[0]) == 1:
-            charge()
-            continue
         _, S, W = kernels.snf_with_transforms(
             [[c[i] for c in cols] for i in range(dim)]
         )
         s = [S[j][j] for j in range(cdim)]
         charge(math.prod(s))
-        boxes.append((idx, s, W))
+        if s[-1] > 1:
+            boxes.append((idx, s, W))
     if not boxes:
         return sorted(rays)
     # A point is known by its row values (the rows have rank dim).  They are
@@ -913,13 +911,13 @@ class Overlattice:
         return num // det
 
     def quotient_by_standard(self):
-        """Invariants of M / Z^rank."""
-        r = self.rank
-        lat = self.lattice
-        std = [[self.den if i == j else 0 for j in range(r)] for i in range(r)]
-        coords = [lat.coords(s) for s in std]
-        pres = quotient_by_columns(r, [list(c) for c in coords])
-        return pres.group
+        """Invariants of M / Z^rank from the Smith diagonal a_1 | ... | a_r
+        of ``rows``, in Hermite form or not: rowspan(rows) = sum a_i Z f_i
+        for a basis f of Z^r and contains den Z^r, so each a_i divides den
+        and M / Z^r = rowspan(rows) / den Z^r = sum Z/(den / a_i)."""
+        _, D, _ = kernels.snf_with_transforms([list(row) for row in self.rows])
+        inv = (self.den // D[i][i] for i in reversed(range(self.rank)))
+        return FgAbelianGroup(0, tuple(d for d in inv if d > 1))
 
 
 def _divisors(n):
@@ -940,58 +938,50 @@ def _ordered_factorizations(m, parts, divisors):
     ]
 
 
-def _sublattices_of_index(r, m, n):
-    """Sublattices of Z^r of index m whose HNF diagonal entries all divide n.
+def _overlattice_forms(r, n):
+    """The lattices n Z^r <= L <= Z^r of index n^(r-1), L = n M for the
+    overlattices M, as upper-triangular HNF rows; one node per form built.
 
-    As upper-triangular HNF row bases.  Every sublattice of index m that
-    contains n * Z^r is among them: its elements vanishing on coordinates
-    < i have i-th coordinates in d_i * Z, and n * e_i is one of them.  The
-    diagonal entries divide gcd(m, n); each Hermite form is a node of a
-    search charged to the node budget, as each trial division is.
+    Row i has diagonal d_i | n (n e_i is in L) and entries x_j in [0, d_j).
+    Rows are built from the last one up.  With rows i+1 .. r-1 containing
+    n e_{i+1} .. n e_{r-1}, n e_i is in L iff back substitution of k x,
+    k = n / d_i, through them is exact: at column j, k x_j = c_j mod d_j for
+    the carry c_j of the earlier columns, so x_j runs over one residue class
+    modulo d_j / gcd(k, d_j), or none when gcd(k, d_j) does not divide c_j.
+    The prefixes passing column j are the k-torsion of a quotient of the
+    lower rows' cokernel, no more than the rows they extend to, and x = 0
+    always passes, so the work is bounded by the forms built.
     """
     charge = _node_meter("overlattice enumeration")
-    out = []
-    for diag in _ordered_factorizations(m, r, _divisors(math.gcd(m, n))):
-        def fill(i, rows):
-            if i == r:
+
+    def entries(k, lower, xs, carry):
+        t = len(xs)
+        if t == len(lower):
+            yield xs
+            return
+        low = lower[t]
+        dt, c = low[t], carry[t]
+        g = math.gcd(k, dt)
+        if c % g:
+            return
+        step = dt // g
+        for x in range(c // g * pow(k // g, -1, step) % step, dt, step):
+            q = (k * x - c) // dt
+            yield from entries(k, lower, xs + (x,), [a + q * b for a, b in zip(carry, low)])
+
+    def forms(diag, i, lower):
+        tails = [low[i + 1:] for low in lower]
+        for xs in entries(n // diag[i], tails, (), [0] * len(tails)):
+            block = ((0,) * i + (diag[i],) + xs,) + lower
+            if i:
+                yield from forms(diag, i - 1, block)
+            else:
                 charge()
-                out.append([list(row) for row in rows])
-                return
-            row = [0] * r
-            row[i] = diag[i]
-            positions = [j for j in range(i + 1, r)]
+                yield block
 
-            def offd(k, cur):
-                if k == len(positions):
-                    fill(i + 1, rows + [list(cur)])
-                    return
-                j = positions[k]
-                for v in range(diag[j]):
-                    nxt = list(cur)
-                    nxt[j] = v
-                    offd(k + 1, nxt)
-
-            offd(0, row)
-
-        fill(0, [])
-    return out
-
-
-def _hnf_contains(rows, i, n):
-    """Is n * e_i in the span of ``rows``, a full-rank upper triangular HNF?
-
-    Back substitution: row k is the only one with a pivot in column k, and
-    the coordinates before i are zero.
-    """
-    v = [0] * len(rows)
-    v[i] = n
-    for k in range(i, len(rows)):
-        q, rem = divmod(v[k], rows[k][k])
-        if rem:
-            return False
-        if q:
-            v = [x - q * y for x, y in zip(v, rows[k])]
-    return True
+    m = n ** (r - 1)
+    for diag in _ordered_factorizations(m, r, _divisors(math.gcd(m, n))):
+        yield from forms(diag, r - 1, ())
 
 
 def enumerate_overlattices(group, n, sigma=None):
@@ -999,7 +989,7 @@ def enumerate_overlattices(group, n, sigma=None):
 
     ``group`` must be torsion-free.  n must be coprime to the prime set;
     otherwise CoprimalityError.  Deterministic, duplicate-free.  The
-    enumeration is charged to the node budget (``_sublattices_of_index``).
+    enumeration is charged to the node budget (``_overlattice_forms``).
     """
     if isinstance(group, FgAbelianGroup):
         if group.torsion:
@@ -1017,16 +1007,10 @@ def enumerate_overlattices(group, n, sigma=None):
         if n == 1:
             return [Overlattice(1, ())]
         return []
-    if n == 1:
-        eye = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        return [_overlattice_of_hnf(1, eye)]
-    m = n ** (r - 1)
-    out = []
-    for rows in _sublattices_of_index(r, m, n):
-        if all(_hnf_contains(rows, i, n) for i in range(r)):
-            out.append(_overlattice_of_hnf(n, tuple(map(tuple, rows))))
-    out.sort(key=lambda o: o.rows)
-    return out
+    return sorted(
+        (_overlattice_of_hnf(n, rows) for rows in _overlattice_forms(r, n)),
+        key=lambda o: o.rows,
+    )
 
 
 def _overlattice_of_hnf(den, rows):

@@ -666,6 +666,15 @@ def test_hilbert_dimension_guard():
     assert err.value.limit == b + 2
 
 
+def test_unimodular_lower_dimensional_cone_is_its_rays():
+    # the cone over the unit square at z = 1 in the hyperplane w = 0 of Z^4:
+    # both simplices of its triangulation are unimodular in their span, so
+    # its Hilbert basis is its four rays
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
+    rays = [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0)]
+    assert zlat.hilbert_from_hrep(rows, 4) == (rays, [])
+
+
 def test_large_simplex_is_refused_before_its_points_are_built(monkeypatch):
     # one simplex of |det| 2,924,207, past the default budget: refused
     # before any of its 2.9M parallelepiped points is built
@@ -1068,18 +1077,26 @@ def _reference_overlattices(r, n):
 
 
 def test_overlattices_match_unpruned_enumeration():
-    for r in (1, 2, 3):
-        for n in range(1, 9):
+    for r, top in ((1, 8), (2, 8), (3, 8), (4, 3)):
+        for n in range(1, top + 1):
             out = enumerate_overlattices(r, n)
             assert out == _reference_overlattices(r, n), (r, n)
             # their rows are already in HNF, so their lattice skips the HNF
             for o in out:
                 fresh = Lattice(o.rows, r)
                 assert (o.lattice.basis, o.lattice.pivots) == (fresh.basis, fresh.pivots), o
-    # only HNF diagonals dividing n are generated: rank 3 at n = 2, 3, 4, 6
-    # builds 14, 39, 140, 546 candidates instead of 35, 130, 651, 4550
-    counts = [len(zlat._sublattices_of_index(3, n * n, n)) for n in (2, 3, 4, 6)]
-    assert counts == [14, 39, 140, 546]
+    # only the Hermite forms that contain n Z^r are built, one node each:
+    # rank 3 at n = 2, 3, 4, 6 charges 7, 13, 35, 91 forms (the unpruned
+    # enumeration built 35, 130, 651, 4550), after isqrt(n) - 1 trial
+    # divisions of n
+    for n, forms in ((2, 7), (3, 13), (4, 35), (6, 91)):
+        nodes = math.isqrt(n) - 1 + forms
+        with zlat.node_budget(nodes):
+            assert len(enumerate_overlattices(3, n)) == forms
+        with zlat.node_budget(nodes - 1), pytest.raises(
+            ResourceLimitError, match="overlattice enumeration"
+        ):
+            enumerate_overlattices(3, n)
 
 
 def test_overlattice_enumeration_is_charged_to_the_budget():
@@ -1091,6 +1108,41 @@ def test_overlattice_enumeration_is_charged_to_the_budget():
         with zlat.node_budget(budget), pytest.raises(ResourceLimitError, match=search) as err:
             enumerate_overlattices(2, 10007)
         assert err.value.limit == budget
+
+
+def _deck_invariants_by_coords(o):
+    """M / Z^r presented from the coordinates of den * e_i in the lattice
+    of the rows, by one Smith form with U^-1."""
+    r = o.rank
+    lat = Lattice(o.rows, r)
+    coords = [lat.coords([o.den * (i == j) for j in range(r)]) for i in range(r)]
+    return quotient_by_columns(r, [list(c) for c in coords]).group
+
+
+def test_deck_invariants_match_the_coordinate_path():
+    # on every overlattice of rank <= 3 and index <= 8, and on a copy whose
+    # rows are mixed by a random unimodular matrix, as a parsed overlattice
+    # need not be in Hermite form
+    rng = rng_for("deck-invariants")
+    mixed_off_hnf = 0
+    for r in (1, 2, 3):
+        for n in range(1, 9):
+            for o in enumerate_overlattices(r, n):
+                rows = [list(row) for row in o.rows]
+                for _ in range(4 * r):
+                    i, j = rng.randrange(r), rng.randrange(r)
+                    if i == j:
+                        rows[i] = list(vneg(rows[i]))
+                    else:
+                        c = rng.randint(-3, 3)
+                        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+                rng.shuffle(rows)
+                mixed = zlat.Overlattice(n, tuple(map(tuple, rows)))
+                mixed_off_hnf += mixed.rows != o.rows
+                want = _deck_invariants_by_coords(o)
+                assert o.quotient_by_standard() == want, o
+                assert mixed.quotient_by_standard() == want, mixed
+    assert mixed_off_hnf >= 300
 
 
 def test_overlattice_quotients_and_coords():
