@@ -37,10 +37,6 @@ class InvalidFaceError(PreconditionError):
     """The supplied subset is not a face of the monoid."""
 
 
-class NotHeightOneError(PreconditionError):
-    """The quotient by the face is not isomorphic to the natural numbers."""
-
-
 class TorsionPreconditionError(PreconditionError):
     """The groupification cokernel is not torsion."""
 

@@ -6,8 +6,9 @@ exponent vectors.  The constructor finds the witnesses as its proof that
 the images lie in the target, unless the target is known to be saturated:
 there the facet test is the proof, and the witnesses are found when first
 read.  Verdicts (injective, exact, integral, vertical, smooth, etale,
-Kummer etale) are certified: every negative answer carries a witness that
-can be re-checked independently.
+Kummer etale) are certified: every negative answer carries a witness.
+``reverify_integral_certificate`` re-checks a negative integrality verdict
+by running its witness search again, not by an independent path.
 
 Integrality is decided by the element-wise four-tuple criterion.  The
 solution monoid T = {(a1,a2,b1,b2) : f(a1)+b1 = f(a2)+b2} is generated by
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionError,
     TorsionPreconditionError,
 )
-from .monoid import AffineMonoid, FpMonoid, Memoized, from_presentation
+from .monoid import AffineMonoid, FpMonoid, Memoized, cone_generators, from_presentation
 from .zlat import FgAbelianGroup, Lattice, vdot, vneg, vsub
 
 
@@ -137,9 +138,7 @@ def gp_profile(f: MonoidHom) -> GpProfile:
         cokpres = zlat.quotient_by_columns(kq, cols)
         coker = cokpres.group
         frows = [[fcols[i][j] for i in range(kp)] for j in range(kq)]
-        pre = zlat.preimage_lattice(frows, relq, kp)
-        kb = pre.basis
-        klat = Lattice([list(b) for b in kb], kp)
+        klat = zlat.preimage_lattice(frows, relq, kp)
         relcoords = []
         for b in relp.basis:
             c = klat.coords(b)
@@ -195,54 +194,19 @@ def preimage_generators(f: MonoidHom):
     """Generators of (f^gp)^{-1}(target) inside the source groupification.
 
     The target must be saturated, so membership in it is the cone condition
-    on free parts; the preimage is then (pullback cone cap Z^r) x torsion.
-    Returns source-ambient elements.
+    on free parts; the preimage is then the cone cut out in P^gp by the
+    target's facets pulled back along f, torsion included.  Returns sorted
+    source-ambient elements.
     """
     _require_saturated(f.target, "target")
     presp = f.source.gp_presentation()
     gp = presp.group
-    rdim = gp.rank
-    span_q = f.target.span_lattice()
-    facets = f.target.cone_facets()
-
-    def image_span_coords(gcoord):
-        exp = presp.lift(gcoord)
-        y = f.apply_exponents(exp)
-        c = span_q.coords(f.target.ambient.free_part(y))
-        assert c is not None
-        return c
-
-    cols = []
-    for t in range(rdim):
-        g = tuple(1 if i == t else 0 for i in range(gp.dim))
-        cols.append(image_span_coords(g))
-    rows = []
-    for phi in facets:
-        row = tuple(
-            sum(phi[s] * cols[t][s] for s in range(len(phi))) for t in range(rdim)
-        )
-        rows.append(row)
-    sharp, units = zlat.hilbert_from_hrep(rows, rdim)
-
-    def to_ambient(gcoord):
-        exp = presp.lift(gcoord)
-        return f.source.element_from_exponents(exp)
-
-    out = []
     pad = (0,) * len(gp.torsion)
-    for h in sharp:
-        out.append(to_ambient(tuple(h) + pad))
-    for u in units:
-        out.append(to_ambient(tuple(u) + pad))
-        out.append(to_ambient(tuple(-x for x in u) + pad))
-    for j in range(len(gp.torsion)):
-        g = (0,) * gp.rank + tuple(1 if t == j else 0 for t in range(len(gp.torsion)))
-        out.append(to_ambient(g))
-    dedup = []
-    for e in sorted(set(out)):
-        if not f.source.ambient.is_zero(e):
-            dedup.append(e)
-    return dedup
+    eye = [tuple(int(i == t) for i in range(gp.rank)) for t in range(gp.rank)]
+    cols = [f.target.cone_coords(f.apply_exponents(presp.lift(e + pad))) for e in eye]
+    rows = [tuple(vdot(phi, c) for c in cols) for phi in f.target.cone_facets()]
+    gens = cone_generators(gp, Lattice._of_hnf(eye), rows)
+    return sorted(f.source.element_from_exponents(presp.lift(g)) for g in gens)
 
 
 def is_exact(f: MonoidHom) -> Verdict:
@@ -274,9 +238,14 @@ def is_vertical(f: MonoidHom) -> Verdict:
 
 
 def _source_is_valuative(f: MonoidHom):
-    """Saturated with sharp part of rank <= 1: then every map out is integral."""
+    """Saturated with sharp part of rank <= 1: then every map out is integral.
+
+    The sharp part has the rank of the cone's quotient by its lineality
+    space, which is pointed: of rank 0 it has no facet, of rank 1 it is a
+    ray with one, and of rank >= 2 it has at least two.
+    """
     src = f.source
-    return src.is_saturated() and src.units_face().corank() <= 1
+    return src.is_saturated() and len(src.cone_facets()) <= 1
 
 
 def _relation_generators(f: MonoidHom, stop):
@@ -502,47 +471,47 @@ class RamificationReport:
 
 
 def ramification_indices(f: MonoidHom) -> RamificationReport:
-    """e_q over the height-one primes of the target with height-one preimage."""
-    _require_saturated(f.source, "source")
-    _require_saturated(f.target, "target")
+    """e_q over the height-one primes of the target with height-one preimage.
+
+    Both monoids are saturated, so each is the set of x whose free part lies
+    in its span lattice with every facet value >= 0, all torsion included.
+    Its faces are then the zero sets of sets of facets, and those of corank
+    one, its height-one primes, are the zero sets of single facets.  For the
+    face F of a primitive facet normal phi, torsion and units lie in F, so
+    phi identifies P^gp/F^gp with Z and sends P onto N: phi is the
+    valuation of F.  The preimage of the face of a target facet psi is the
+    face of the source generators g_i with psi(f(g_i)) = 0.  When it is the
+    zero set of a source facet phi, psi o f^gp and phi are linear forms on
+    P^gp that vanish on the same hyperplane and are positive on P off it, so
+    psi o f^gp = e phi with e > 0, and e is an integer since phi takes the
+    value 1 on P^gp.  Target facets are taken by the size, then the indices,
+    of their zero sets; one whose preimage is no source facet is skipped.
+    """
+    src, tgt = f.source, f.target
+    _require_saturated(src, "source")
+    _require_saturated(tgt, "target")
+    coords = [src.cone_coords(g) for g in src.gens]
+    valuations = {}  # zero set of each source facet -> its values on the gens
+    for phi in src.cone_facets():
+        vals = [vdot(phi, c) for c in coords]
+        valuations[tuple(i for i, v in enumerate(vals) if v == 0)] = vals
+    tcoords = [tgt.cone_coords(g) for g in tgt.gens]
+    icoords = [tgt.cone_coords(im) for im in f.gen_images]
+    faces = sorted(
+        ((tuple(j for j, c in enumerate(tcoords) if vdot(psi, c) == 0), psi)
+         for psi in tgt.cone_facets()),
+        key=lambda fp: (len(fp[0]), fp[0]),
+    )
     out = []
     skipped = []
-    # the face each generator image generates; an image lies on a face
-    # exactly when the face contains that one
-    image_faces = [f.target.face_generated_by([im]) for im in f.gen_images]
-    for face in f.target.facet_faces():
-        if face.corank() != 1:
+    for face, psi in faces:
+        vq = [vdot(psi, c) for c in icoords]
+        vp = valuations.get(tuple(i for i, v in enumerate(vq) if v == 0))
+        if vp is None:
+            skipped.append(face)
             continue
-        pre_idxs = [i for i, g in enumerate(image_faces) if face.contains_face(g)]
-        pre_face = f.source.face_from_indices(tuple(pre_idxs))
-        if pre_face.corank() != 1:
-            skipped.append(face.indices)
-            continue
-        vq, _, _ = f.target.height_one_valuation(face)
-        vp, _, _ = f.source.height_one_valuation(pre_face)
-        vq_of_images = [vdot(f.witnesses[i], vq) for i in range(f.source.ngens)]
-        e = None
-        for i in range(f.source.ngens):
-            if vp[i] > 0:
-                if vq_of_images[i] % vp[i] != 0:
-                    e = None
-                    break
-                cand = vq_of_images[i] // vp[i]
-                if e is None:
-                    e = cand
-                elif e != cand:
-                    e = None
-                    break
-        ok = e is not None and e >= 1
-        if ok:
-            for i in range(f.source.ngens):
-                if vq_of_images[i] != e * vp[i]:
-                    ok = False
-                    break
-        if not ok:
-            skipped.append(face.indices)
-            continue
-        out.append((face.indices, e))
+        i = next(i for i, v in enumerate(vp) if v)
+        out.append((face, vq[i] // vp[i]))
     return RamificationReport(tuple(out), tuple(skipped))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import zlat
-from .errors import InvalidFaceError, MembershipError, NotHeightOneError
+from .errors import InvalidFaceError, MembershipError
 from .zlat import FgAbelianGroup, Lattice, vdot, vneg
 
 
@@ -94,7 +94,10 @@ class AffineMonoid(Memoized):
     def gp_presentation(self):
         """P^gp = Z^ngens / relations, in invariant form with project/lift."""
         return self._get(
-            "gp", lambda: zlat.span_presentation(self.ambient, list(self.gens))
+            "gp",
+            lambda: zlat.quotient_by_columns(
+                self.ngens, [list(b) for b in self.relation_lattice().basis]
+            ),
         )
 
     def element_from_exponents(self, a):
@@ -295,23 +298,11 @@ class AffineMonoid(Memoized):
 
         return self._get("faces", build)
 
-    def facet_faces(self):
-        """The faces on which one facet vanishes, sorted as ``faces`` is.
-
-        They are the maximal proper faces, so every face of corank one is
-        among them, without enumerating the others.
-        """
-        found = {tuple(i for i in range(self.ngens) if row[i]) for row in self._cone().kills}
-        return [Face(self, idxs) for idxs in sorted(found, key=lambda t: (len(t), t))]
-
     def face_from_indices(self, idxs):
         idxs = tuple(sorted(set(idxs)))
         if self._closure(idxs) != idxs:
             raise InvalidFaceError(f"generator subset {idxs} is not a face")
         return Face(self, idxs)
-
-    def units_face(self):
-        return Face(self, self._closure(()))
 
     def face_generated_by(self, elements):
         """Smallest face containing the given members of the monoid.
@@ -366,32 +357,6 @@ class AffineMonoid(Memoized):
                 raise InvalidFaceError("subset is not closed under the face condition")
             return face
         return self.face_from_indices(face)
-
-    def height_one_valuation(self, face):
-        """The map P -> P/F = N when the quotient is N; per-generator values.
-
-        Returns (values, images, pres) where values[i] is the valuation of
-        the i-th generator.  Raises NotHeightOneError when P/F is not N.
-        """
-        q, images, pres = self.quotient_by_face(face)
-        g = pres.group
-        nonzero = [im for im in images if not g.is_zero(im)]
-        if not nonzero:
-            raise NotHeightOneError("quotient by the face is trivial, not N")
-        for h in sorted(set(nonzero)):
-            if g.element_order(h) is not None:
-                continue
-            vals = []
-            ok = True
-            for im in images:
-                m = _ratio(g, im, h)
-                if m is None or m < 0:
-                    ok = False
-                    break
-                vals.append(m)
-            if ok:
-                return tuple(vals), images, pres
-        raise NotHeightOneError("quotient by the face is not isomorphic to N")
 
 
 @dataclass(frozen=True)
@@ -450,20 +415,18 @@ class Cone:
         return zlat.pulling_triangulation(masks, len(self.facets), self.span.rank)
 
 
-def saturation_of_cone(
-    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, simplices=None
+def cone_generators(
+    ambient: FgAbelianGroup, span: Lattice, rows, rays=None, simplices=None
 ):
-    """The saturated monoid {x : free part in ``span``, facet values >= 0}.
+    """Generators of {x : free part in ``span``, every row value >= 0}.
 
     ``span`` is a saturated lattice in the free part of ``ambient``
-    (canonical basis) and ``facets`` the sorted primitive facet normals of
-    a cone in its coordinates, empty when the cone is all of ``span``.
-    ``rays`` and ``simplices`` are given when the cone is pointed and its
-    primitive extreme rays and a triangulation on them are known; then no
-    double description runs (``zlat.hilbert_from_hrep``).  The generators
-    are the torsion basis and the Hilbert basis of the cone, each Hilbert
-    element h being its own span coordinates; the monoid carries that cone
-    and is known to be its own saturation.
+    (canonical basis) and ``rows`` are linear forms in its coordinates,
+    passed to ``zlat.hilbert_from_hrep`` as they are, with ``rays`` and
+    ``simplices`` when the cone is pointed and those are known.  The
+    generators are the torsion basis and the Hilbert basis of the cone,
+    units with their negatives.  Returns a dict from each generator to its
+    span coordinates.
     """
     nt = len(ambient.torsion)
     coords = {
@@ -471,11 +434,25 @@ def saturation_of_cone(
         for j in range(nt)
     }
     if span.rank:
-        sharp, units = zlat.hilbert_from_hrep(facets, span.rank, rays, simplices)
+        sharp, units = zlat.hilbert_from_hrep(rows, span.rank, rays, simplices)
         cols = list(zip(*span.basis))
         pad = (0,) * nt
         for h in sharp + units + [vneg(u) for u in units]:
             coords[tuple(vdot(col, h) for col in cols) + pad] = h
+    return coords
+
+
+def saturation_of_cone(
+    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, simplices=None
+):
+    """The saturated monoid {x : free part in ``span``, facet values >= 0}.
+
+    ``facets`` are the sorted primitive facet normals of a cone in the
+    coordinates of ``span``, empty when the cone is all of ``span``; the
+    generators are ``cone_generators``, and the monoid carries that cone and
+    is known to be its own saturation.
+    """
+    coords = cone_generators(ambient, span, facets, rays, simplices)
     gens = sorted(coords)
     sat = AffineMonoid(ambient, gens)
     cone = Cone(span, tuple(coords[g] for g in gens), tuple(facets))
@@ -496,32 +473,6 @@ def _monoid_of_quotient(pres):
     return AffineMonoid(pres.group, list(gens)), images, pres
 
 
-def _ratio(group, x, h):
-    """m >= 0 with x = m*h in the group, or None."""
-    if group.is_zero(x):
-        return 0
-    hf = group.free_part(h)
-    xf = group.free_part(x)
-    m = None
-    for a, b in zip(xf, hf):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        if a % b != 0:
-            return None
-        q = a // b
-        if m is None:
-            m = q
-        elif m != q:
-            return None
-    if m is None:
-        return None
-    if m < 0:
-        return None
-    return m if group.scale(m, h) == group.reduce(x) else None
-
-
 class Face:
     """A face of an AffineMonoid, recorded by its generator indices."""
 
@@ -536,20 +487,7 @@ class Face:
         return tuple(self.monoid.gens[i] for i in self.indices)
 
     def as_monoid(self):
-        if not self.indices:
-            return AffineMonoid(self.monoid.ambient, ())
         return AffineMonoid(self.monoid.ambient, self.gens)
-
-    def dim(self):
-        """Rank of the lattice spanned by the free parts of the face's generators."""
-        amb = self.monoid.ambient
-        return Lattice([amb.free_part(g) for g in self.gens], amb.rank).rank
-
-    def corank(self):
-        return self.monoid.span_lattice().rank - self.dim()
-
-    def contains_face(self, other):
-        return set(other.indices) <= set(self.indices)
 
     def is_whole(self):
         return len(self.indices) == self.monoid.ngens

@@ -475,11 +475,7 @@ def verify_sat_generating_affine(f: MonoidHom, elements):
             return False
     gens = list(dict.fromkeys(list(f.gen_images) + list(elements)))
     gens = [g for g in gens if not q.ambient.is_zero(g)]
-    if not gens:
-        sub = AffineMonoid(q.ambient, ())
-    else:
-        sub = AffineMonoid(q.ambient, gens)
-    sat = sub.saturate()
+    sat = AffineMonoid(q.ambient, gens).saturate()
     return all(sat.contains(g) for g in q.gens)
 
 
@@ -819,7 +815,7 @@ def gr_finiteness(tv: TypeVPresentation):
     for c in lam.basis:
         # balance the V part: solve the a-part equation for p and read off v
         rhs = [sum(c[j] * arows[t][j] for j in range(len(keep))) for t in range(k)]
-        sol = zlat.solve_integer(stack, rhs) if (uw or relq) else ([] if not any(rhs) else None)
+        sol = zlat.solve_integer(stack, rhs)
         assert sol is not None
         vv = tv.anchor.eval_exponents(sol)
         pos = tuple(max(x, 0) for x in c)
@@ -838,7 +834,7 @@ def gr_finiteness(tv: TypeVPresentation):
         full = [0] * k
         for j_idx, j in enumerate(keep):
             full[j] = lhs_m[j_idx]
-        sol = zlat.solve_integer(stack, full) if (uw or relq) else ([] if not any(full) else None)
+        sol = zlat.solve_integer(stack, full)
         if sol is None:
             complete = False
             continue

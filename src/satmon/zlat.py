@@ -426,17 +426,6 @@ def relation_lattice(ambient: FgAbelianGroup, elements):
     return Lattice([s[:k] for s in sols], k)
 
 
-def span_presentation(ambient: FgAbelianGroup, elements):
-    """The subgroup generated by ``elements`` as an abstract presented group.
-
-    Returns a QuotientPresentation of Z^k by the relation lattice; its
-    ``project``/``lift`` translate between exponent vectors and invariant
-    coordinates of the subgroup.
-    """
-    rel = relation_lattice(ambient, elements)
-    return quotient_by_columns(len(elements), [list(b) for b in rel.basis])
-
-
 # ---------------------------------------------------------------------------
 # rational cones
 #

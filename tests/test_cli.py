@@ -120,6 +120,7 @@ def test_version_mismatch():
         "ogus_pushout",
         "spec_units_torsion",
         "rft_lex_ramified",
+        "vidal_square_n2",
     ],
 )
 def test_golden_reports(name):

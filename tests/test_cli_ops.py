@@ -93,6 +93,12 @@ def test_op_gr():
     tv = V.TypeVPresentation(dv, H.MonoidHom(nn, free_monoid(1), [(2,)]), [(1,)])
     out = run_ok("gr", {"typev": D.typev_out(tv)})
     assert out["generators"] == [] and out["sat_generating"]
+    # a chart out of the trivial monoid: no witnesses and no relations, so
+    # the relation lattice is zero
+    tv = V.TypeVPresentation(dv, H.MonoidHom(free_monoid(0), nn, []), [])
+    out = run_ok("gr", {"typev": D.typev_out(tv)})
+    assert out["generators"] == [{"base": ["0"], "exponents": ["1"]}]
+    assert out["relations"] == [] and out["relations_complete"]
 
 
 def test_op_kummer_classify(lex2):

@@ -314,6 +314,151 @@ def test_ramification_smooth_not_etale(smooth_not_etale):
     assert 2 in es
 
 
+def _corank(face):
+    """Span rank of the monoid minus the rank of the face's free parts."""
+    m = face.monoid
+    free = [m.ambient.free_part(g) for g in face.gens]
+    return m.span_lattice().rank - zlat.Lattice(free, m.ambient.rank).rank
+
+
+def _ratio(group, x, h):
+    """m >= 0 with x = m*h in the group, or None."""
+    if group.is_zero(x):
+        return 0
+    m = None
+    for a, b in zip(group.free_part(x), group.free_part(h)):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        if a % b != 0 or (m is not None and m != a // b):
+            return None
+        m = a // b
+    if m is None or m < 0:
+        return None
+    return m if group.scale(m, h) == group.reduce(x) else None
+
+
+def _height_one_valuation(m, face):
+    """The values of P -> P/F when P/F is N, read off the quotient group by
+    a ratio search, or None."""
+    _, images, pres = m.quotient_by_face(face)
+    g = pres.group
+    for h in sorted({im for im in images if not g.is_zero(im)}):
+        if g.element_order(h) is not None:
+            continue
+        vals = [_ratio(g, im, h) for im in images]
+        if all(v is not None for v in vals):
+            return vals
+    return None
+
+
+def _ramification_oracle(f):
+    """The quotient-and-ratio path: faces generated by the images, each
+    valuation from the quotient by its face, target values through the
+    membership witnesses."""
+    src, tgt = f.source, f.target
+    image_faces = [tgt.face_generated_by([im]) for im in f.gen_images]
+    zero_sets = {tuple(i for i in range(tgt.ngens) if row[i]) for row in tgt._cone().kills}
+    out, skipped = [], []
+    for idxs in sorted(zero_sets, key=lambda t: (len(t), t)):
+        face = tgt.face_from_indices(idxs)
+        if _corank(face) != 1:
+            continue
+        pre = [i for i, g in enumerate(image_faces) if set(g.indices) <= set(idxs)]
+        pre_face = src.face_from_indices(tuple(pre))
+        if _corank(pre_face) != 1:
+            skipped.append(idxs)
+            continue
+        vq = _height_one_valuation(tgt, face)
+        vp = _height_one_valuation(src, pre_face)
+        vq_of_images = [zlat.vdot(w, vq) for w in f.witnesses]
+        es = {vi // pi for vi, pi in zip(vq_of_images, vp) if pi > 0 and vi % pi == 0}
+        e = es.pop() if len(es) == 1 else None
+        if e is None or e < 1 or any(vi != e * pi for vi, pi in zip(vq_of_images, vp)):
+            skipped.append(idxs)
+            continue
+        out.append((idxs, e))
+    return H.RamificationReport(tuple(out), tuple(skipped))
+
+
+def _preimage_generators_oracle(f):
+    """The Hilbert basis of the pulled-back facets in P^gp, its units both
+    ways and the torsion basis, deduplicated and sorted."""
+    presp = f.source.gp_presentation()
+    gp = presp.group
+    span_q = f.target.span_lattice()
+    cols = []
+    for t in range(gp.rank):
+        y = f.apply_exponents(presp.lift(tuple(int(i == t) for i in range(gp.dim))))
+        cols.append(span_q.coords(f.target.ambient.free_part(y)))
+    rows = [tuple(zlat.vdot(phi, c) for c in cols) for phi in f.target.cone_facets()]
+    sharp, units = zlat.hilbert_from_hrep(rows, gp.rank)
+    pad = (0,) * len(gp.torsion)
+    coords = [tuple(h) + pad for h in sharp + units + [zlat.vneg(u) for u in units]]
+    coords += [(0,) * gp.rank + tuple(int(t == j) for t in range(len(gp.torsion)))
+               for j in range(len(gp.torsion))]
+    out = {f.source.element_from_exponents(presp.lift(c)) for c in coords}
+    return sorted(e for e in out if not f.source.ambient.is_zero(e))
+
+
+def _random_saturated_hom(rng):
+    """A hom between saturated monoids: P = sat of a random monoid in
+    Z^r (+ Z/2), mapped by a random group map into Q = sat of the images
+    and a few extra elements, Q's ambient torsion (), (2), (3) or (2, 4).
+    Random negatives give units on both sides; scaled maps give e > 1."""
+    r = rng.randint(1, 3)
+    src_tor = rng.choice(((), (), (2,)))
+    amb_p = FgAbelianGroup(r, src_tor)
+    gens = {amb_p.reduce([rng.randint(-1, 2) for _ in range(amb_p.dim)])
+            for _ in range(rng.randint(1, 4))}
+    p = M.AffineMonoid(amb_p, sorted(g for g in gens if not amb_p.is_zero(g))).saturate()
+    s = rng.randint(1, 3)
+    amb_q = FgAbelianGroup(s, rng.choice(((), (), (2,), (3,), (2, 4))))
+    k = rng.choice((1, 1, 2, 3))
+    basis = [tuple(k * rng.randint(-1, 2) for _ in range(s))
+             + tuple(rng.randrange(d) for d in amb_q.torsion) for _ in range(r)]
+    # the source torsion Z/2 goes to an element of order dividing 2
+    basis += [(0,) * s + tuple(rng.choice([x for x in range(d) if 2 * x % d == 0])
+                               for d in amb_q.torsion) for _ in src_tor]
+    images = [amb_q.combine(g, basis) for g in p.gens]
+    extra = [amb_q.reduce([rng.randint(-1, 2) for _ in range(amb_q.dim)])
+             for _ in range(rng.randint(0, 2))]
+    qgens = dict.fromkeys(g for g in images + extra if not amb_q.is_zero(g))
+    q = M.AffineMonoid(amb_q, list(qgens)).saturate()
+    return H.MonoidHom(p, q, images)
+
+
+def test_cone_reads_match_the_quotient_and_ratio_path():
+    # ramification indices, the valuative-source test and the exactness
+    # preimage, read off facet normals, against the former quotient, ratio
+    # and witness path, the Hermite rank of the units face and the former
+    # preimage assembly
+    rng = rng_for("cone-reads")
+    homs = [_random_saturated_hom(rng) for _ in range(1100)]
+    ramified = skipped = 0
+    for f in homs:
+        # no search and no witness: not one node is charged
+        with zlat.node_budget(0):
+            rep = H.ramification_indices(f)
+        assert "witnesses" not in f._cache
+        assert rep == _ramification_oracle(f), f
+        ramified += any(e > 1 for _, e in rep.indices)
+        skipped += bool(rep.skipped)
+        units = f.source.face_generated_by([])
+        assert H._source_is_valuative(f) == (_corank(units) <= 1), f
+        assert H.preimage_generators(f) == _preimage_generators_oracle(f), f
+    assert sum(1 for f in homs if f.target.ambient.torsion) >= len(homs) // 3
+    assert sum(1 for f in homs if f.source.span_lattice().rank == 3) >= 100
+
+    def free_units(m):
+        return any(map(any, map(m.ambient.free_part, m.face_generated_by([]).gens)))
+
+    assert sum(1 for f in homs if free_units(f.source)) >= 100
+    assert sum(1 for f in homs if free_units(f.target)) >= 100
+    assert ramified >= 100 and skipped >= 100
+
+
 # ---------------------------------------------------------------------------
 # pushouts
 

@@ -12,10 +12,11 @@ from conftest import (
     rng_for,
     same_submonoid,
 )
+from satmon import homs as H
 from satmon import zlat
-from satmon.errors import InvalidFaceError, MembershipError, NotHeightOneError, ResourceLimitError
+from satmon.errors import InvalidFaceError, MembershipError, ResourceLimitError
 from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
-from satmon.zlat import FgAbelianGroup, Lattice, node_budget
+from satmon.zlat import FgAbelianGroup, Lattice, node_budget, vdot
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_saturation_cone_matches_fresh_copy():
         assert_matches_fresh(s)
     for m in monoids:
         assert m.saturate().saturate() is m.saturate()
-    with_units = [s for s in sats if any(map(any, map(s.ambient.free_part, s.units_face().gens)))]
+    with_units = [s for s in sats if any(map(any, map(s.ambient.free_part, s.face_generated_by([]).gens)))]
     assert len(with_units) >= 20
     assert sum(1 for m in monoids if m.ambient.torsion) >= 40
     assert sum(1 for m in monoids if not m.gens) >= 3
@@ -286,10 +287,19 @@ def _saturated_span_dim(face):
     return len(Lattice([amb.free_part(g) for g in face.gens], amb.rank).saturation().basis)
 
 
+def _facet_values(m):
+    """{zero set: values on the generators} of each primitive facet normal."""
+    out = {}
+    for phi in m.cone_facets():
+        vals = tuple(vdot(phi, m.cone_coords(g)) for g in m.gens)
+        out[tuple(i for i, v in enumerate(vals) if v == 0)] = vals
+    return out
+
+
 def test_faces_match_the_union_closure_oracle():
     # every face is an intersection of facets; the union closure of the
-    # former algorithm finds the same faces, and the rank of the free parts
-    # is the dimension of their saturated span
+    # former algorithm finds the same faces, and the faces of corank one,
+    # by the dimension of their saturated span, are the facet zero sets
     rng = rng_for("faces-oracle")
     monoids = [random_ambient_monoid(rng) for _ in range(3000)]
     for rank in (4, 5):
@@ -299,9 +309,9 @@ def test_faces_match_the_union_closure_oracle():
     for m in monoids:
         faces = m.faces()
         assert [f.indices for f in faces] == _union_closure_faces(m), m
-        assert [f.dim() for f in faces] == [_saturated_span_dim(f) for f in faces], m
-        corank_one = [f.indices for f in faces if f.corank() == 1]
-        assert [f.indices for f in m.facet_faces()] == corank_one, m
+        rank = m.span_lattice().rank
+        corank_one = [f.indices for f in faces if rank - _saturated_span_dim(f) == 1]
+        assert sorted(_facet_values(m), key=lambda t: (len(t), t)) == corank_one, m
     sizes = [len(m.faces()) for m in monoids[3000:]]
     assert max(sizes) >= 20
 
@@ -406,8 +416,7 @@ def test_quotient_by_ray_of_triangle():
     m = monoid_from_vectors([(1, 0), (1, 1), (1, 2)])
     face = m.face_from_indices((2,))
     q, images, pres = m.quotient_by_face(face)
-    vals, _, _ = m.height_one_valuation(face)
-    assert vals == (2, 1, 0)
+    assert _facet_values(m)[(2,)] == (2, 1, 0)
     assert same_submonoid(q, free_monoid(1)) or q.ambient.rank == 1
 
 
@@ -427,31 +436,33 @@ def test_localize_quotient_commute_with_saturation():
 
 
 # ---------------------------------------------------------------------------
-# height-one valuations
+# height-one valuations: the primitive facet normals
 
 
 def test_height_one_square():
     n2 = free_monoid(2)
-    vals, _, _ = n2.height_one_valuation(n2.face_from_indices((0,)))
-    assert vals == (0, 1)  # v(a, b) = b
+    assert _facet_values(n2)[(0,)] == (0, 1)  # v(a, b) = b
 
 
 def test_height_one_identity():
     nn = free_monoid(1)
-    vals, _, _ = nn.height_one_valuation(nn.face_from_indices(()))
-    assert vals == (1,)
+    assert _facet_values(nn) == {(): (1,)}
+    rep = H.ramification_indices(H.MonoidHom.identity(nn))
+    assert rep.indices == (((), 1),) and rep.skipped == ()
 
 
 def test_height_one_triangle():
     m = monoid_from_vectors([(1, 0), (1, 1), (1, 2)])
-    vals, _, _ = m.height_one_valuation(m.face_from_indices((0,)))
-    assert vals == (0, 1, 2)
+    assert _facet_values(m) == {(0,): (0, 1, 2), (2,): (2, 1, 0)}
 
 
 def test_height_one_error():
+    # the empty face of N^2 is the face of no facet (P/{0} = N^2, not N), so
+    # a target facet whose preimage is that face is skipped
     n2 = free_monoid(2)
-    with pytest.raises(NotHeightOneError):
-        n2.height_one_valuation(n2.face_from_indices(()))  # P/{0} = N^2, not N
+    assert () not in _facet_values(n2)
+    rep = H.ramification_indices(H.MonoidHom(n2, free_monoid(1), [(1,), (1,)]))
+    assert rep.indices == () and rep.skipped == ((),)
 
 
 # ---------------------------------------------------------------------------
