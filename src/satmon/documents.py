@@ -1,10 +1,12 @@
 """JSON document format: parsing with precise paths, exact serialization.
 
-All integers travel as decimal strings (arbitrary precision survives every
-JSON consumer); rationals as "p" or "p/q".  Unknown fields are rejected.
+All integers travel as decimal strings, an optional "-" then ASCII digits
+(arbitrary precision survives every JSON consumer); rationals as "p" or
+"p/q" in the same grammar.  Unknown fields are rejected.
 The top-level "format" version is checked on every document.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ResourceLimitError, SchemaError
@@ -34,25 +36,23 @@ def _list(v, path):
     return v
 
 
+# the one grammar of a decimal string: an optional "-", then ASCII digits
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def _int(v, path):
-    if isinstance(v, str):
-        s = v.strip()
-        neg = s.startswith("-")
-        if (s[1:] if neg else s).isdigit() and len(s) > (1 if neg else 0):
-            return int(s)
+    if isinstance(v, str) and _DECIMAL.fullmatch(v):
+        return int(v)
     raise SchemaError(path, "expected a decimal-string integer")
 
 
 def _frac(v, path):
-    if isinstance(v, str):
-        parts = v.split("/")
-        try:
-            if len(parts) == 1:
-                return Fraction(int(parts[0]))
-            if len(parts) == 2:
-                return Fraction(int(parts[0]), int(parts[1]))
-        except (ValueError, ZeroDivisionError):
-            pass
+    """A rational "p" or "p/q": p and q decimal strings, q nonzero."""
+    parts = v.split("/") if isinstance(v, str) else []
+    if len(parts) in (1, 2) and all(map(_DECIMAL.fullmatch, parts)):
+        q = int(parts[1]) if len(parts) == 2 else 1
+        if q:
+            return Fraction(int(parts[0]), q)
     raise SchemaError(path, 'expected a rational as "p" or "p/q"')
 
 

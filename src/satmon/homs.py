@@ -1,14 +1,17 @@
 """Homomorphisms of affine monoids and their classification.
 
-A MonoidHom has one membership witness per generator image, so the
-induced map on groupifications is available as an integer matrix on
-exponent vectors.  The constructor finds the witnesses as its proof that
-the images lie in the target, unless the target is known to be saturated:
-there the facet test is the proof, and the witnesses are found when first
-read.  Verdicts (injective, exact, integral, vertical, smooth, etale,
-Kummer etale) are certified: every negative answer carries a witness.
-``reverify_integral_certificate`` re-checks a negative integrality verdict
-by running its witness search again, not by an independent path.
+A MonoidHom is given by its generator images, and its constructor proves
+that they lie in the target.  A saturated target, as ``is_saturated``
+decides it, proves this by its facet test, and the membership witness of
+each image (some a in N^ngens(target) with image = sum a_j h_j) is found
+when first read; any other target is searched once per image, and those
+witnesses are the proof.  The induced map on groupifications needs no
+witnesses: ``gp_profile`` reads its kernel and cokernel off relation
+lattices of the images.  Verdicts (injective, exact, integral, vertical,
+smooth, etale, Kummer etale) are certified: every negative answer carries
+a witness.  ``reverify_integral_certificate`` re-checks a negative
+integrality verdict by running its witness search again, not by an
+independent path.
 
 Integrality is decided by the element-wise four-tuple criterion.  The
 solution monoid T = {(a1,a2,b1,b2) : f(a1)+b1 = f(a2)+b2} is generated by
@@ -43,7 +46,7 @@ class MonoidHom(Memoized):
         self.target = target
         self.gen_images = tuple(target.ambient.reduce(g) for g in gen_images)
         self._cache = {}
-        if target._cache.get("is_sat"):
+        if target.is_saturated():
             for im in self.gen_images:
                 if not target.contains(im):
                     raise MembershipError(f"image {im} is not a member of the target")
@@ -77,16 +80,6 @@ class MonoidHom(Memoized):
         """Image in the target ambient of the source element sum(a_i * g_i)."""
         return self.target.ambient.combine(a, self.gen_images)
 
-    def exp_image(self, a):
-        """Exponent-level image: column combination of the witnesses."""
-        k = len(self.target.gens)
-        out = [0] * k
-        for c, w in zip(a, self.witnesses):
-            if c:
-                for j in range(k):
-                    out[j] += c * w[j]
-        return tuple(out)
-
     def __repr__(self):
         return f"MonoidHom({self.source!r} -> {self.target!r})"
 
@@ -106,57 +99,49 @@ def compose(f: MonoidHom, g: MonoidHom):
 @dataclass(frozen=True)
 class GpProfile:
     kernel: FgAbelianGroup
-    # Z^{#gens(Q)} modulo Q's relations and the images of P's generators
-    cokernel_presentation: zlat.QuotientPresentation
+    cokernel: FgAbelianGroup
     cokernel_rank: int
     torsion_order: int
     kernel_witness: tuple = None  # exponent vector in Z^{#gens(P)}, or None
-
-    @property
-    def cokernel(self):
-        return self.cokernel_presentation.group
 
     def kernel_order(self):
         return self.kernel.order()
 
     def __post_init__(self):
-        t = math.prod(self.cokernel.torsion) if self.cokernel.torsion else 1
-        if t != self.torsion_order:
+        if math.prod(self.cokernel.torsion) != self.torsion_order:
             raise ValueError("torsion_order must match the cokernel invariants")
 
 
 def gp_profile(f: MonoidHom) -> GpProfile:
-    """Kernel and cokernel of the induced map on groupifications."""
+    """Kernel and cokernel of the induced map on groupifications.
+
+    P^gp = Z^ngens(P) / relations(P), and f^gp sends a to sum a_i f(g_i), so
+    its kernel is the relation lattice of the images modulo P's relations.
+    Q^gp = Z^ngens(Q) / relations(Q), and b lies in the image exactly when
+    (b, a) is a relation of Q's generators followed by the negated images
+    for some a; the cokernel is Z^ngens(Q) modulo the first ngens(Q)
+    coordinates of those relations.  Both read the images alone.
+    """
 
     def build():
         kp = f.source.ngens
         kq = f.target.ngens
-        relp = f.source.relation_lattice()
-        relq = f.target.relation_lattice()
-        fcols = [f.exp_image(tuple(1 if t == i else 0 for t in range(kp))) for i in range(kp)]
-        cols = [list(b) for b in relq.basis] + [list(c) for c in fcols]
-        cokpres = zlat.quotient_by_columns(kq, cols)
-        coker = cokpres.group
-        frows = [[fcols[i][j] for i in range(kp)] for j in range(kq)]
-        klat = zlat.preimage_lattice(frows, relq, kp)
-        relcoords = []
-        for b in relp.basis:
-            c = klat.coords(b)
-            assert c is not None
-            relcoords.append(list(c))
-        kpres = zlat.quotient_by_columns(klat.rank, relcoords)
+        amb = f.target.ambient
+        both = zlat.relation_lattice(amb, [*f.target.gens, *map(amb.neg, f.gen_images)])
+        coker = zlat.quotient_by_columns(kq, [b[:kq] for b in both.basis]).group
+        klat = zlat.relation_lattice(amb, list(f.gen_images))
+        # the constructor checked that P's relations lie in klat
+        relp = [klat.coords(b) for b in f.source.relation_lattice().basis]
+        kpres = zlat.quotient_by_columns(klat.rank, relp)
         kernel = kpres.group
         witness = None
-        if kernel.rank or kernel.torsion:
-            gcoord = (1,) + (0,) * (kernel.dim - 1)
-            lifted = kpres.lift(gcoord)
-            exp = tuple(
+        if kernel.dim:
+            lifted = kpres.lift((1,) + (0,) * (kernel.dim - 1))
+            witness = tuple(
                 sum(klat.basis[t][i] * lifted[t] for t in range(klat.rank))
                 for i in range(kp)
             )
-            witness = exp
-        t = math.prod(coker.torsion) if coker.torsion else 1
-        return GpProfile(kernel, cokpres, coker.rank, t, witness)
+        return GpProfile(kernel, coker, coker.rank, math.prod(coker.torsion), witness)
 
     return f._get("gp_profile", build)
 
@@ -624,8 +609,9 @@ def vidal_decompose(f: MonoidHom) -> VidalResult:
     # presentation of the pushout ambient over the 2*kq exponent generators
     dpres = po.presentation
 
-    # classes in N = Q^gp/P^gp
-    cokpres = prof.cokernel_presentation
+    # classes in N = Q^gp/P^gp: Z^kq modulo Q's relations and the witnesses
+    relq = [list(b) for b in q.relation_lattice().basis]
+    cokpres = zlat.quotient_by_columns(kq, relq + [list(w) for w in f.witnesses])
     ncoker = cokpres.group
 
     eamb, embq, embn, split = direct_sum(q.gp_presentation().group, ncoker)

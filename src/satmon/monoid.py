@@ -187,12 +187,13 @@ class AffineMonoid(Memoized):
     def contains(self, x):
         """Is x in the monoid?
 
-        A monoid known to be saturated is {x : the free part of x lies in
-        the span lattice and every facet value is >= 0}, torsion included,
-        so membership in it is that facet test; otherwise it is a
-        ``membership`` search.
+        A saturated monoid is {x : the free part of x lies in the span
+        lattice and every facet value is >= 0}, torsion included, so
+        membership in it is that facet test; otherwise it is a
+        ``membership`` search.  Which one runs depends on the monoid alone:
+        ``is_saturated`` is decided on the first call and cached.
         """
-        if self._cache.get("is_sat"):
+        if self.is_saturated():
             c = self.cone_coords(x)
             return c is not None and all(vdot(f, c) >= 0 for f in self.cone_facets())
         return self.membership(x) is not None

@@ -120,9 +120,7 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
 
     Requires the ambient group of p to be torsion-free and spanned by the
     generators (P^gp = ambient); use AffineMonoid.intrinsic() first if
-    needed.  p must be saturated; this is checked once, after the modulus,
-    and leaves p known to be saturated, so a later ``p.contains`` is the
-    facet test.
+    needed.  p must be saturated; this is checked once, after the modulus.
     """
     if p.ambient.torsion:
         raise PreconditionError("cover enumeration requires a torsion-free groupification")
@@ -156,11 +154,7 @@ def finite_pset_decomposition(cover: KummerCover):
     q = cover.cover
     amb = q.ambient
     t_set = sorted({amb.combine(c, q.gens) for c in product(range(n), repeat=q.ngens)})
-    if cover.images:
-        image = AffineMonoid(amb, cover.images)
-        in_image = lambda x: image.membership(x) is not None
-    else:
-        in_image = amb.is_zero
+    in_image = AffineMonoid(amb, cover.images).contains
 
     def in_image_plus_t(x):
         return any(in_image(amb.sub(x, t)) for t in t_set)

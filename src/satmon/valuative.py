@@ -305,7 +305,7 @@ class MonoidIdeal:
 
     def __post_init__(self):
         for g in self.generators:
-            if self.owner.membership(g) is None:
+            if not self.owner.contains(g):
                 raise MembershipError(f"ideal generator {g} is not in the owner monoid")
 
     def contains(self, a):
@@ -466,8 +466,8 @@ class TypeVPresentation:
 def verify_sat_generating_affine(f: MonoidHom, elements):
     """Affine version: do image(f) and ``elements`` sat-generate the target?
 
-    The saturation of the generated submonoid is known to be saturated, so
-    each ``sat.contains`` below is a facet test, not a search.
+    The saturation of the generated submonoid is saturated, so each
+    ``sat.contains`` below is a facet test, not a search.
     """
     q = f.target
     for e in elements:
@@ -590,8 +590,11 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
     coefficients up to FLATTEN_COEFF_BOUND, pruning generating sets that are
     not antichains.  Each candidate built and each combination tried is a
     node of the "flattening-ideal search", charged to the node budget that
-    the searches it runs draw on too.  Raises SearchFailureError when
-    nothing within the bounds works (the caller may supply K explicitly).
+    the searches it runs draw on too.  The candidates of a bound include
+    those of every smaller one, so a combination of earlier candidates was
+    tried, with the same verdicts, at an earlier bound: it is skipped, and
+    not charged.  Raises SearchFailureError when nothing within the bounds
+    works (the caller may supply K explicitly).
     """
     p0 = chart.source
     if is_integral(chart).holds:
@@ -599,10 +602,13 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
         ideal = MonoidIdeal(p0, (zero,))
         return ideal, zero, kato_verify(chart, ideal, zero, anchor)
     charge = zlat._node_meter("flattening-ideal search")
+    earlier = set()
     for bound in range(1, FLATTEN_COEFF_BOUND + 1):
         elems = _ideal_candidates(p0, bound, charge)
         for size in range(2, FLATTEN_MAX_GENS + 1):
             for combo in combinations(elems, size):
+                if earlier.issuperset(combo):
+                    continue
                 charge()
                 if any(x != y and p0.contains(p0.ambient.sub(x, y))
                        for x in combo for y in combo):
@@ -612,6 +618,7 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
                 rep = kato_verify(chart, ideal, a, anchor)
                 if rep.integral and rep.factors_through_base:
                     return ideal, a, rep
+        earlier = set(elems)
     raise SearchFailureError(
         "no flattening ideal within the bounded search; supply K explicitly"
     )

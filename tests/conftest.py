@@ -165,6 +165,15 @@ def random_endo_map(rng, p):
 # oracles
 
 
+def witness_image(f, a):
+    """Exponent-level image of sum a_i g_i: the witnesses' columns combined."""
+    out = [0] * f.target.ngens
+    for c, w in zip(a, f.witnesses):
+        for j, x in enumerate(w):
+            out[j] += c * x
+    return tuple(out)
+
+
 def minors_gcd_invariants(rows):
     """Invariant factors via gcds of k x k minors (naive, matrices <= 4x4)."""
     import itertools

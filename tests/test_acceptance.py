@@ -24,6 +24,7 @@ from conftest import (
     random_saturated_monoid,
     rng_for,
     same_submonoid,
+    witness_image,
 )
 from satmon import cli
 from satmon import homs as H
@@ -110,7 +111,7 @@ def test_criterion_03_pushout_gp_invariant():
         # the images of ker(P0^gp -> Q0^gp) together with P's relations
         k0 = _kernel_lattice(along)
         k1 = _kernel_lattice(po.left)
-        image_gens = [arm.exp_image(b) for b in k0.basis]
+        image_gens = [witness_image(arm, b) for b in k0.basis]
         image_gens += [list(b) for b in po.left.source.relation_lattice().basis]
         lat = Lattice([list(b) for b in image_gens], po.left.source.ngens)
         if not all(lat.contains(list(b)) for b in k1.basis):
@@ -126,7 +127,7 @@ def _kernel_lattice(f):
     kq = f.target.ngens
     relq = f.target.relation_lattice()
     fcols = [
-        f.exp_image(tuple(1 if t == i else 0 for t in range(kp))) for i in range(kp)
+        witness_image(f, tuple(1 if t == i else 0 for t in range(kp))) for i in range(kp)
     ]
     frows = [[fcols[i][j] for i in range(kp)] for j in range(kq)]
     return zlat.preimage_lattice(frows, relq, kp)

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -69,6 +70,35 @@ def test_vcp_refuses_a_lattice_with_d_one(nat2):
     assert code == 2
     assert rep["result"]["error"] == "schema-violation"
     assert rep["result"]["path"] == "$.args.lattice"
+
+
+@pytest.mark.parametrize("n", ["\u00b2", "\u0663", "1_000", "+3", " 3", "-", ""])
+def test_integers_are_an_optional_minus_and_ascii_digits(n):
+    # a superscript two used to escape as an uncaught ValueError, and an
+    # Arabic-Indic three was read as 3
+    rep, code = cli.run_request(req("pi1", {"monoid": D.monoid_out(free_monoid(1)), "n": n}))
+    assert code == 2
+    assert rep["result"]["error"] == "schema-violation"
+    assert rep["result"]["path"] == "$.args.n"
+
+
+@pytest.mark.parametrize(
+    "x", ["1_0", "+1/2", "\u0663/2", "\u00b2", "1/+2", "1/0", "1/2/3", "/2", "1/", " 1/2"]
+)
+def test_rationals_are_decimal_strings_over_decimal_strings(nat2, x):
+    ideal = D.ideal_out(V.MonoidIdeal(nat2, ((1, 0), (0, 1))))
+    lattice = D.lattice_out(V.quadratic_line(2))
+    rep, code = cli.run_request(
+        req("vcp", {"ideal": ideal, "lattice": lattice, "images": [[x, "0"], ["0", "1"]]})
+    )
+    assert code == 2
+    assert rep["result"]["error"] == "schema-violation"
+    assert rep["result"]["path"] == "$.args.images[0][0]"
+
+
+def test_decimal_strings_that_parse():
+    assert [D._int(s, "$") for s in ("0", "-0", "-12", "007")] == [0, 0, -12, 7]
+    assert [D._frac(s, "$") for s in ("3", "-3/4", "6/-4")] == [3, F(-3, 4), F(-3, 2)]
 
 
 def test_op_tsuji(nat):

@@ -1,6 +1,8 @@
 """Morphism taxonomy: profiles, predicates, pushouts, Vidal, semistable."""
 
 import itertools
+import json
+import os
 import time
 
 import pytest
@@ -17,7 +19,9 @@ from conftest import (
     random_affine_monoid,
     rng_for,
     same_submonoid,
+    witness_image,
 )
+from satmon import cli
 from satmon import homs as H
 from satmon import monoid as M
 from satmon import zlat
@@ -92,7 +96,7 @@ def test_hom_into_saturated_target_finds_witnesses_when_read(monkeypatch):
 
 
 def test_hom_into_unknown_target_searches_once_per_image(monkeypatch):
-    # <2, 3> in Z is not saturated; nothing has said whether it is
+    # <2, 3> in Z is not saturated, and nothing has asked before the hom does
     q = monoid_from_vectors([(2,), (3,)])
     calls = _count_membership(monkeypatch)
     f = H.MonoidHom(free_monoid(3), q, [(2,), (5,), (6,)])
@@ -102,7 +106,7 @@ def test_hom_into_unknown_target_searches_once_per_image(monkeypatch):
     assert len(calls) == 3  # the witnesses were the constructor's proof
     with pytest.raises(MembershipError):
         H.MonoidHom(free_monoid(1), q, [(1,)])
-    assert "is_sat" not in q._cache
+    assert q._cache["is_sat"] is False
 
 
 def test_gp_profile_doubling(nat):
@@ -124,6 +128,103 @@ def test_gp_profile_half_grid_chart():
     prof = H.gp_profile(f)
     assert (prof.cokernel.rank, prof.cokernel.torsion) == (0, (2, 2))
     assert prof.torsion_order == 4
+
+
+def _witness_gp_profile(f):
+    """The former witness path: f^gp as the matrix of the witness columns,
+    its kernel the preimage of Q's relations modulo P's, its cokernel
+    Z^ngens(Q) modulo Q's relations and the witness columns."""
+    kp, kq = f.source.ngens, f.target.ngens
+    relq = f.target.relation_lattice()
+    fcols = [witness_image(f, tuple(int(t == i) for t in range(kp))) for i in range(kp)]
+    coker = zlat.quotient_by_columns(
+        kq, [list(b) for b in relq.basis] + [list(c) for c in fcols]
+    ).group
+    frows = [[fcols[i][j] for i in range(kp)] for j in range(kq)]
+    klat = zlat.preimage_lattice(frows, relq, kp)
+    relcoords = [list(klat.coords(b)) for b in f.source.relation_lattice().basis]
+    kpres = zlat.quotient_by_columns(klat.rank, relcoords)
+    kernel = kpres.group
+    witness = None
+    if kernel.dim:
+        lifted = kpres.lift((1,) + (0,) * (kernel.dim - 1))
+        witness = tuple(
+            sum(klat.basis[t][i] * lifted[t] for t in range(klat.rank)) for i in range(kp)
+        )
+    return kernel, coker, witness
+
+
+def _random_hom(rng):
+    """A hom from a random monoid P in Z^r (+ Z/2), by a random group map,
+    into Q, the monoid of the images (some split in two random pieces) and
+    a few extra elements, in an ambient with torsion (), (2), (3) or (2, 4).
+    Each side is saturated half of the time."""
+    r = rng.randint(1, 3)
+    src_tor = rng.choice(((), (), (2,)))
+    amb_p = FgAbelianGroup(r, src_tor)
+    gens = {amb_p.reduce([rng.randint(-1, 2) for _ in range(amb_p.dim)])
+            for _ in range(rng.randint(1, 4))}
+    p = M.AffineMonoid(amb_p, sorted(g for g in gens if not amb_p.is_zero(g)))
+    if rng.random() < 0.5:
+        p = p.saturate()
+    s = rng.randint(1, 3)
+    amb_q = FgAbelianGroup(s, rng.choice(((), (), (2,), (3,), (2, 4))))
+    basis = [tuple(rng.randint(-1, 2) for _ in range(s))
+             + tuple(rng.randrange(d) for d in amb_q.torsion) for _ in range(r)]
+    # the source torsion Z/2 goes to an element of order dividing 2
+    basis += [(0,) * s + tuple(rng.choice([x for x in range(d) if 2 * x % d == 0])
+                               for d in amb_q.torsion) for _ in src_tor]
+    images = [amb_q.combine(g, basis) for g in p.gens]
+    extra = [amb_q.reduce([rng.randint(-1, 2) for _ in range(amb_q.dim)])
+             for _ in range(rng.randint(0, 2))]
+    qgens = []
+    for y in images + extra:
+        if rng.random() < 0.5:
+            u = amb_q.reduce([rng.randint(0, 1) for _ in range(amb_q.dim)])
+            qgens += [u, amb_q.sub(y, u)]
+        else:
+            qgens.append(y)
+    q = M.AffineMonoid(amb_q, list(dict.fromkeys(g for g in qgens if not amb_q.is_zero(g))))
+    if rng.random() < 0.5:
+        q = q.saturate()
+    return H.MonoidHom(p, q, images)
+
+
+def test_gp_profile_from_images_matches_the_witness_path():
+    # kernel, cokernel and kernel witness read off the images' relation
+    # lattices, against the witness-matrix path they replaced
+    rng = rng_for("gp-profile-images")
+    homs = [_random_hom(rng) for _ in range(1200)]
+    for f in homs:
+        prof = H.gp_profile(f)
+        if f.target.is_saturated():
+            assert "witnesses" not in f._cache  # the profile read no witness
+        kernel, coker, witness = _witness_gp_profile(f)
+        assert (prof.kernel, prof.cokernel, prof.kernel_witness) == (kernel, coker, witness), f
+        assert prof.cokernel_rank == coker.rank
+    assert sum(1 for f in homs if f.target.ambient.torsion) >= len(homs) // 3
+    assert sum(1 for f in homs if f.source.ambient.rank == 3) >= 300
+    assert sum(1 for f in homs if not f.source.is_saturated()) >= 250
+    assert sum(1 for f in homs if not f.target.is_saturated()) >= 250
+    profs = [H.gp_profile(f) for f in homs]
+    assert sum(1 for p in profs if p.kernel_witness is not None) >= 400
+    assert sum(1 for p in profs if p.kernel.torsion) >= 150
+    assert sum(1 for p in profs if p.cokernel.torsion) >= 500
+    assert sum(1 for p in profs if p.cokernel_rank) >= 400
+
+
+def test_classify_into_saturated_target_runs_no_membership_search(monkeypatch):
+    # the golden classify request: its hom is proved by facet tests and its
+    # profile read off the images, so no witness is ever searched for
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "golden", "classify_half_s3.request.json")) as fh:
+        request = json.load(fh)
+    with open(os.path.join(here, "golden", "classify_half_s3.report.json")) as fh:
+        golden = fh.read()
+    calls = _count_membership(monkeypatch)
+    report, code = cli.run_request(request)
+    assert calls == []
+    assert json.dumps(report, indent=2, ensure_ascii=True) + "\n" == golden
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Saturatedness from the cone, against a membership search and brute force.
 
 ``is_saturated`` decides P = sat(P) from the facets of the cone, and a
-monoid known to be saturated answers ``contains`` by a facet test.  The
-oracles here are the membership search it replaced and an enumeration of P
-inside a box, with its own group arithmetic.
+saturated monoid answers ``contains`` by a facet test.  The oracles here
+are the membership search it replaced and an enumeration of P inside a
+box, with its own group arithmetic.
 """
 
 from conftest import random_ambient_monoid, rng_for
@@ -125,3 +125,26 @@ def test_facet_contains_matches_membership_on_saturations():
             assert sat.contains(x) == found, (sat, x)
             checked[found] += 1
     assert checked[True] >= 300 and checked[False] >= 100
+
+
+def test_contains_decides_saturatedness_on_fresh_monoids():
+    # nothing has asked these monoids whether they are saturated: contains
+    # decides it, then answers as a membership search does
+    rng = rng_for("fresh-contains")
+    paths = {True: 0, False: 0}
+    for _ in range(120):
+        m = random_ambient_monoid(rng)
+        amb = m.ambient
+        points = [amb.add(g, h) for g in m.gens for h in m.gens[:2]]
+        points += [amb.reduce(tuple(rng.randint(-3, 3) for _ in range(amb.dim))) for _ in range(4)]
+        fresh = AffineMonoid(amb, m.gens)
+        for x in points:
+            try:
+                with node_budget(200):
+                    found = m.membership(x) is not None
+            except ResourceLimitError:
+                continue
+            assert fresh.contains(x) == found, (m, x)
+        assert fresh._cache["is_sat"] == _saturated_by_search(m)
+        paths[fresh._cache["is_sat"]] += 1
+    assert paths[True] >= 30 and paths[False] >= 30

@@ -439,6 +439,25 @@ def test_flattening_search_is_charged_to_the_budget():
     assert ideal.generators == ((1, 0), (1, 1)) and rep.integral
 
 
+def test_flattening_search_tries_each_antichain_once(monkeypatch):
+    # with every Kato check failing, the search runs through all three
+    # coefficient bounds; a combination already tried at a smaller bound is
+    # not checked again
+    p = monoid_from_vectors([(1, 0), (1, 1), (1, 2)])
+    chart = H.MonoidHom(p, free_monoid(1), [(1,)] * 3)
+    anchor = V.LatticeMap(V.lex_lattice(2), p, list(p.gens))
+    checked = []
+
+    def failing(chart, ideal, a, anchor):
+        checked.append(ideal.generators)
+        return V.KatoReport(ideal, a, None, None, None, False, False)
+
+    monkeypatch.setattr(V, "kato_verify", failing)
+    with pytest.raises(SearchFailureError):
+        V.find_flattening_ideal(chart, anchor)
+    assert len(checked) == len(set(checked)) > 1000
+
+
 def p_anchor_value(p, i):
     # order-compatible anchor for the Ogus P: value = the half-grid vector
     # (sum with weight) - use the grid coordinates themselves
