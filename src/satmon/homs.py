@@ -9,9 +9,7 @@ witnesses are the proof.  The induced map on groupifications needs no
 witnesses: ``gp_profile`` reads its kernel and cokernel off relation
 lattices of the images.  Verdicts (injective, exact, integral, vertical,
 smooth, etale, Kummer etale) are certified: every negative answer carries
-a witness.  ``reverify_integral_certificate`` re-checks a negative
-integrality verdict by running its witness search again, not by an
-independent path.
+a witness.
 
 Integrality is decided by the element-wise four-tuple criterion.  The
 solution monoid T = {(a1,a2,b1,b2) : f(a1)+b1 = f(a2)+b2} is generated by
@@ -20,7 +18,9 @@ completion), and the witness condition is additive: if two tuples admit
 witnesses (a3,a4,b) and (a3',a4',b'), their sum admits (a3+a3', a4+a4',
 b+b'), and the zero tuple admits (0,0,0).  Checking the generators is
 therefore sufficient; the brute-force oracle in the test suite guards this
-argument.
+argument.  Whether a tuple has a witness is whether one element lies in
+one monoid per hom, ``_witness_monoid``, and ``AffineMonoid.contains``
+decides that.
 """
 
 import math
@@ -271,32 +271,22 @@ def integrality_tuple_generators(f: MonoidHom):
     return sorted(tuples)
 
 
-def _witness_equations(f: MonoidHom, tup):
-    """Rows and rhs over (a3, a4, b), then slack, for the witness of ``tup``.
+def _witness_monoid(f: MonoidHom):
+    """M_f in amb(P) + amb(Q), generated by (g_i, 0), (-g_i, f(g_i)), (0, h_j).
 
-    Columns and right-hand sides are reduced, so a witness has no negative
-    slack and ``solve_nonneg`` searches over all columns.
+    Returns (M_f, embed_p, embed_q), the two embeddings into the canonical
+    form of the direct sum.  Duplicate generators are dropped; the only
+    ones arise when f kills a unit g_i whose negative is a generator g_k.
     """
-    a1, a2, b1, b2 = tup
-    ambq = f.target.ambient
-    ambp = f.source.ambient
-    ims, ps, qs = f.gen_images, f.source.gens, f.target.gens
-    zq = [ambq.zero()] * len(ims)
-    zp = [ambp.zero()] * len(qs)
-    rhs3 = f.source.element_from_exponents(vsub(a2, a1))
-    # unknowns (a3, a4, b): f(a3) + b = b1, f(a4) + b = b2, a3 - a4 = a2 - a1
-    return zlat.group_equations(
-        [
-            (ambq, [*ims, *zq, *qs], f.target.element_from_exponents(b1)),
-            (ambq, [*zq, *ims, *qs], f.target.element_from_exponents(b2)),
-            (ambp, [*ps, *map(ambp.neg, ps), *zp], rhs3),
-        ]
-    )
 
+    def build():
+        amb, embp, embq, _ = direct_sum(f.source.ambient, f.target.ambient)
+        ps = [embp(g) for g in f.source.gens]
+        gens = ps + [amb.sub(embq(im), g) for g, im in zip(ps, f.gen_images)]
+        gens += [embq(h) for h in f.target.gens]
+        return AffineMonoid(amb, list(dict.fromkeys(gens))), embp, embq
 
-def _integral_witness_search(f: MonoidHom, tup):
-    """Branch-and-bound search for a witness of ``tup``."""
-    return zlat.solve_nonneg(*_witness_equations(f, tup)).is_sat
+    return f._get("witness_monoid", build)
 
 
 def _integral_witness_exists(f: MonoidHom, tup):
@@ -306,16 +296,27 @@ def _integral_witness_exists(f: MonoidHom, tup):
     ``is_integral`` constructs: it fits exactly when the tuple lies in T,
     and a tuple outside T has no witness at all.  For a1 >= a2 the witness
     (0, a1 - a2, b1) fits when f(a1 - a2) + b1 = b2 in the target group, and
-    a2 >= a1 is the mirror case.  Any other tuple is searched.
+    a2 >= a1 is the mirror case.
+
+    Any other tuple of T has a witness exactly when
+    x = (p(a2) - p(a1), q(b2)) lies in M_f (``_witness_monoid``), for any P
+    and Q, saturated or not, torsion included.  The coefficients of x on
+    the generator families (g_i, 0), (-g_i, f(g_i)) and (0, h_j) are
+    exactly (a3, a4, b): the first coordinate says p(a1) + p(a3) =
+    p(a2) + p(a4), the second f(a4) + q(b) = q(b2), and f(a3) + q(b) =
+    q(b1) then follows from the tuple's relation f(a1) + q(b1) = f(a2) +
+    q(b2).  Merging a duplicate generator changes no such sum.
     """
     a1, a2, b1, b2 = tup
+    q = f.target
     if all(x >= y for x, y in zip(a1, a2)):
         a, b, c = vsub(a1, a2), b1, b2
     elif all(x <= y for x, y in zip(a1, a2)):
         a, b, c = vsub(a2, a1), b2, b1
     else:
-        return _integral_witness_search(f, tup)
-    q = f.target
+        m, embp, embq = _witness_monoid(f)
+        delta = embp(f.source.element_from_exponents(vsub(a2, a1)))
+        return m.contains(m.ambient.add(delta, embq(q.element_from_exponents(b2))))
     return q.ambient.add(f.apply_exponents(a), q.element_from_exponents(b)) == (
         q.element_from_exponents(c)
     )
@@ -328,14 +329,15 @@ def is_integral(f: MonoidHom) -> Verdict:
     are checked one by one as completion finds them, and the first without
     a witness, in completion order, is the certificate; completion stops
     there.  ``True`` needs completion to finish, so a ResourceLimitError
-    means the node budget, which completion and the witness searches share,
+    means the node budget, which completion and the witness checks share,
     ran out before any generator without a witness turned up.  An ordered
     generator has a witness by construction, in any ambient, torsion
     included: if a1 >= a2, then (0, a1 - a2, b1) is one, because
     f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if a2 >= a1,
     then (a2 - a1, 0, b2).  The trivial pairs and the b-only generators are
-    ordered.  The constructed witness is checked in the target group, and
-    only the other generators are searched.
+    ordered.  The constructed witness is checked in the target group; each
+    other generator is one membership question in the witness monoid M_f,
+    built once per hom, whose cone answers it before any search does.
     """
 
     def build():
@@ -356,20 +358,6 @@ def is_integral(f: MonoidHom) -> Verdict:
         return Verdict(True, {"reason": "all relation-monoid generators witnessed"})
 
     return f._get("integral", build)
-
-
-def reverify_integral_certificate(f: MonoidHom, cert):
-    """Re-check a negative integrality certificate from scratch."""
-    tup = (cert["tuple_a1"], cert["tuple_a2"], cert["tuple_b1"], cert["tuple_b2"])
-    lhs = f.target.ambient.add(
-        f.apply_exponents(tup[0]), f.target.element_from_exponents(tup[2])
-    )
-    rhs = f.target.ambient.add(
-        f.apply_exponents(tup[1]), f.target.element_from_exponents(tup[3])
-    )
-    if lhs != rhs:
-        return False
-    return not _integral_witness_exists(f, tup)
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,19 @@ class AffineMonoid(Memoized):
     def contains(self, x):
         """Is x in the monoid?
 
-        A saturated monoid is {x : the free part of x lies in the span
-        lattice and every facet value is >= 0}, torsion included, so
-        membership in it is that facet test; otherwise it is a
-        ``membership`` search.  Which one runs depends on the monoid alone:
-        ``is_saturated`` is decided on the first call and cached.
+        The cone is tested first: every member has its free part in the
+        span lattice and every facet value >= 0, so an x that fails this
+        lies in no monoid with this cone, and the answer is False without
+        deciding saturatedness.  The saturation is exactly the set of x
+        that pass, torsion included, so a saturated monoid contains them
+        all; for any other monoid a ``membership`` search decides.
+        ``is_saturated`` is decided on the first call that needs it and
+        cached.
         """
-        if self.is_saturated():
-            c = self.cone_coords(x)
-            return c is not None and all(vdot(f, c) >= 0 for f in self.cone_facets())
-        return self.membership(x) is not None
+        c = self.cone_coords(x)
+        if c is None or any(vdot(f, c) < 0 for f in self.cone_facets()):
+            return False
+        return self.is_saturated() or self.membership(x) is not None
 
     # -- saturation ------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Shared fixtures: canonical examples from the literature plus seeded corpora."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -279,44 +280,48 @@ def integrality_box_bound(f):
     return 3 if f.source.ngens + f.target.ngens <= 4 else 2
 
 
-def _integrality_witness_bound(f, tup):
+def _integrality_witness_bound(f, tup, grading=None):
     """Box size B for the witness search of one integrality tuple.
 
-    With phi the sum of free coordinates in the target, a witness satisfies
-    phi(b1) = sum_i a3_i phi(f(p_i)) + sum_j b_j phi(q_j), and likewise for b2
-    and a4.  If every target generator has nonnegative free coordinates and
-    every image f(p_i) has phi >= 1, then |a3|, |a4| and every b_j with
-    phi(q_j) >= 1 are at most max(phi(b1), phi(b2)); a generator with
-    phi(q_j) = 0 is torsion, so b_j can be taken below its order.  The search
-    is then complete; the hypotheses are asserted, not assumed.
+    phi is ``grading``, a linear form on the target's free coordinates (by
+    default the sum of them).  A witness satisfies phi(b1) = sum_i a3_i
+    phi(f(p_i)) + sum_j b_j phi(q_j), and likewise for b2 and a4.  If every
+    image has phi >= m > 0 and so has every target generator with a nonzero
+    free part, then |a3|, |a4| and each such b_j are at most
+    max(phi(b1), phi(b2)) / m; any other generator is torsion, so b_j can be
+    taken below its order.  The search is then complete; the hypotheses are
+    asserted, not assumed.
     """
     amb = f.target.ambient
-    free_q = [amb.free_part(g) for g in f.target.gens]
-    free_im = [amb.free_part(im) for im in f.gen_images]
-    if any(c < 0 for g in free_q + free_im for c in g) or any(
-        sum(im) < 1 for im in free_im
-    ):
-        raise ValueError("witness box is complete only for nonnegative gradings")
+    phi = (1,) * amb.rank if grading is None else grading
+
+    def value(v):
+        return sum(c * x for c, x in zip(phi, amb.free_part(v)))
+
+    graded = [g for g in f.target.gens if any(amb.free_part(g))] + list(f.gen_images)
+    low = min(value(g) for g in graded) if graded else 1
+    if low <= 0:
+        raise ValueError("witness box is complete only for positive gradings")
     _, _, b1, b2 = tup
-    phi1 = sum(amb.free_part(f.target.element_from_exponents(b1)))
-    phi2 = sum(amb.free_part(f.target.element_from_exponents(b2)))
-    return max(1, phi1, phi2, max(amb.torsion, default=1) - 1)
+    top = max(value(f.target.element_from_exponents(b)) for b in (b1, b2))
+    return max(1, math.floor(top / low), max(amb.torsion, default=1) - 1)
 
 
-def integrality_witness_in_box(f, tup, cache=None):
+def integrality_witness_in_box(f, tup, cache=None, grading=None):
     """LP-free check that an integrality tuple (a1, a2, b1, b2) has a witness.
 
     A witness is (a3, a4, b) with b1 = f(a3) + b, b2 = f(a4) + b and
     a1 + a3 = a2 + a4.  It enumerates a3, a4 in [0, B]^kp and b in [0, B]^kq
-    with B from ``_integrality_witness_bound``; only the element values of
-    f(a3), a3 and b matter, so each side is tabulated once per (b_i, B).
+    with B from ``_integrality_witness_bound`` for ``grading``; only the
+    element values of f(a3), a3 and b matter, so each side is tabulated
+    once per (b_i, B).
     ``cache`` may be shared across tuples of the same map.
     """
     import itertools
 
     cache = {} if cache is None else cache
     a1, a2, b1, b2 = tup
-    bound = _integrality_witness_bound(f, tup)
+    bound = _integrality_witness_bound(f, tup, grading)
     ambq = f.target.ambient
     ambp = f.source.ambient
     if ("box", bound) not in cache:
@@ -386,6 +391,100 @@ def integrality_box_violation(f, bound=3):
         if not integrality_witness_in_box(f, key, cache):
             return key
     return None
+
+
+def combination(coeffs, vecs, dim):
+    """sum coeffs[i] * vecs[i] in the first ``dim`` coordinates, unreduced."""
+    return tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(dim))
+
+
+def same_element(amb, u, v):
+    """u == v in Z^rank + torsion, with the test's own arithmetic."""
+    r = amb.rank
+    return u[:r] == v[:r] and all((x - y) % d == 0 for x, y, d in zip(u[r:], v[r:], amb.torsion))
+
+
+def _rational_solution(rows, rhs):
+    """Some y in Q^n with rows . y = rhs, for rows of full row rank, by
+    Gauss-Jordan elimination over Fractions."""
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                aug[i] = [x - aug[i][c] * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    assert len(pivots) == len(aug), "rows must have full row rank"
+    y = [Fraction(0)] * len(rows[0])
+    for i, c in enumerate(pivots):
+        y[c] = aug[i][-1]
+    return y
+
+
+def _facet_forms(m):
+    """m's facet normals as linear forms on the free part of its ambient,
+    read back through the span basis; any solution does, since every point
+    of m lies in the span."""
+    span = m.span_lattice()
+    return [_rational_solution(span.basis, phi) for phi in m.cone_facets()]
+
+
+def separating_functionals(f):
+    """Candidate functionals on the free parts of amb(P) + amb(Q), in that
+    order: the facets of the library's witness monoid M_f, composed with
+    the free coordinates of the direct sum it lives in.  Nothing here is
+    trusted; a caller checks a candidate by dot products."""
+    m, embp, embq = H._witness_monoid(f)
+    ambp, ambq = f.source.ambient, f.target.ambient
+    units = [embp(tuple(int(i == k) for i in range(ambp.dim))) for k in range(ambp.rank)]
+    units += [embq(tuple(int(i == k) for i in range(ambq.dim))) for k in range(ambq.rank)]
+    return [[sum(a * b for a, b in zip(psi, u)) for u in units] for psi in _facet_forms(m)]
+
+
+def check_integral_certificate(f, cert):
+    """Re-check a negative integrality certificate; return what decided it.
+
+    The tuple must be a relation, f(a1) + q(b1) = f(a2) + q(b2), by this
+    module's own arithmetic.  It must have no witness (a3, a4, b).  A
+    witness makes x = (p(a2) - p(a1), q(b2)) the combination of (g_i, 0),
+    (-g_i, f(g_i)) and (0, h_j) with the nonnegative coefficients
+    (a3, a4, b), so a functional on free parts that is >= 0 on all of these
+    and < 0 on x rules one out: "facet", tried on each candidate of
+    ``separating_functionals``.  Where none separates, the LP-free box
+    search must find no witness: "box", graded by the sum of the target's
+    free coordinates or, where that grading is not positive, of its facets.
+    """
+    tup = tuple(cert[k] for k in ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2"))
+    a1, a2, b1, b2 = tup
+    ambp, ambq = f.source.ambient, f.target.ambient
+    ps, qs, ims = f.source.gens, f.target.gens, f.gen_images
+    lhs = combination([*a1, *b1], [*ims, *qs], ambq.dim)
+    rhs = combination([*a2, *b2], [*ims, *qs], ambq.dim)
+    assert same_element(ambq, lhs, rhs), (f, cert)
+    rp, rq = ambp.rank, ambq.rank
+    gens = [g[:rp] + (0,) * rq for g in ps]
+    gens += [tuple(-x for x in g[:rp]) + im[:rq] for g, im in zip(ps, ims)]
+    gens += [(0,) * rp + h[:rq] for h in qs]
+    x = combination([y - x for x, y in zip(a1, a2)], ps, rp) + combination(b2, qs, rq)
+    for chi in separating_functionals(f):
+        values = [sum(c * a for c, a in zip(chi, v)) for v in gens]
+        if sum(c * a for c, a in zip(chi, x)) < 0 and min(values, default=0) >= 0:
+            return "facet"
+    # the sum of the target's facets is positive off its units
+    for grading in (None, [sum(col) for col in zip(*_facet_forms(f.target))]):
+        try:
+            found = integrality_witness_in_box(f, tup, grading=grading)
+        except ValueError:
+            continue
+        assert not found, (f, cert)
+        return "box"
+    raise AssertionError(f"no functional separates and no witness box is complete: {f}, {cert}")
 
 
 def face_preimage(f, face):

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import (
+    check_integral_certificate,
     criterion05_corpus,
     face_preimage,
     hom_preimage_box_violation,
@@ -85,7 +86,9 @@ def test_criterion_02_ogus_regression():
     ok = ok and sharp_free == [(0, 0), (0, 1), (1, 0)]
     v = H.is_integral(po.left)
     ok = ok and not v.holds
-    ok = ok and H.reverify_integral_certificate(po.left, v.certificate)
+    # M_f has torsion and is not saturated, so no facet separates this
+    # tuple; the box search decides it
+    ok = ok and check_integral_certificate(po.left, v.certificate) == "box"
     _report(2, "Ogus regression (integral base change fails after saturation)", ok)
 
 

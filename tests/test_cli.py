@@ -121,6 +121,7 @@ def test_version_mismatch():
         "spec_units_torsion",
         "rft_lex_ramified",
         "vidal_square_n2",
+        "classify_not_integral",
     ],
 )
 def test_golden_reports(name):

@@ -3,11 +3,15 @@
 import itertools
 import json
 import os
+import sys
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import (
+    check_integral_certificate,
+    combination,
     criterion05_corpus,
     hom_preimage_box_violation,
     integrality_box_bound,
@@ -18,6 +22,7 @@ from conftest import (
     ogus_data,
     random_affine_monoid,
     rng_for,
+    same_element,
     same_submonoid,
     witness_image,
 )
@@ -227,6 +232,47 @@ def test_classify_into_saturated_target_runs_no_membership_search(monkeypatch):
     assert json.dumps(report, indent=2, ensure_ascii=True) + "\n" == golden
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_classify_not_integral_golden_is_decided_by_the_cone(monkeypatch):
+    # the one unordered tuple is outside the cone of the witness monoid, so
+    # neither a search nor a third saturation runs (the replaced path ran
+    # one branch-and-bound search)
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "golden", "classify_not_integral.request.json")) as fh:
+        request = json.load(fh)
+    searches = _count_calls(monkeypatch, zlat, "solve_nonneg")
+    saturations = _count_calls(monkeypatch, M, "saturation_of_cone")
+    report, code = cli.run_request(request)
+    assert code == 1 and report["result"]["verdicts"]["integral"]["holds"] is False
+    assert searches == [] and len(saturations) == 2
+
+
+def test_refused_integral_hom_runs_no_witness_search(monkeypatch):
+    # completion overflows 2000 nodes before any generator lacks a witness;
+    # the witnesses of the generators found until then are decided by the
+    # witness monoid's cone, where the replaced path ran 30 searches
+    src = monoid_from_vectors([(1, 0), (1, 1), (1, 2), (1, 3)])
+    tgt = monoid_from_vectors([(1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1)])
+    f = H.MonoidHom(src, tgt, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
+    searches = _count_calls(monkeypatch, zlat, "solve_nonneg")
+    with zlat.node_budget(2000), pytest.raises(ResourceLimitError, match="completion"):
+        H.is_integral(f)
+    assert searches == []
+    with zlat.node_budget(20000):
+        assert H.is_integral(f).holds
+
+
 # ---------------------------------------------------------------------------
 # exactness
 
@@ -315,7 +361,7 @@ def test_ogus_base_change_not_integral_with_reverifiable_certificate():
     theta = po.left
     v = H.is_integral(theta)
     assert not v.holds
-    assert H.reverify_integral_certificate(theta, v.certificate)
+    check_integral_certificate(theta, v.certificate)
 
 
 def test_integral_agrees_with_box_oracle_small():
@@ -714,6 +760,40 @@ def test_kummer_etale_face_bijection(nat2):
     assert len(images) == len(f.target.faces()) == len(f.source.faces())
 
 
+# ---------------------------------------------------------------------------
+# integrality witnesses against the search the witness monoid replaced
+
+
+def _witness_equations(f, tup):
+    """Rows and rhs over (a3, a4, b), then slack, for the witness of ``tup``.
+
+    Columns and right-hand sides are reduced, so a witness has no negative
+    slack and ``solve_nonneg`` searches over all columns.  This is the
+    three-block system the library searched before it asked the witness
+    monoid, kept as the oracle.
+    """
+    a1, a2, b1, b2 = tup
+    ambq = f.target.ambient
+    ambp = f.source.ambient
+    ims, ps, qs = f.gen_images, f.source.gens, f.target.gens
+    zq = [ambq.zero()] * len(ims)
+    zp = [ambp.zero()] * len(qs)
+    rhs3 = f.source.element_from_exponents(tuple(y - x for x, y in zip(a1, a2)))
+    # unknowns (a3, a4, b): f(a3) + b = b1, f(a4) + b = b2, a3 - a4 = a2 - a1
+    return zlat.group_equations(
+        [
+            (ambq, [*ims, *zq, *qs], f.target.element_from_exponents(b1)),
+            (ambq, [*zq, *ims, *qs], f.target.element_from_exponents(b2)),
+            (ambp, [*ps, *map(ambp.neg, ps), *zp], rhs3),
+        ]
+    )
+
+
+def _witness_search(f, tup):
+    """Branch-and-bound search for a witness of ``tup``: the oracle."""
+    return zlat.solve_nonneg(*_witness_equations(f, tup)).is_sat
+
+
 def test_box_witness_oracle_agrees_with_lp_witness():
     """Criterion 05's LP-free witness search matches the LP-backed one.
 
@@ -732,7 +812,7 @@ def test_box_witness_oracle_agrees_with_lp_witness():
         cache = {}
         for tup in tuples:
             want = integrality_witness_in_box(f, tup, cache)
-            assert H._integral_witness_search(f, tup) == want, (f, tup)
+            assert _witness_search(f, tup) == want, (f, tup)
             assert H._integral_witness_exists(f, tup) == want, (f, tup)
 
 
@@ -749,16 +829,6 @@ def _random_linear_hom(rng, torsion):
     if any(extra) and rng.random() < 0.5:
         gens.add(extra)
     return H.MonoidHom(src, M.AffineMonoid(amb, sorted(gens)), images)
-
-
-def _combination(coeffs, vecs, dim):
-    return tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(dim))
-
-
-def _same_element(amb, u, v):
-    """u == v in Z^rank + torsion, with the test's own arithmetic."""
-    r = amb.rank
-    return u[:r] == v[:r] and all((x - y) % d == 0 for x, y, d in zip(u[r:], v[r:], amb.torsion))
 
 
 def _witness_corpus():
@@ -800,14 +870,14 @@ def test_ordered_tuples_have_the_constructed_witness():
                 continue
             ordered += 1
             for a, bq in ((a3, b1), (a4, b2)):
-                lhs = _combination([*a, *b], [*ims, *qs], ambq.dim)
-                assert _same_element(ambq, lhs, _combination(bq, qs, ambq.dim)), (f, tup)
-            lhs = _combination([*a1, *a3], [*ps, *ps], ambp.dim)
-            assert _same_element(ambp, lhs, _combination([*a2, *a4], [*ps, *ps], ambp.dim))
+                lhs = combination([*a, *b], [*ims, *qs], ambq.dim)
+                assert same_element(ambq, lhs, combination(bq, qs, ambq.dim)), (f, tup)
+            lhs = combination([*a1, *a3], [*ps, *ps], ambp.dim)
+            assert same_element(ambp, lhs, combination([*a2, *a4], [*ps, *ps], ambp.dim))
             assert H._integral_witness_exists(f, tup), (f, tup)
             with zlat.node_budget(300):
                 try:
-                    assert H._integral_witness_search(f, tup), (f, tup)
+                    assert _witness_search(f, tup), (f, tup)
                 except ResourceLimitError:
                     assert ambq.torsion, (f, tup)
                     refused += 1
@@ -824,16 +894,104 @@ def test_torsion_witness_reproducer_is_found():
     a1, a2, b1, b2 = tup = ((0, 1, 0), (0, 0, 0), (0, 3, 0), (1, 0, 2))
     t0 = time.perf_counter()
     with zlat.node_budget(2000):
-        res = zlat.solve_nonneg(*H._witness_equations(f, tup))
+        res = zlat.solve_nonneg(*_witness_equations(f, tup))
     assert time.perf_counter() - t0 < 1.0
     assert res.is_sat
+    assert H._integral_witness_exists(f, tup)
     a3, a4, b = res.witness[:3], res.witness[3:6], res.witness[6:9]
     assert min(res.witness[:9]) >= 0
     qs, ps = tgt.gens, src.gens
     for a, bq in ((a3, b1), (a4, b2)):
-        lhs = _combination([*a, *b], [*f.gen_images, *qs], amb.dim)
-        assert _same_element(amb, lhs, _combination(bq, qs, amb.dim))
-    assert _combination([*a1, *a3], [*ps, *ps], 2) == _combination([*a2, *a4], [*ps, *ps], 2)
+        lhs = combination([*a, *b], [*f.gen_images, *qs], amb.dim)
+        assert same_element(amb, lhs, combination(bq, qs, amb.dim))
+    assert combination([*a1, *a3], [*ps, *ps], 2) == combination([*a2, *a4], [*ps, *ps], 2)
+
+
+def _is_ordered(tup):
+    a1, a2 = tup[:2]
+    return all(x >= y for x, y in zip(a1, a2)) or all(x <= y for x, y in zip(a1, a2))
+
+
+def _witness_differential(homs, budget, per_hom=None):
+    """The witness monoid's verdict against the search's, on the unordered
+    relation-monoid generators completion finds within ``budget`` nodes
+    (at most ``per_hom`` of them per hom).  Each side gets its own budget;
+    a tuple either side refuses is counted, not compared.  Returns the
+    counts, with the verdicts under True and False."""
+    counts = Counter()
+    for f in homs:
+        found = []
+        with zlat.node_budget(budget):
+            try:
+                H._relation_generators(f, found.append)
+            except ResourceLimitError:
+                pass
+        for tup in [t for t in found if not _is_ordered(t)][:per_hom]:
+            try:
+                with zlat.node_budget(budget):
+                    want = _witness_search(f, tup)
+                with zlat.node_budget(budget):
+                    got = H._integral_witness_exists(f, tup)
+            except ResourceLimitError:
+                counts["refused"] += 1
+                continue
+            assert got == want, (f, tup, want)
+            counts[want] += 1
+            counts["saturated M_f"] += H._witness_monoid(f)[0].is_saturated()
+    return counts
+
+
+def test_witness_monoid_agrees_with_the_search_on_the_witness_corpus():
+    counts = _witness_differential(_witness_corpus(), 2000)
+    assert counts[True] >= 100 and counts[False] >= 100 and counts["refused"] <= 5, counts
+    # most of these witness monoids are not saturated, so membership decides
+    assert counts["saturated M_f"] <= 50, counts
+
+
+def test_witness_monoid_agrees_with_the_search_on_classify_replays():
+    # the classify corpus of satbench, 6 blocks of seeds 1 and 2, at the
+    # budget its requests carry
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(repo, "satbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    homs = [
+        H.MonoidHom(monoid_from_vectors(e["src"]), monoid_from_vectors(e["tgt"]), e["images"])
+        for seed in (1, 2)
+        for e in (item.expect for item in corpus.classify_corpus(seed, 6))
+    ]
+    counts = _witness_differential(homs, corpus.CLASSIFY_BUDGET)
+    assert counts[True] >= 300 and counts[False] >= 1000 and counts["refused"] == 0, counts
+
+
+def _with_killed_unit(f):
+    """f extended to P + Z, the unit pair +-e of the new summand sent to 0;
+    its witness monoid merges (-e, f(e)) = (-e, 0) with the generator (-e, 0)."""
+    ambp = f.source.ambient
+    amb = FgAbelianGroup(ambp.rank + 1, ambp.torsion)
+    e = tuple(int(i == ambp.rank) for i in range(amb.dim))
+    gens = [g[: ambp.rank] + (0,) + g[ambp.rank:] for g in f.source.gens]
+    src = M.AffineMonoid(amb, gens + [e, amb.neg(e)])
+    zero = f.target.ambient.zero()
+    return H.MonoidHom(src, f.target, [*f.gen_images, zero, zero])
+
+
+def test_witness_monoid_agrees_with_the_search_on_random_homs():
+    # torsion targets, torsion sources, sources of rank 3, non-saturated P
+    # or Q (see _random_hom), and every seventh source with a unit f kills
+    rng = rng_for("witness-monoid-differential")
+    homs = [_random_hom(rng) for _ in range(1000)]
+    homs[::7] = [_with_killed_unit(f) for f in homs[::7]]
+    assert sum(1 for f in homs if f.target.ambient.torsion) >= len(homs) // 3
+    assert sum(1 for f in homs if f.source.ambient.torsion) >= 250
+    assert sum(1 for f in homs if f.source.ambient.rank == 3) >= 250
+    assert sum(1 for f in homs if not f.source.is_saturated() or not f.target.is_saturated()) >= 350
+    for f in homs[::7]:
+        assert H._witness_monoid(f)[0].ngens < 2 * f.source.ngens + f.target.ngens
+    counts = _witness_differential(homs, 300, per_hom=6)
+    assert counts[True] >= 300 and counts[False] >= 100 and counts["refused"] <= 5, counts
 
 
 def _first_unwitnessed_in_sorted_order(f):
@@ -845,17 +1003,6 @@ def _first_unwitnessed_in_sorted_order(f):
         if not H._integral_witness_exists(f, tup):
             return tup
     return None
-
-
-def _assert_integral_certificate(f, cert):
-    """A negative certificate is a relation f(a1) + b1 = f(a2) + b2 by the
-    test's own arithmetic and passes the library's re-check."""
-    a1, a2, b1, b2 = (cert[k] for k in ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2"))
-    ambq, ims, qs = f.target.ambient, f.gen_images, f.target.gens
-    lhs = _combination([*a1, *b1], [*ims, *qs], ambq.dim)
-    rhs = _combination([*a2, *b2], [*ims, *qs], ambq.dim)
-    assert _same_element(ambq, lhs, rhs), (f, cert)
-    assert H.reverify_integral_certificate(f, cert), (f, cert)
 
 
 def test_is_integral_agrees_with_the_sorted_list_loop():
@@ -886,7 +1033,7 @@ def test_is_integral_agrees_with_the_sorted_list_loop():
         elif got is not None:
             assert not got.holds, f
         if got is not None and not got.holds:
-            _assert_integral_certificate(f, got.certificate)
+            check_integral_certificate(f, got.certificate)
     assert both > 150, both
 
 
@@ -903,4 +1050,4 @@ def test_is_integral_answers_before_completion_overflows():
     cert = v.certificate
     tup = tuple(cert[k] for k in ("tuple_a1", "tuple_a2", "tuple_b1", "tuple_b2"))
     assert tup == ((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 2, 0))
-    _assert_integral_certificate(f, cert)
+    check_integral_certificate(f, cert)

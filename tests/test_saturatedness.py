@@ -1,7 +1,8 @@
 """Saturatedness from the cone, against a membership search and brute force.
 
-``is_saturated`` decides P = sat(P) from the facets of the cone, and a
-saturated monoid answers ``contains`` by a facet test.  The oracles here
+``is_saturated`` decides P = sat(P) from the facets of the cone, and
+``contains`` tests the cone first, so a saturated monoid answers it by that
+test alone.  The oracles here
 are the membership search it replaced and an enumeration of P inside a
 box, with its own group arithmetic.
 """
@@ -129,7 +130,8 @@ def test_facet_contains_matches_membership_on_saturations():
 
 def test_contains_decides_saturatedness_on_fresh_monoids():
     # nothing has asked these monoids whether they are saturated: contains
-    # decides it, then answers as a membership search does
+    # tests the cone, decides saturatedness for a point inside it, and
+    # answers as a membership search does
     rng = rng_for("fresh-contains")
     paths = {True: 0, False: 0}
     for _ in range(120):
@@ -145,6 +147,33 @@ def test_contains_decides_saturatedness_on_fresh_monoids():
             except ResourceLimitError:
                 continue
             assert fresh.contains(x) == found, (m, x)
-        assert fresh._cache["is_sat"] == _saturated_by_search(m)
-        paths[fresh._cache["is_sat"]] += 1
+        assert fresh.is_saturated() == _saturated_by_search(m)
+        paths[fresh.is_saturated()] += 1
     assert paths[True] >= 30 and paths[False] >= 30
+
+
+def test_contains_tests_the_cone_before_saturatedness():
+    # random monoids, non-saturated, with torsion or with units: contains
+    # agrees with a membership search on points inside and outside the
+    # cone, and a point outside is refused before saturatedness is decided
+    rng = rng_for("cone-first-contains")
+    sides = {True: 0, False: 0}
+    for _ in range(150):
+        m = random_ambient_monoid(rng)
+        amb = m.ambient
+        points = [amb.add(g, h) for g in m.gens for h in m.gens[:2]]
+        points += [amb.neg(g) for g in m.gens]
+        points += [amb.reduce(tuple(rng.randint(-3, 3) for _ in range(amb.dim))) for _ in range(4)]
+        for x in points:
+            try:
+                with node_budget(200):
+                    found = m.membership(x) is not None
+            except ResourceLimitError:
+                continue
+            fresh = _fresh(m)
+            assert fresh.contains(x) == found, (m, x)
+            inside = _in_saturation(m, x)
+            if not inside:
+                assert "is_sat" not in fresh._cache, (m, x)
+            sides[inside] += 1
+    assert sides[True] >= 300 and sides[False] >= 100, sides
