@@ -207,8 +207,8 @@ class AffineMonoid(Memoized):
         """Saturation inside the ambient group: {x : n x in P for some n>=1}.
 
         The result has the same cone and span lattice, so it is built from
-        them, on the rays and triangulation of the cone when it is pointed,
-        and it is its own saturation.
+        them, on the rays and the frames of the triangulation of the cone
+        when it is pointed, and it is its own saturation.
         """
 
         def build():
@@ -217,7 +217,7 @@ class AffineMonoid(Memoized):
                 return saturation_of_cone(self.ambient, cone.span, cone.facets)
             rays = [r for r, _ in cone.rays]
             return saturation_of_cone(
-                self.ambient, cone.span, cone.facets, rays, cone.triangulation
+                self.ambient, cone.span, cone.facets, rays, cone.frames
             )
 
         return self._get("sat", build)
@@ -370,8 +370,8 @@ class Cone:
     ``span`` is the saturated lattice the free parts span (the cone is
     full-dimensional in it), ``coords`` the span coordinates of the
     generators and ``facets`` the sorted primitive facet normals, empty when
-    the cone is all of ``span``.  The incidence, the rays and the
-    triangulation are built when first read.
+    the cone is all of ``span``.  The incidence, the rays, the
+    triangulation and its frames are built when first read.
     """
 
     span: Lattice
@@ -418,16 +418,24 @@ class Cone:
         masks = [m for _, m in self.rays]
         return zlat.pulling_triangulation(masks, len(self.facets), self.span.rank)
 
+    @cached_property
+    def frames(self):
+        """The frame of each simplex of ``triangulation``
+        (``zlat.simplex_frames``), shared by every box read off it."""
+        if self.rays is None:
+            return None
+        return zlat.simplex_frames([r for r, _ in self.rays], self.triangulation)
+
 
 def cone_generators(
-    ambient: FgAbelianGroup, span: Lattice, rows, rays=None, simplices=None
+    ambient: FgAbelianGroup, span: Lattice, rows, rays=None, frames=None
 ):
     """Generators of {x : free part in ``span``, every row value >= 0}.
 
     ``span`` is a saturated lattice in the free part of ``ambient``
     (canonical basis) and ``rows`` are linear forms in its coordinates,
     passed to ``zlat.hilbert_from_hrep`` as they are, with ``rays`` and
-    ``simplices`` when the cone is pointed and those are known.  The
+    ``frames`` when the cone is pointed and those are known.  The
     generators are the torsion basis and the Hilbert basis of the cone,
     units with their negatives.  Returns a dict from each generator to its
     span coordinates.
@@ -438,7 +446,7 @@ def cone_generators(
         for j in range(nt)
     }
     if span.rank:
-        sharp, units = zlat.hilbert_from_hrep(rows, span.rank, rays, simplices)
+        sharp, units = zlat.hilbert_from_hrep(rows, span.rank, rays, frames)
         cols = list(zip(*span.basis))
         pad = (0,) * nt
         for h in sharp + units + [vneg(u) for u in units]:
@@ -447,16 +455,25 @@ def cone_generators(
 
 
 def saturation_of_cone(
-    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, simplices=None
+    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, frames=None
 ):
     """The saturated monoid {x : free part in ``span``, facet values >= 0}.
 
     ``facets`` are the sorted primitive facet normals of a cone in the
     coordinates of ``span``, empty when the cone is all of ``span``; the
-    generators are ``cone_generators``, and the monoid carries that cone and
-    is known to be its own saturation.
+    generators are ``cone_generators``.
     """
-    coords = cone_generators(ambient, span, facets, rays, simplices)
+    return known_saturation(
+        ambient, span, cone_generators(ambient, span, facets, rays, frames), facets
+    )
+
+
+def known_saturation(ambient: FgAbelianGroup, span: Lattice, coords, facets):
+    """The saturated monoid whose generators are the keys of ``coords``,
+    a dict to their span coordinates, in the cone of ``facets``.
+
+    The monoid carries that cone and is known to be its own saturation.
+    """
     gens = sorted(coords)
     sat = AffineMonoid(ambient, gens)
     cone = Cone(span, tuple(coords[g] for g in gens), tuple(facets))

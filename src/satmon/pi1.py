@@ -5,8 +5,8 @@ P^gp tensor Z/n, and connected abelian covers of index n correspond to
 overlattices M of P^gp with [M : P^gp] = n and all prime factors of n
 outside the fixed prime set.  The cover monoid is the saturation of P
 inside M: same cone, refined lattice, so it is built straight from P's
-facets and rays rewritten in M-coordinates, on P's triangulation, which
-depends only on the ray-facet incidence and so serves every cover.
+facets, rays and triangulation, whose simplices' frames serve every cover:
+each box of cone cap M is read off a frame of P's simplices.
 P -> cone cap M is exact exactly when
 P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
 sat(P)), so the base is checked once, not each cover.
@@ -23,7 +23,7 @@ from itertools import product
 from . import zlat
 from .errors import CoprimalityError, PreconditionError
 from .homs import MonoidHom
-from .monoid import AffineMonoid, saturation_of_cone
+from .monoid import AffineMonoid, known_saturation, saturation_of_cone
 from .zlat import FgAbelianGroup, Overlattice
 
 
@@ -87,20 +87,22 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     """The cover of p for one overlattice M, given p's cone value.
 
     p spans Z^r, so its span is the identity lattice, which is also the
-    span of the cover in M-coordinates.  A point with M-coordinates c is
-    c . rows / den, so a facet normal phi of p becomes rows . phi up to the
-    positive factor den, and a ray x becomes den . x . rows^-1
-    (``over.coords``): dividing either by its (positive) gcd keeps it
-    primitive and on the same side.  The rays keep their facets, so p's
-    triangulation is one of the cover's cone.  The cover is cone cap M,
-    the saturated monoid of those facets.
+    span of the cover in M-coordinates.  The cover is cone cap M, the
+    saturated monoid of p's cone in M: its Hilbert basis, in
+    M-coordinates, is read off p's rays and the frames of p's
+    triangulation (``zlat.hilbert_from_hrep`` with ``lattice`` M), so no
+    ray is rewritten and no Smith form runs.  A point with M-coordinates c
+    is c . rows / den, so a facet normal phi of p becomes rows . phi, the
+    cover's facet normal, up to the positive factor den; dividing it by its
+    gcd keeps it primitive.
 
     The structure map needs no check once p is saturated.  p spans Z^r
     and M contains Z^r with finite index, so the inclusion is injective
     with a finite cokernel.  The preimage of cone cap M in Z^r is
     cone cap Z^r = sat(p), so the map is exact exactly when p = sat(p).
     """
-    coords = tuple(over.coords(g) for g in p.gens)
+    forms = over.coordinate_forms
+    coords = tuple(tuple(zlat.vdot(f, g) for f in forms) for g in p.gens)
     normals = sorted(
         zlat.primitive([zlat.vdot(row, phi) for row in over.rows]) for phi in cone.facets
     )
@@ -108,10 +110,9 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     if cone.rays is None:
         cover = saturation_of_cone(ambient, cone.span, normals)
     else:
-        # p is saturated, so the primitive vector on each ray is a generator
-        at = dict(zip(p.gens, coords))
-        rays = [zlat.primitive(at[x]) for x, _ in cone.rays]
-        cover = saturation_of_cone(ambient, cone.span, normals, rays, cone.triangulation)
+        rays = [r for r, _ in cone.rays]
+        sharp, _ = zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)
+        cover = known_saturation(ambient, cone.span, {h: h for h in sharp}, normals)
     return KummerCover(p, over, cover, coords)
 
 
@@ -149,11 +150,18 @@ def finite_pset_decomposition(cover: KummerCover):
     exponent; n*h lies in the (saturated) base for every cover generator h,
     so the sums exhaust the cover as a base-set.  Closure under addition of
     T modulo base-translation is checked explicitly.
+
+    Both steps are charged to the node budget before they run: one node
+    per generator sum (n^ngens), then one per ``contains`` test that the
+    check may make, |T| for each of the ngens + |T|^2 elements it tests.
     """
     n = cover.deck_invariants().exponent_of_torsion()
     q = cover.cover
     amb = q.ambient
+    charge = zlat._node_meter("P-set decomposition")
+    charge(n ** q.ngens)
     t_set = sorted({amb.combine(c, q.gens) for c in product(range(n), repeat=q.ngens)})
+    charge(len(t_set) * (q.ngens + len(t_set) ** 2))
     in_image = AffineMonoid(amb, cover.images).contains
 
     def in_image_plus_t(x):

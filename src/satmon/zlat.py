@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import kernels
 from ._lp import INFEASIBLE, LinearSystem
@@ -101,7 +102,7 @@ def vscale(k, u):
 
 
 def vdot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vgcd(u):
@@ -431,8 +432,9 @@ def relation_lattice(ambient: FgAbelianGroup, elements):
 #
 # Extreme rays come from integer double description (Fukuda-Prodon 1996);
 # Hilbert bases from a pulling triangulation on those rays, whose simplices'
-# half-open parallelepipeds are read off one Smith form each (Bruns-Koch
-# 2001), followed by a degree-ordered sieve.
+# half-open parallelepipeds (Bruns-Koch 2001) are read off each simplex's
+# frame, its determinant and adjugate, in any overlattice of the ambient
+# lattice, followed by a degree-ordered sieve.
 
 
 def _independent_rows(rows, dim):
@@ -594,30 +596,52 @@ def pulling_triangulation(masks, nrows, cdim):
     return _pulling_triangulation(full, cdim, hyperplanes, {})
 
 
-def _parallelepiped_ys(s, W):
-    """y = W (k_j L / s_j) mod L over k in prod [0, s_j), L = s_k; y = 0 first.
+def simplex_frames(rays, simplices):
+    """The frame of each simplex of a triangulation on full-dimensional rays.
 
-    For a dim x k matrix M of rank k with Smith form U M W = S, s = diag(S),
-    the points M y / L are the lattice points of {M lambda : 0 <= lambda_j
-    < 1}: prod s_j of them, |det M| for square M.
+    A frame is (ray indices, d, A): U has the simplex's rays u_t as rows,
+    d = |det U| and A = d U^-1, one ``_det_and_adjugate``.  So every x is
+    sum_t (x A)_t u_t / d.
     """
-    k = len(s)
-    big = s[-1]
-    ys = [(0,) * k]
-    for j in range(k):
-        if s[j] > 1:
-            step = big // s[j]
-            g = [W[t][j] * step % big for t in range(k)]
-            ys = [
-                tuple((yt + c * gt) % big for yt, gt in zip(y, g))
-                for y in ys
-                for c in range(s[j])
-            ]
-    return ys
+    frames = []
+    for simplex in simplices:
+        idx = tuple(t for t in range(len(rays)) if simplex >> t & 1)
+        d, adj = _det_and_adjugate([rays[t] for t in idx])
+        if d < 0:
+            d, adj = -d, [[-a for a in row] for row in adj]
+        frames.append((idx, d, adj))
+    return frames
 
 
-def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
-    """Hilbert basis of {x : hrep . x >= 0} cap Z^dim for a pointed cone.
+def _box_points(gens, moduli, size):
+    """The subgroup of prod_t Z/moduli[t] that ``gens`` generate, of order
+    ``size``; 0 first.
+
+    Elements are tuples with entries in [0, moduli[t]).  Each generator g
+    adds to the group H found so far its cosets H + j g, 0 < j < k, for k
+    the order of g modulo H; once H has ``size`` elements the rest of the
+    generators lie in it.
+    """
+    zero = (0,) * len(moduli)
+    pts, seen = [zero], {zero}
+    for g in gens:
+        if len(pts) == size:
+            break
+        g = tuple(a % q for a, q in zip(g, moduli))
+        cosets, c = [], g
+        while c not in seen:
+            cosets.append(c)
+            c = tuple((a + b) % q for a, b, q in zip(c, g, moduli))
+        new = [tuple((a + b) % q for a, b, q in zip(h, c, moduli)) for c in cosets for h in pts]
+        pts += new
+        seen.update(new)
+    return pts
+
+
+def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None):
+    """Hilbert basis of {x in L : hrep . x >= 0} for a pointed cone, in the
+    coordinates of L, the overlattice ``lattice`` of Z^dim (Z^dim itself
+    by default).
 
     Every irreducible element is a ray or a point of the half-open
     parallelepiped of a simplex of a triangulation on the rays.  Those
@@ -627,11 +651,20 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
     of at least two basis elements.  Rows must have rank dim.
 
     A caller that knows the primitive extreme rays of a full-dimensional
-    cone passes them with ``simplices``, a triangulation on them as
-    bitmasks of ray indices; otherwise double description finds the rays
-    and they are triangulated by pulling.  Each simplex is charged the
-    product of its Smith diagonal (|det| when full-dimensional) before any
-    parallelepiped is enumerated; double description is charged on its own.
+    cone passes them with the ``frames`` of a triangulation on them
+    (``simplex_frames``); otherwise double description finds the rays, they
+    are triangulated by pulling, and a lower-dimensional cone is first
+    projected into its saturated span.  ``lattice`` needs known rays.
+
+    With L = rowspan(B) / den (``lattice.rows`` B), a simplex's frame A
+    gives coordinates f(x) = den x A, in which its ray u_t is den d e_t.
+    The ray of L on u_t is u_t / m_t, m_t the gcd of u_t's L-coordinates,
+    so the simplex's parallelepiped in L is the subgroup of
+    prod_t Z/(den d / m_t) that the images B_j A of L's generators generate
+    (``_box_points``), and x is sum_t f_t u_t / (den d).  Each simplex is
+    charged its
+    [L : Z^dim] d / prod m_t points before any box is enumerated; double
+    description is charged on its own.
     """
     rows = [tuple(r) for r in hrep_rows]
     if rays is None:
@@ -647,43 +680,55 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
             on_every_ray &= m
         cdim = len(_independent_rows(rays, dim)) if on_every_ray else dim
         simplices = pulling_triangulation(masks, len(rows), cdim)
+        if cdim < dim:
+            span = Lattice(rays, dim).saturation()
+            low_rays = [span.coords(r) for r in rays]
+            low_rows = [v for v in ([vdot(r, b) for b in span.basis] for r in rows) if any(v)]
+            low = _hilbert_pointed(low_rows, cdim, low_rays, simplex_frames(low_rays, simplices))
+            cols = list(zip(*span.basis))
+            return sorted(tuple(vdot(col, h) for col in cols) for h in low)
+        frames = simplex_frames(rays, simplices)
+    if lattice is None:
+        den, index, lrays, ms = 1, 1, rays, [1] * len(rays)
     else:
-        cdim = dim
+        den, index = lattice.den, lattice.index_over_standard()
+        lrays = [tuple(vdot(f, r) for f in lattice.coordinate_forms) for r in rays]
+        ms = [vgcd(c) for c in lrays]
     nrays = len(rays)
     charge = _node_meter("Hilbert basis")
     boxes = []
-    for simplex in simplices:
-        idx = [t for t in range(nrays) if simplex >> t & 1]
-        cols = [rays[t] for t in idx]
-        _, S, W = kernels.snf_with_transforms(
-            [[c[i] for c in cols] for i in range(dim)]
-        )
-        s = [S[j][j] for j in range(cdim)]
-        charge(math.prod(s))
-        if s[-1] > 1:
-            boxes.append((idx, s, W))
+    for idx, d, adj in frames:
+        size = index * d // math.prod(ms[t] for t in idx)
+        charge(size)
+        if size > 1:
+            boxes.append((idx, d, adj, size))
     if not boxes:
-        return sorted(rays)
-    # A point is known by its row values (the rows have rank dim).  They are
-    # packed into one int, the degree in the top field, with ``width``-bit
-    # fields and a guard bit on top of each: int order sorts by degree, and
-    # h <= p on every row iff (P + guard - H) & guard == guard.  A point
-    # M y / L of a parallelepiped has values below the sum over the rays, so
-    # L times them fits, and packing commutes with sums and exact division.
+        return sorted(tuple(x // m for x in c) for c, m in zip(lrays, ms))
+    # A point is known by its row values (the rows have rank dim), taken
+    # den times, which makes them integers on L.  They are packed into one
+    # int, the degree in the top field, with ``width``-bit fields and a
+    # guard bit on top of each: int order sorts by degree, and h <= p on
+    # every row iff (P + guard - H) & guard == guard.  A box point has
+    # values below den times the sum over the rays, so d times them fits,
+    # and packing commutes with sums and exact division.
     vals = [[vdot(r, ray) for r in rows] for ray in rays]
     for vs in vals:
         vs.append(sum(vs))
-    bound = sum(vs[-1] for vs in vals) * max(s[-1] for _, s, _ in boxes)
+    bound = den * sum(vs[-1] for vs in vals) * max(box[1] for box in boxes)
     width = bound.bit_length() + 1
     shifts = [width * i for i in range(len(rows) + 1)]
     packed = [sum(v << sh for v, sh in zip(vs, shifts)) for vs in vals]
-    # candidate -> (ray indices, L, y), to rebuild it as M y / L
-    cands = {packed[t]: ([t], 1, (1,)) for t in range(nrays)}
-    for idx, s, W in boxes:
-        big = s[-1]
+    # candidate -> (ray indices, q, y), to rebuild it as sum_t y_t c_t / q
+    # from the L-coordinates c_t of the rays
+    cands = {den * packed[t] // ms[t]: ((t,), ms[t], (1,)) for t in range(nrays)}
+    for idx, d, adj, size in boxes:
+        big = den * d
+        if lattice is not None:
+            cols = list(zip(*adj))
+            adj = [[vdot(g, col) for col in cols] for g in lattice.rows]
         pk = [packed[t] for t in idx]
-        for y in _parallelepiped_ys(s, W)[1:]:
-            x = sum(a * b for a, b in zip(y, pk)) // big
+        for y in _box_points(adj, [big // ms[t] for t in idx], size)[1:]:
+            x = sum(map(mul, y, pk)) // d
             if x not in cands:
                 cands[x] = (idx, big, y)
     guard = sum(1 << (sh + width - 1) for sh in shifts)
@@ -702,21 +747,23 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, simplices=None):
             degs.append(deg)
             kept.append(x)
     return sorted(
-        tuple(sum(rays[t][i] * yt for t, yt in zip(idx, y)) // big for i in range(dim))
+        tuple(sum(map(mul, y, col)) // big for col in zip(*(lrays[t] for t in idx)))
         for idx, big, y in basis
     )
 
 
-def hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
+def hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None, lattice=None):
     """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis).
 
-    ``rays`` and ``simplices``, when given, are the extreme rays of the
-    cone, which is then pointed and full-dimensional, and a triangulation on
-    them (``_hilbert_pointed``); no double description runs.
+    ``rays`` and ``frames``, when given, are the extreme rays of the cone,
+    which is then pointed and full-dimensional, and the frames of a
+    triangulation on them (``_hilbert_pointed``); no double description
+    runs.  With them, ``lattice`` may be an overlattice L of Z^dim: the
+    sharp part is then that of the cone in L, in L-coordinates.
     """
     rows = [tuple(r) for r in hrep_rows]
     if rays is not None:
-        return _hilbert_pointed(rows, dim, rays, simplices), []
+        return _hilbert_pointed(rows, dim, rays, frames, lattice), []
     if len(_independent_rows(rows, dim)) == dim:
         # rows of rank dim: the cone is pointed, and no Smith form is needed
         # to find its (zero) lineality space
@@ -890,6 +937,13 @@ class Overlattice:
     def coords(self, v):
         """Coordinates of an integer vector v in the M-basis (exact)."""
         return self.lattice.coords([self.den * x for x in v])
+
+    @cached_property
+    def coordinate_forms(self):
+        """The columns of den rows^-1, one Hermite solve per e_i: their
+        values on an integer vector are its M-coordinates (Z^rank <= M)."""
+        eye = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
+        return list(zip(*(self.coords(e) for e in eye)))
 
     def index_over_standard(self):
         det = 1

@@ -524,3 +524,17 @@ def assert_matches_fresh(m):
     assert m.saturate() == fresh.saturate(), m
     assert m.saturate()._cone() == fresh.saturate()._cone(), m
     assert m.is_saturated() == fresh.is_saturated(), m
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list of the positional
+    arguments of each call, filled in as calls happen."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     check_integral_certificate,
     combination,
+    count_calls,
     criterion05_corpus,
     hom_preimage_box_violation,
     integrality_box_bound,
@@ -232,18 +233,6 @@ def test_classify_into_saturated_target_runs_no_membership_search(monkeypatch):
     assert json.dumps(report, indent=2, ensure_ascii=True) + "\n" == golden
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    fn = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_classify_not_integral_golden_is_decided_by_the_cone(monkeypatch):
     # the one unordered tuple is outside the cone of the witness monoid, so
     # neither a search nor a third saturation runs (the replaced path ran
@@ -251,8 +240,8 @@ def test_classify_not_integral_golden_is_decided_by_the_cone(monkeypatch):
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "golden", "classify_not_integral.request.json")) as fh:
         request = json.load(fh)
-    searches = _count_calls(monkeypatch, zlat, "solve_nonneg")
-    saturations = _count_calls(monkeypatch, M, "saturation_of_cone")
+    searches = count_calls(monkeypatch, zlat, "solve_nonneg")
+    saturations = count_calls(monkeypatch, M, "saturation_of_cone")
     report, code = cli.run_request(request)
     assert code == 1 and report["result"]["verdicts"]["integral"]["holds"] is False
     assert searches == [] and len(saturations) == 2
@@ -265,7 +254,7 @@ def test_refused_integral_hom_runs_no_witness_search(monkeypatch):
     src = monoid_from_vectors([(1, 0), (1, 1), (1, 2), (1, 3)])
     tgt = monoid_from_vectors([(1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1)])
     f = H.MonoidHom(src, tgt, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
-    searches = _count_calls(monkeypatch, zlat, "solve_nonneg")
+    searches = count_calls(monkeypatch, zlat, "solve_nonneg")
     with zlat.node_budget(2000), pytest.raises(ResourceLimitError, match="completion"):
         H.is_integral(f)
     assert searches == []

@@ -1,12 +1,17 @@
 """Fundamental-group stages and Kummer etale cover enumeration."""
 
+import time
+
 import pytest
 
-from conftest import assert_matches_fresh, random_affine_monoid, rng_for, same_submonoid
+from conftest import assert_matches_fresh, count_calls, random_affine_monoid, rng_for, same_submonoid
+from test_zlat import _smith_box_hilbert_from_hrep
+from satmon import documents as D
 from satmon import homs as H
+from satmon import kernels
 from satmon import monoid as M
 from satmon import pi1, zlat
-from satmon.errors import CoprimalityError, MembershipError, PreconditionError
+from satmon.errors import CoprimalityError, MembershipError, PreconditionError, ResourceLimitError
 from satmon.monoid import free_monoid, from_presentation, FpMonoid
 from satmon.sigma import PrimeSet
 from satmon.zlat import FgAbelianGroup
@@ -118,6 +123,18 @@ def test_finite_pset_decomposition(nat2):
         assert all(c.cover.contains(x) for x in t)
 
 
+def test_finite_pset_decomposition_is_charged_before_it_enumerates():
+    # an 8-generator cover of N^3 at n = 6 has 6^8 = 1,679,616 generator
+    # sums: refused at once, naming the meter, instead of building them
+    c = next(c for c in pi1.enumerate_covers(M.free_monoid(3), 6, PrimeSet.empty())
+             if c.cover.ngens == 8)
+    start = time.perf_counter()
+    with zlat.node_budget(1000), pytest.raises(ResourceLimitError, match="P-set decomposition") as err:
+        pi1.finite_pset_decomposition(c)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.limit == 1000
+
+
 def test_covers_require_torsion_free():
     mono, _, _ = from_presentation(FpMonoid(2, (((2, 0), (0, 2)),)))
     with pytest.raises(PreconditionError):
@@ -130,9 +147,10 @@ def test_covers_require_spanning(nat):
         pi1.enumerate_covers(sub, 3, PrimeSet.empty())
 
 
-def test_cover_cones_match_fresh_copies():
+def test_cover_cones_match_fresh_copies(monkeypatch):
     # every cover is built from the base's cone and carries it; a fresh
-    # copy on the same generators recomputes it
+    # copy on the same generators recomputes it, its saturation by the
+    # Smith-form boxes that covers no longer use
     rng = rng_for("cover-known-cone")
     bases = []
     while len(bases) < 24:
@@ -141,6 +159,7 @@ def test_cover_cones_match_fresh_copies():
         if m.span_lattice().rank == r:
             bases.append((m.saturate(), rng.choice((2, 3, 4, 6))))
     covers = [c for base, n in bases for c in pi1.enumerate_covers(base, n, PrimeSet.of(5))]
+    monkeypatch.setattr(zlat, "hilbert_from_hrep", _smith_box_hilbert_from_hrep)
     for c in covers:
         assert_matches_fresh(c.cover)
     assert len(covers) >= 100
@@ -159,13 +178,14 @@ _POLYGON_POINTS = (
 
 def _saturation_on_facets(ambient, span, facets):
     """Generators and cone of the saturation, built as before covers shared
-    the base's rays: double description on the facets finds the rays, and
-    each generator's span coordinates come from ``Lattice.coords``."""
+    the base's rays: double description on the facets finds the rays, the
+    Smith-form boxes the Hilbert basis, and each generator's span
+    coordinates come from ``Lattice.coords``."""
     gens = [
         (0,) * ambient.rank + tuple(int(t == j) for t in range(len(ambient.torsion)))
         for j in range(len(ambient.torsion))
     ]
-    sharp, units = zlat.hilbert_from_hrep(facets, span.rank)
+    sharp, units = _smith_box_hilbert_from_hrep(facets, span.rank)
     pad = (0,) * len(ambient.torsion)
     for h in sharp + units + [tuple(-x for x in u) for u in units]:
         gens.append(tuple(zlat.vdot(col, h) for col in zip(*span.basis)) + pad)
@@ -253,3 +273,29 @@ def test_first_cover_exact_iff_base_saturated():
             assert exact == p.is_saturated(), p
             verdicts.append(exact)
     assert 5 <= verdicts.count(False) <= len(verdicts) - 5
+
+
+@pytest.mark.parametrize("gens, n, covers, simplices", [
+    # N^3 at n = 4: one simplex, 35 covers (72 Smith forms with one per
+    # cover simplex)
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 4, 35, 1),
+    # the cone over the unit square at n = 3: two simplices, 13 covers (42)
+    (((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), 3, 13, 2),
+])
+def test_covers_read_their_boxes_off_the_base_frames(monkeypatch, gens, n, covers, simplices):
+    # a covers request runs one Smith form for the base's span saturation
+    # and one per cover for its deck group, none per simplex; each base
+    # simplex gets one adjugate, beyond the one of each double description
+    from satmon import cli
+
+    base = M.monoid_from_vectors(gens)
+    assert len(base._cone().triangulation) == simplices
+    request = {"format": "satmon/1", "kind": "request", "op": "covers",
+               "args": {"monoid": D.monoid_out(base), "n": str(n)}, "sigma": {"primes": ["5"]}}
+    snf = count_calls(monkeypatch, kernels, "snf_with_transforms")
+    adjugates = count_calls(monkeypatch, zlat, "_det_and_adjugate")
+    dd = count_calls(monkeypatch, zlat, "_double_description")
+    report, code = cli.run_request(request)
+    assert code == 0 and report["result"]["count"] == str(covers)
+    assert len(snf) == covers + 1
+    assert len(adjugates) == len(dd) + simplices

@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from conftest import brute_nonneg_solve, minors_gcd_invariants, random_fp_monoid, rng_for
+from conftest import (
+    brute_nonneg_solve,
+    minors_gcd_invariants,
+    random_affine_monoid,
+    random_fp_monoid,
+    rng_for,
+)
 from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
 from satmon.monoid import AffineMonoid, from_presentation, monoid_from_vectors
@@ -651,6 +657,134 @@ def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
     return _reference_box_hilbert(rays, rows, dim), []
 
 
+def _smith_parallelepiped_ys(s, W):
+    """y = W (k_j L / s_j) mod L over k in prod [0, s_j), L = s_k; y = 0 first.
+
+    For a dim x k matrix M of rank k with Smith form U M W = S, s = diag(S),
+    the points M y / L are the lattice points of {M lambda : 0 <= lambda_j
+    < 1}: prod s_j of them, |det M| for square M.
+    """
+    k = len(s)
+    big = s[-1]
+    ys = [(0,) * k]
+    for j in range(k):
+        if s[j] > 1:
+            step = big // s[j]
+            g = [W[t][j] * step % big for t in range(k)]
+            ys = [
+                tuple((yt + c * gt) % big for yt, gt in zip(y, g))
+                for y in ys
+                for c in range(s[j])
+            ]
+    return ys
+
+
+def _smith_box_hilbert(hrep_rows, dim, rays=None, simplices=None):
+    """``zlat._hilbert_pointed`` as it was before simplex frames: each
+    simplex's half-open parallelepiped read off one Smith form of its rays,
+    in Z^dim only, the rays of a cover rewritten by the caller."""
+    rows = [tuple(r) for r in hrep_rows]
+    if rays is None:
+        pairs = zlat._double_description(rows, dim)
+        if not pairs:
+            return []
+        rays = [r for r, _ in pairs]
+        masks = [m for _, m in pairs]
+        on_every_ray = masks[0]
+        for m in masks:
+            on_every_ray &= m
+        cdim = len(zlat._independent_rows(rays, dim)) if on_every_ray else dim
+        simplices = zlat.pulling_triangulation(masks, len(rows), cdim)
+    else:
+        cdim = dim
+    nrays = len(rays)
+    charge = zlat._node_meter("Hilbert basis")
+    boxes = []
+    for simplex in simplices:
+        idx = [t for t in range(nrays) if simplex >> t & 1]
+        cols = [rays[t] for t in idx]
+        _, S, W = kernels.snf_with_transforms(
+            [[c[i] for c in cols] for i in range(dim)]
+        )
+        s = [S[j][j] for j in range(cdim)]
+        charge(math.prod(s))
+        if s[-1] > 1:
+            boxes.append((idx, s, W))
+    if not boxes:
+        return sorted(rays)
+    vals = [[vdot(r, ray) for r in rows] for ray in rays]
+    for vs in vals:
+        vs.append(sum(vs))
+    bound = sum(vs[-1] for vs in vals) * max(s[-1] for _, s, _ in boxes)
+    width = bound.bit_length() + 1
+    shifts = [width * i for i in range(len(rows) + 1)]
+    packed = [sum(v << sh for v, sh in zip(vs, shifts)) for vs in vals]
+    cands = {packed[t]: ([t], 1, (1,)) for t in range(nrays)}
+    for idx, s, W in boxes:
+        big = s[-1]
+        pk = [packed[t] for t in idx]
+        for y in _smith_parallelepiped_ys(s, W)[1:]:
+            x = sum(a * b for a, b in zip(y, pk)) // big
+            if x not in cands:
+                cands[x] = (idx, big, y)
+    guard = sum(1 << (sh + width - 1) for sh in shifts)
+    basis, degs, kept = [], [], []
+    top = 0
+    for x in sorted(cands):
+        deg = x >> shifts[-1]
+        while top < len(degs) and 2 * degs[top] <= deg:
+            top += 1
+        xg = x + guard
+        for t in range(top):
+            if (xg - kept[t]) & guard == guard:
+                break
+        else:
+            basis.append(cands[x])
+            degs.append(deg)
+            kept.append(x)
+    return sorted(
+        tuple(sum(rays[t][i] * yt for t, yt in zip(idx, y)) // big for i in range(dim))
+        for idx, big, y in basis
+    )
+
+
+def _smith_box_hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None):
+    """``zlat.hilbert_from_hrep`` as it was before simplex frames, on
+    ``_smith_box_hilbert``.  Known frames are read only for their ray
+    indices, the simplices they were built on."""
+    rows = [tuple(r) for r in hrep_rows]
+    if rays is not None:
+        simplices = [sum(1 << t for t in idx) for idx, _, _ in frames]
+        return _smith_box_hilbert(rows, dim, rays, simplices), []
+    if len(zlat._independent_rows(rows, dim)) == dim:
+        return _smith_box_hilbert(rows, dim), []
+    lin = kernel_basis([list(r) for r in rows]) if rows else [
+        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
+    ]
+    if not rows:
+        return [], [tuple(b) for b in lin]
+    pres = quotient_by_columns(dim, [list(b) for b in lin])
+    qdim = pres.group.rank
+    lift_rows = [list(r) for r in pres.lift_cols]
+    img_rows = [
+        tuple(sum(r[t] * lift_rows[t][j] for t in range(dim)) for j in range(qdim))
+        for r in rows
+    ]
+    img_rows = [r for r in img_rows if any(r)]
+    sharp_q = _smith_box_hilbert(img_rows, qdim) if qdim else []
+    sharp = [tuple(kernels.mat_vec(lift_rows, list(h))) for h in sharp_q]
+    return sorted(sharp), [tuple(b) for b in lin]
+
+
+def _smith_box_cover_basis(cone, over):
+    """The Hilbert basis of cone cap M in M-coordinates, as covers built it
+    before simplex frames: the base's rays and facet normals rewritten in
+    M-coordinates, on the base's triangulation, by ``_smith_box_hilbert``."""
+    normals = sorted(primitive([vdot(row, phi) for row in over.rows]) for phi in cone.facets)
+    rays = [primitive(over.coords(r)) for r, _ in cone.rays]
+    return _smith_box_hilbert(normals, over.rank, rays, cone.triangulation)
+
+
 def test_hilbert_dimension_guard():
     # The cap is on work, not on dimension (N^9 is answered, above): the one
     # simplex of cone((1, 0), (1, b)) has |det| b, charged to the node budget
@@ -681,11 +815,15 @@ def test_large_simplex_is_refused_before_its_points_are_built(monkeypatch):
     def no_points(*args):
         raise AssertionError("a parallelepiped was enumerated")
 
-    monkeypatch.setattr(zlat, "_parallelepiped_ys", no_points)
+    monkeypatch.setattr(zlat, "_box_points", no_points)
     rows = [(-1, -3, -3, 1), (-3, -1, 3, 2), (2, -1, 2, -2), (-2, 3, 1, -1)]
     with pytest.raises(ResourceLimitError, match="Hilbert basis") as err:
         zlat.hilbert_from_hrep(rows, 4)
     assert err.value.limit == zlat.DEFAULT_NODE_BUDGET
+    # the patched enumerator is the one a box within the budget reaches:
+    # cone((1, 0), (1, 2)) has one box of 2 points
+    with pytest.raises(AssertionError, match="a parallelepiped was enumerated"):
+        zlat.hilbert_from_hrep([(0, 1), (2, -1)], 2)
 
 
 def _random_rows(rng, dim, fewest):
@@ -725,6 +863,80 @@ def test_hilbert_from_hrep_matches_reference_on_random_cones(monkeypatch):
         compared += 1
         lineality += bool(want[1])
     assert compared >= 200 and lineality >= 20
+
+
+def _charged(fn, *args, budget=200_000):
+    """(fn(*args), or the refusal's message, and the nodes it charged)."""
+    with zlat.node_budget(budget):
+        try:
+            out = fn(*args)
+        except ResourceLimitError as err:
+            out = str(err)
+        return out, zlat._NODE_BUDGET.get()[1]
+
+
+def _is_lower_dimensional(rows, dim):
+    """Is {x : row . x >= 0} pointed, nonzero and not full-dimensional?"""
+    if len(zlat._independent_rows(rows, dim)) < dim:
+        return False
+    rays = zlat.extreme_rays(rows, dim)
+    return bool(rays) and len(zlat._independent_rows(rays, dim)) < dim
+
+
+def test_hilbert_from_hrep_matches_smith_boxes_on_random_cones():
+    # H-cones of dimension <= 5, pointed, with lineality and (a third)
+    # lower-dimensional: the same basis, the same nodes charged and the same
+    # refusals as the Smith-form boxes.  A budget of 5,000 nodes keeps the
+    # sieve small; 600 cones are answered within it, refusals come on top.
+    rng = rng_for("frame-boxes")
+    answered = lower = refused = 0
+    while answered < 600 or lower < 200:
+        dim = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 3))]
+        flat = lower < 200 and answered % 3 == 0
+        if flat:
+            rows.append(vneg(rows[0]))
+            if not _is_lower_dimensional(rows, dim):
+                continue
+        want = _charged(_smith_box_hilbert_from_hrep, rows, dim, budget=5_000)
+        assert _charged(zlat.hilbert_from_hrep, rows, dim, budget=5_000) == want, rows
+        if isinstance(want[0], str):
+            refused += 1
+            continue
+        answered += 1
+        lower += flat
+    assert 10 <= refused <= 200
+
+
+def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
+    # every overlattice of index n <= 6 of random saturated pointed bases of
+    # rank <= 3: the basis of cone cap M read off the base's frames equals
+    # the one the rewritten rays' Smith forms give, with the same nodes
+    rng = rng_for("frame-cover-boxes")
+    bases = []
+    while len(bases) < 14:
+        r = (1, 2, 2, 3, 3, 3, 3)[len(bases) % 7]
+        m = random_affine_monoid(rng, rank=r, max_gens=r + 3, lo=-1, hi=3)
+        if m.span_lattice().rank < r or m._cone().rays is None:
+            continue
+        p = m.saturate()
+        # every other base of rank 3 is not simplicial
+        if r < 3 or len(bases) % 2 or len(p._cone().triangulation) > 1:
+            bases.append(p)
+    compared = 0
+    for p in bases:
+        cone = p._cone()
+        rays = [r for r, _ in cone.rays]
+        for n in range(1, 7):
+            for over in enumerate_overlattices(p.ambient.rank, n):
+                want = _charged(_smith_box_cover_basis, cone, over)
+                got = _charged(
+                    lambda: zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)[0]
+                )
+                assert got == want, (p, over)
+                compared += 1
+    assert sum(len(p._cone().triangulation) > 1 for p in bases) >= 4
+    assert compared >= 1000
 
 
 def _saturations_against_reference(monkeypatch, make_monoids):
