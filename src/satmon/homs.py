@@ -242,8 +242,12 @@ def _relation_generators(f: MonoidHom, stop):
     blocks is a generator.  A minimal solution other than a slack pair has
     one side of each pair at 0 (else it would lie above that pair), so its
     main part fixes its slack and no two share a tuple.  They reach ``stop``
-    in completion order, the zero tuple skipped, and the run ends when
-    ``stop`` returns true.
+    in completion order, a level's all before completion expands any node
+    of that level, the zero tuple skipped, and the run ends when ``stop``
+    returns true.  The columns are [B | -B] up to a permutation: each
+    column's negative is its ``mirror`` (ims and -ims, qs and -qs, the two
+    columns of a slack pair), so completion expands one node of each pair
+    of nodes that are mirror images, with the same answer and charges.
     """
     kp = f.source.ngens
     kq = f.target.ngens
@@ -256,12 +260,16 @@ def _relation_generators(f: MonoidHom, stop):
     rows = [row[:n] + [x for c in row[n:] for x in (-c, c)] for row in rows]
     if not rows:
         rows = [[0] * n]
+    # the column of each column's negative: ims <-> -ims, qs <-> -qs, and
+    # each slack pair (n is even, so a pair is j, j ^ 1)
+    mirror = [*range(kp, 2 * kp), *range(kp), *range(2 * kp + kq, n), *range(2 * kp, 2 * kp + kq)]
+    mirror += [j ^ 1 for j in range(n, len(rows[0]))]
 
     def report(v):
         key = (v[:kp], v[kp: 2 * kp], v[2 * kp: 2 * kp + kq], v[2 * kp + kq: n])
         return any(map(any, key)) and stop(key)
 
-    zlat.nonneg_kernel_generators(rows, report)
+    zlat.nonneg_kernel_generators(rows, report, mirror)
 
 
 def integrality_tuple_generators(f: MonoidHom):
@@ -326,18 +334,20 @@ def is_integral(f: MonoidHom) -> Verdict:
     """Element-wise integrality via generators of the relation monoid.
 
     Each generator (a1, a2, b1, b2) of T needs a witness (a3, a4, b).  They
-    are checked one by one as completion finds them, and the first without
-    a witness, in completion order, is the certificate; completion stops
-    there.  ``True`` needs completion to finish, so a ResourceLimitError
-    means the node budget, which completion and the witness checks share,
-    ran out before any generator without a witness turned up.  An ordered
-    generator has a witness by construction, in any ambient, torsion
-    included: if a1 >= a2, then (0, a1 - a2, b1) is one, because
-    f(a1 - a2) + b1 = b2 follows from f(a1) + b1 = f(a2) + b2; if a2 >= a1,
-    then (a2 - a1, 0, b2).  The trivial pairs and the b-only generators are
-    ordered.  The constructed witness is checked in the target group; each
-    other generator is one membership question in the witness monoid M_f,
-    built once per hom, whose cone answers it before any search does.
+    are checked level by level as completion finds them: every generator
+    of a level is checked, in completion order, before completion makes
+    the level's children, and the first without a witness is the
+    certificate; completion stops there.  ``True`` needs completion to
+    finish, so a ResourceLimitError means the node budget, which
+    completion and the witness checks share, ran out before any generator
+    without a witness turned up.  An ordered generator has a witness by
+    construction, in any ambient, torsion included: if a1 >= a2, then
+    (0, a1 - a2, b1) is one, because f(a1 - a2) + b1 = b2 follows from
+    f(a1) + b1 = f(a2) + b2; if a2 >= a1, then (a2 - a1, 0, b2).  The
+    trivial pairs and the b-only generators are ordered.  The constructed
+    witness is checked in the target group; each other generator is one
+    membership question in the witness monoid M_f, built once per hom,
+    whose cone answers it before any search does.
     """
 
     def build():

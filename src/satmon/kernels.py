@@ -192,7 +192,7 @@ def hnf_rows(a):
     return H, pivots
 
 
-def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
+def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
     """Minimal nonzero solutions of A v = 0 with v in N^q (Contejean-Devie).
 
     ``amat`` is an m x q integer matrix.  The search draws its nodes from a
@@ -201,26 +201,53 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
     left, and is never asked for more than are left.  Returns the sorted
     list of minimal solutions, or None once the search needs more.
 
-    ``stop``, if given, is called with each minimal solution (a tuple) the
-    moment it is found, in completion order: level by level, level 0 in
-    column order, lexicographic within every later level.  A true result
-    ends the search; the sorted list of the solutions found so far is then
-    returned.  Up to that point the search expands exactly the nodes it
-    expands without ``stop``, and a ``stop`` that never returns true leaves
-    the result unchanged, None at every refused budget included.
+    ``stop``, if given, is called with each minimal solution (a tuple) in
+    completion order: level by level, level 0 in column order,
+    lexicographic within every later level.  A true result ends the search;
+    the sorted list of the solutions reported so far is then returned.  A
+    ``stop`` that never returns true leaves the result unchanged, None at
+    every refused budget included.
 
-    The search runs level by level from the unit vectors (level 0 in column
-    order, later levels in increasing lexicographic order).  A node v with
-    A v = 0 is a solution unless an earlier solution lies below it; any other
-    node that no solution lies below gets the children v + e_j with
-    (A v) . A e_j < 0 that are new on their level and lie above no solution.
-    Every node of a level is spent when the level begins, so a given
-    (A, budget) always expands the same nodes and is refused at the same
-    level.  The refusal comes early: as soon as the children made for the
-    next level exceed the nodes left, which are read again after each
-    ``stop``.  The next level keeps every child made, so it would be
-    refused on arrival; the answer at every budget is the one of counting
-    whole levels.
+    ``mirror``, if given, is a column involution with A e_mirror(j) =
+    -A e_j for every j (checked here; ValueError otherwise).  It changes
+    neither the result nor what ``stop`` sees nor where the search is
+    refused; it only saves work (below).  Absent, it is the identity.
+
+    The search runs level by level from the unit vectors; the nodes of
+    level k have coordinate sum k + 1.  Each level is spent in full when it
+    begins: refused if it has more nodes than are left.  Its solutions (the
+    nodes with A v = 0) go to ``stop`` first, in completion order; the
+    nodes left are read again after them.  Then every other node v makes
+    the children v + e_j with (A v) . A e_j < 0 that are new on the next
+    level and lie above no solution found so far, which are those of this
+    level and the earlier ones.  The search is refused as soon as the
+    children made exceed the nodes left, since the next level would be
+    refused on arrival; a given (A, budget) is refused at the same level
+    whatever order a level's nodes are taken in.
+
+    Every solution reported is minimal, and no node lies above a solution:
+    a node of level k + 1 was made after the solutions of levels <= k were
+    all known, and checked against them; a solution of level k + 1 has its
+    coordinate sum, so lies below it only by being it.  Completion finds
+    every minimal solution (Contejean-Devie).  Each level is a subset of
+    the level that the interleaved search (children made node by node, in
+    lexicographic order, each checked against the solutions found before
+    its parent) reaches: level 0 is the same, and by induction every child
+    made here is made there from the same parent, since a solution below it
+    that was unknown there is known here.  So each (A, budget) answered by
+    the interleaved search gets the same answer and the same ``stop``
+    sequence here, and only its refusals can turn into answers.
+
+    Mirror pairs.  Let v' be v with coordinates permuted by ``mirror``:
+    A v' = -A v, so (A v') . A e_j' = (A v) . A e_j, and s <= v iff
+    s' <= v'.  The solutions are then closed under ', and by induction so
+    is every level: a node is a solution iff its twin is, and v + e_j is a
+    child iff (v + e_j)' = v' + e_j' is one, lying above a solution s iff
+    the twin lies above s'.  So one node of each pair {v, v'} is expanded,
+    keyed by the smaller packed int; its twin's packed vector and A^T A v'
+    are carried along, one add each per child.  A node with v = v' has
+    A v = 0 and is a solution.  Both twins are reported and both are
+    charged, so a node is one vector and the budget keeps its meaning.
 
     Encoding: a vector is one int with ``width``-bit fields, coordinate 0
     most significant, and a guard bit at the top of each field.  No
@@ -235,16 +262,16 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
     bit more than that bound needs makes ``bias`` exceed it, so the fields
     never borrow.  A child's A^T A v is then one add of a packed Gram row,
     and the top bit of a field is clear exactly when its coordinate is
-    negative, so ``~g & signs`` marks the children to make.
-
-    Domination is checked incrementally.  At creation a child v + e_j of a
-    node that no solution lies below can only lie above a solution s with
-    s_j = v_j + 1, so only those are tried.  At expansion a node is checked
-    against the solutions found after it was made and before its level
-    began; solutions on its own level have its coordinate sum and cannot lie
-    below it.  The solutions found form an antichain, since a solution can
-    only lie below nodes of higher levels.
+    negative, so ``~g & signs`` marks the children to make.  A child
+    v + e_j of a node that lies above no solution can only lie above a
+    solution s with s_j = v_j + 1, so only those are tried.
     """
+    if mirror is None:
+        mirror = range(q)
+    elif sorted(mirror) != list(range(q)) or any(
+        mirror[mirror[j]] != j or row[mirror[j]] != -row[j] for row in amat for j in range(q)
+    ):
+        raise ValueError("mirror must be a column involution with A e_mirror(j) = -A e_j")
     gram = [[sum(row[j] * row[k] for row in amat) for k in range(q)] for j in range(q)]
     width = (budget + 1).bit_length() + 1
     fmask = (1 << width) - 1
@@ -258,56 +285,72 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
     gshifts = [gwidth * (q - 1 - j) for j in range(q)]
     signs = sum(bias << sh for sh in gshifts)
     packed = [sum(x << sh for x, sh in zip(row, gshifts)) for row in gram]
+    twin_unit = [unit[k] for k in mirror]
+    twin_packed = [packed[k] for k in mirror]
     sols = []
     by_coord = [{} for _ in range(q)]  # j -> {s_j: solutions s with that s_j > 0}
-    # node -> (packed A^T A v, |A v|^2, len(sols) when the node was made)
-    level = {unit[j]: (signs + packed[j], gram[j][j], 0) for j in range(q)}
-    order = unit
+    # min(v, v') -> (v, packed A^T A v, |A v|^2, v', packed A^T A v')
+    level = {}
+    for j in range(q):
+        level[min(unit[j], twin_unit[j])] = (
+            unit[j], signs + packed[j], gram[j][j], twin_unit[j], signs + twin_packed[j]
+        )
+    count = q
+    first = True
     left = spend(0)
-    while order:
-        if len(order) > left:
+    while level:
+        if count > left:
             return None
-        left = spend(len(order))
-        top = len(sols)
-        nxt = {}
-        for v in order:
-            g, norm, mark = level[v]
-            vg = v + guard
-            for t in range(mark, top):
-                if (vg - sols[t]) & guard == guard:
-                    break
+        left = spend(count)
+        found = []
+        inner = []
+        for node in level.values():
+            if node[2]:
+                inner.append(node)
             else:
-                if not norm:
-                    sols.append(v)
-                    if stop is not None:
-                        if stop(tuple((v >> sh) & fmask for sh in shifts)):
-                            return _unpack_sorted(sols, shifts, fmask)
-                        left = spend(0)
-                    for j in range(q):
-                        x = (v >> shifts[j]) & fmask
-                        if x:
-                            by_coord[j].setdefault(x, []).append(v)
+                found.append(node[0])
+                if node[3] != node[0]:
+                    found.append(node[3])
+        # level 0 in column order, the unit vectors' decreasing ints
+        found.sort(reverse=first)
+        for v in found:
+            sols.append(v)
+            if stop is not None and stop(tuple((v >> sh) & fmask for sh in shifts)):
+                return _unpack_sorted(sols, shifts, fmask)
+        if stop is not None:
+            left = spend(0)
+        for v in found:
+            for j in range(q):
+                x = (v >> shifts[j]) & fmask
+                if x:
+                    by_coord[j].setdefault(x, []).append(v)
+        nxt = {}
+        count = 0
+        for v, g, norm, tv, tg in inner:
+            neg = ~g & signs
+            while neg:
+                bits = neg.bit_length()
+                neg ^= 1 << (bits - 1)
+                j = q - bits // gwidth
+                w = v + unit[j]
+                tw = tv + twin_unit[j]
+                key = w if w < tw else tw
+                if key in nxt:
                     continue
-                made = len(sols)
-                neg = ~g & signs
-                while neg:
-                    bits = neg.bit_length()
-                    neg ^= 1 << (bits - 1)
-                    j = q - bits // gwidth
-                    w = v + unit[j]
-                    if w in nxt:
-                        continue
-                    wg = w + guard
-                    for s in by_coord[j].get((w >> shifts[j]) & fmask, ()):
-                        if (wg - s) & guard == guard:
-                            break
-                    else:
-                        gj = ((g >> gshifts[j]) & gmask) - bias
-                        nxt[w] = (g + packed[j], norm + 2 * gj + gram[j][j], made)
-                        if len(nxt) > left:
-                            return None
+                wg = w + guard
+                for s in by_coord[j].get((w >> shifts[j]) & fmask, ()):
+                    if (wg - s) & guard == guard:
+                        break
+                else:
+                    gj = ((g >> gshifts[j]) & gmask) - bias
+                    nxt[key] = (
+                        w, g + packed[j], norm + 2 * gj + gram[j][j], tw, tg + twin_packed[j]
+                    )
+                    count += 1 if w == tw else 2
+                    if count > left:
+                        return None
         level = nxt
-        order = sorted(nxt)
+        first = False
     return _unpack_sorted(sols, shifts, fmask)
 
 

@@ -262,6 +262,27 @@ def test_refused_integral_hom_runs_no_witness_search(monkeypatch):
         assert H.is_integral(f).holds
 
 
+def test_completion_settles_a_level_before_it_overflows():
+    # the first unwitnessed generator is the second solution of completion's
+    # level 3.  The interleaved search ran out of its 2000 nodes making
+    # children between that level's two solutions; settling a level's
+    # solutions before any of its children reports the generator, so the
+    # hom is decided at 2000 as it is at 20,000
+    src = monoid_from_vectors([(1, 0), (1, 1), (1, 2), (1, 3)])
+    tgt = monoid_from_vectors([(1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1)])
+    ims = [(1, 1, 2), (3, 3, 5), (5, 5, 8), (7, 7, 11)]
+    want = {
+        "tuple_a1": (0, 0, 0, 1),
+        "tuple_a2": (0, 0, 1, 0),
+        "tuple_b1": (0, 0, 0, 0),
+        "tuple_b2": (0, 1, 1, 0),
+    }
+    for budget in (2000, 20000):
+        with zlat.node_budget(budget):
+            v = H.is_integral(H.MonoidHom(src, tgt, ims))
+        assert not v.holds and v.certificate == want, budget
+
+
 # ---------------------------------------------------------------------------
 # exactness
 

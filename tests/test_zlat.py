@@ -931,7 +931,9 @@ def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
             for over in enumerate_overlattices(p.ambient.rank, n):
                 want = _charged(_smith_box_cover_basis, cone, over)
                 got = _charged(
-                    lambda: zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)[0]
+                    lambda: zlat.hilbert_from_hrep(
+                        cone.facets, over.rank, rays, cone.frames, over, cone.ray_values
+                    )[0]
                 )
                 assert got == want, (p, over)
                 compared += 1
@@ -1007,8 +1009,62 @@ def test_cd_matches_hilbert_on_kernel_cones():
         assert cd == back
 
 
-def _reference_cd(amat, q, budget):
-    """The tuple-based completion kernel that the packed one replaced, verbatim."""
+def _reference_levels(amat, q, cap):
+    """Solutions-first completion on plain tuples, the kernel's spec.
+
+    Level by level from the unit vectors in column order: a level's nodes
+    with A v = 0 are solutions, and every other node v makes the children
+    v + e_j with (A v) . A e_j < 0 that lie above no solution of this level
+    or an earlier one.  Returns the list of (node count, solutions in
+    completion order) of each level, up to the first whose node count takes
+    the total past ``cap``.
+    """
+    acols = [[row[j] for row in amat] for j in range(q)]
+
+    def image(v):
+        return [sum(row[j] * v[j] for j in range(q)) for row in amat]
+
+    level = [tuple(int(t == j) for t in range(q)) for j in range(q)]
+    levels = []
+    sols = []
+    nodes = 0
+    while level and nodes <= cap:
+        found = [v for v in level if not any(image(v))]
+        levels.append((len(level), found))
+        nodes += len(level)
+        sols += found
+        nxt = set()
+        for v in level:
+            av = image(v)
+            if not any(av):
+                continue
+            for j in range(q):
+                if sum(x * y for x, y in zip(av, acols[j])) < 0:
+                    w = v[:j] + (v[j] + 1,) + v[j + 1:]
+                    if not any(all(a <= b for a, b in zip(s, w)) for s in sols):
+                        nxt.add(w)
+        level = sorted(nxt)
+    return levels
+
+
+def _reference_cd(levels, budget):
+    """(answer, seen) at ``budget``: every level is charged in full when it
+    begins, so the answer is the sorted solutions, or None once a level does
+    not fit, and ``stop`` sees the solutions of the levels charged."""
+    nodes = 0
+    seen = []
+    for size, found in levels:
+        nodes += size
+        if nodes > budget:
+            return None, seen
+        seen += found
+    return sorted(seen), seen
+
+
+def _interleaved_reference_cd(amat, q, budget):
+    """The tuple-based interleaved completion search that the packed
+    kernel first replaced, verbatim: nodes charged one by one, and each
+    node's children checked against the solutions found before it."""
     m = len(amat)
     acols = [[amat[i][j] for i in range(m)] for j in range(q)]
     sols = []
@@ -1098,45 +1154,50 @@ def _completion_order(sols):
     return sorted(sols, key=lambda s: (sum(s), tuple(-x for x in s) if sum(s) == 1 else s))
 
 
-def _cd(amat, q, budget, stop=None):
+def _cd(amat, q, budget, stop=None, mirror=None):
     """The completion kernel with a budget of its own."""
     with zlat.node_budget(budget):
         charge = zlat._node_meter("completion")
-        return kernels.cd_minimal_nonneg_solutions(amat, q, budget, charge, stop)
+        return kernels.cd_minimal_nonneg_solutions(amat, q, budget, charge, stop, mirror)
 
 
-def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
-    """Both kernels agree, None included, at every budget 0 .. N + 1.
-
-    N is the reference's node count: the reference reads its budget only in
-    ``nodes > budget``, so it returns None below N and its full answer from N
-    on; N is found by doubling and bisection.  If N exceeds ``cap``, both
-    must refuse at ``cap``.
-
-    The ``stop`` hook is checked on the same sweep.  A ``stop`` that never
-    fires leaves every result as it is, and sees the full answer in
-    completion order, or a prefix of it where the budget refuses.  A
-    ``stop`` that fires at the k-th solution has seen the first k of that
-    order and gets them back sorted; at budgets below N it sees a prefix
-    and, unless it saw k, gets None.  Every k is tried at budget N, and one
-    k per budget below.
-    """
-    seen = []
-    if _reference_cd(amat, q, cap) is None:
-        assert _cd(amat, q, cap) is None, amat
-        assert _cd(amat, q, cap, seen.append) is None, amat
-        return
+def _least_answered_budget(answers, cap):
+    """The least budget at which ``answers(budget)`` is not None, or None if
+    that exceeds ``cap``; by doubling and bisection, so ``answers`` must
+    refuse below that budget and answer from it on."""
+    if answers(cap) is None:
+        return None
     lo, hi = -1, 1
-    while _reference_cd(amat, q, hi) is None:
+    while answers(hi) is None:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _reference_cd(amat, q, mid) is None:
+        if answers(mid) is None:
             lo = mid
         else:
             hi = mid
-    full = _reference_cd(amat, q, hi)
-    order = _completion_order(full)
+    return hi
+
+
+def _assert_cd_matches_reference_at_every_budget(amat, q, cap, mirror=None):
+    """The kernel matches ``_reference_cd`` exactly at every budget 0 .. N + 1.
+
+    N is the least budget at which the reference answers; if it exceeds
+    ``cap``, the kernel must refuse at ``cap`` with the reference's ``stop``
+    sequence.  At every budget the answer, None included, and the sequence
+    that a ``stop`` which never fires sees are the reference's.  A ``stop``
+    that fires at the k-th solution sees the first k of that sequence and
+    gets them back sorted when the budget reaches the k-th's level, and
+    otherwise sees all of it and gets the answer, None at a refusal.  Every
+    k is tried at budget N, and one k per budget below.
+
+    Then the differential against ``_interleaved_reference_cd``: from the
+    least budget at which it answers, the kernel gives its answer and
+    ``stop`` sees it in completion order, so the kernel never refuses where
+    the interleaved search answers.  Returns whether the kernel answers
+    below that budget, a refusal of the interleaved search recovered.
+    """
+    seen = []
 
     def stop_at(k):
         def stop(s):
@@ -1144,40 +1205,63 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
             return len(seen) == k
         return stop
 
-    for budget in range(hi + 2):
-        want = full if budget >= hi else None
-        assert _cd(amat, q, budget) == want, (amat, budget)
+    levels = _reference_levels(amat, q, cap)
+    n = _least_answered_budget(lambda b: _reference_cd(levels, b)[0], cap)
+    if n is None:
+        order = _reference_cd(levels, cap)[1]
+        assert _cd(amat, q, cap, seen.append, mirror) is None and seen == order, amat
+        assert _interleaved_reference_cd(amat, q, cap) is None, amat
+        return False
+    order = _reference_cd(levels, n)[1]
+    for budget in range(n + 2):
+        want, got = _reference_cd(levels, budget)
+        assert _cd(amat, q, budget, None, mirror) == want, (amat, budget)
         seen.clear()
-        assert _cd(amat, q, budget, seen.append) == want
-        assert seen == (order if want is not None else order[: len(seen)]), (amat, budget)
+        assert _cd(amat, q, budget, seen.append, mirror) == want
+        assert seen == got, (amat, budget)
         k = budget % len(order) + 1 if order else 1
         seen.clear()
-        out = _cd(amat, q, budget, stop_at(k))
-        assert seen == order[: len(seen)] and len(seen) <= k, (amat, budget, k)
-        if len(seen) == k:
-            assert out == sorted(seen), (amat, budget, k)
+        out = _cd(amat, q, budget, stop_at(k), mirror)
+        if len(got) >= k:
+            assert seen == got[:k] and out == sorted(seen), (amat, budget, k)
         else:
-            assert out == want, (amat, budget, k)
+            assert seen == got and out == want, (amat, budget, k)
     for k in range(1, len(order) + 1):
         seen.clear()
-        out = _cd(amat, q, hi, stop_at(k))
+        out = _cd(amat, q, n, stop_at(k), mirror)
         assert seen == order[:k] and out == sorted(seen), (amat, k)
+
+    old = _least_answered_budget(lambda b: _interleaved_reference_cd(amat, q, b), cap)
+    if old is None:
+        return True
+    full = _interleaved_reference_cd(amat, q, old)
+    assert n <= old, (amat, n, old)
+    for budget in (old, old + 1):
+        seen.clear()
+        assert _cd(amat, q, budget, seen.append, mirror) == full, (amat, budget)
+        assert seen == _completion_order(full), (amat, budget)
+    return n < old
 
 
 def test_cd_kernel_leaves_to_stop_what_it_spends():
-    # x + 2y = z + 2w takes 10 nodes of completion.  A stop that spends one
-    # node of the same budget on each solution leaves it one short after the
-    # first, so at budget 10 the kernel returns None, without asking for more
-    # than is left; without that stop it answers.
+    # x + 2y = z + 2w takes 10 nodes of completion: 4 unit vectors, 4 nodes
+    # on level 1 and 2 on level 2.  A stop that spends one node of the same
+    # budget on each solution sees level 1's two solutions, which spend the 2
+    # nodes level 2 needs, so at budget 10 the kernel returns None at the
+    # first child it makes, without asking for more than is left; without
+    # that stop it answers.  The mirror x <-> z, y <-> w changes neither.
     amat = [[1, 2, -1, -2]]
-    assert _cd(amat, 4, 10) == [(0, 1, 0, 1), (0, 1, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
-    with zlat.node_budget(10):
-        witness = zlat._node_meter("witness")
-        charge = zlat._node_meter("completion")
-        seen = []
-        stop = lambda s: seen.append(s) or witness() < 0
-        assert kernels.cd_minimal_nonneg_solutions(amat, 4, 10, charge, stop) is None
-        assert seen == [(0, 1, 0, 1)] and charge(0) >= 0
+    for mirror in (None, [2, 3, 0, 1]):
+        want = [(0, 1, 0, 1), (0, 1, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
+        assert _cd(amat, 4, 10, None, mirror) == want
+        assert _cd(amat, 4, 9, None, mirror) is None
+        with zlat.node_budget(10):
+            witness = zlat._node_meter("witness")
+            charge = zlat._node_meter("completion")
+            seen = []
+            stop = lambda s: seen.append(s) or witness() < 0
+            assert kernels.cd_minimal_nonneg_solutions(amat, 4, 10, charge, stop, mirror) is None
+            assert seen == [(0, 1, 0, 1), (1, 0, 1, 0)] and charge(0) == 0
 
 
 def test_cd_packed_kernel_matches_reference_on_random_matrices():
@@ -1190,14 +1274,20 @@ def test_cd_packed_kernel_matches_reference_on_random_matrices():
 
 
 def test_cd_packed_kernel_matches_reference_on_relation_shaped_matrices():
-    # [M | -M]: the shape of the integrality system of a hom (homs.py)
+    # [M | -M]: the shape of the integrality system of a hom (homs.py), with
+    # and without its mirror; the solutions-first search answers some of the
+    # matrices below the budget the interleaved search needs
     rng = rng_for("cd-packed-relation")
+    recovered = 0
     for _ in range(60):
         m = rng.randint(1, 3)
         k = rng.randint(1, 4)
         mm = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         amat = [row + [-x for x in row] for row in mm]
-        _assert_cd_matches_reference_at_every_budget(amat, 2 * k, cap=300)
+        mirror = [*range(k, 2 * k), *range(k)]
+        for mir in (None, mirror):
+            recovered += _assert_cd_matches_reference_at_every_budget(amat, 2 * k, 300, mir)
+    assert recovered > 0
 
 
 def test_cd_packed_kernel_matches_reference_on_wide_entries():
@@ -1227,6 +1317,67 @@ def test_cd_packed_kernel_matches_reference_when_a_coordinate_nears_the_budget()
                 _assert_cd_matches_reference_at_every_budget([list(row)], 3, cap=300)
 
 
+def _mirrored_systems(rng):
+    """(A, mirror) pairs: [M | -M] laid out as the integrality system
+    [ims, -ims, qs, -qs | slack pairs (-c, c)] of ``homs``, zero columns and
+    a zero column that is its own mirror included, then with the columns
+    shuffled (the mirror shuffled along)."""
+    for _ in range(50):
+        m = rng.randint(1, 3)
+        kp, kq, ns = rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2)
+        ims = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(kp)]
+        qs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(kq)]
+        if ims and rng.random() < 0.3:
+            ims[0] = [0] * m
+        cols = ims + [[-x for x in c] for c in ims] + qs + [[-x for x in c] for c in qs]
+        n = len(cols)
+        mirror = [*range(kp, 2 * kp), *range(kp), *range(2 * kp + kq, n), *range(2 * kp, n - kq)]
+        for _ in range(ns):
+            c = [rng.choice((0, 0, 2, 3)) for _ in range(m)]
+            cols += [[-x for x in c], c]
+            mirror += [len(cols) - 1, len(cols) - 2]
+        if rng.random() < 0.2:
+            cols.append([0] * m)
+            mirror.append(len(mirror))
+        if not cols:
+            continue
+        perm = list(range(len(cols)))
+        if rng.random() < 0.5:
+            rng.shuffle(perm)
+        back = {p: i for i, p in enumerate(perm)}
+        amat = [[cols[p][i] for p in perm] for i in range(m)]
+        yield amat, [back[mirror[p]] for p in perm]
+
+
+def test_cd_kernel_with_mirror_matches_kernel_without():
+    # same answer, None included, same stop sequence and same answer to a
+    # stop that fires, at every budget up to one past the least that answers
+    rng = rng_for("cd-mirror")
+    shapes = 0
+    for amat, mirror in _mirrored_systems(rng):
+        q = len(mirror)
+        cap = 150
+        n = _least_answered_budget(lambda b: _cd(amat, q, b), cap)
+        assert n == _least_answered_budget(lambda b: _cd(amat, q, b, None, mirror), cap)
+        for budget in range(min(n if n is not None else cap, cap) + 2):
+            runs = []
+            for mir in (None, mirror):
+                seen, fired = [], []
+                out = _cd(amat, q, budget, seen.append, mir)
+                fire = _cd(amat, q, budget, lambda s: fired.append(s) or len(fired) == 2, mir)
+                runs.append((out, seen, fire, fired))
+            assert runs[0] == runs[1], (amat, mirror, budget)
+        shapes += 1
+    assert shapes >= 40
+
+
+def test_cd_kernel_rejects_a_column_map_that_is_no_mirror():
+    amat = [[1, 2, -1, -2]]
+    for mirror in ([2, 3, 0, 1, 4], [1, 0, 3, 2], [2, 3, 1, 0], [2, 2, 0, 1]):
+        with pytest.raises(ValueError, match="mirror"):
+            _cd(amat, 4, 100, None, mirror)
+
+
 def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
     # integrality system of a seg1 -> poly hom from the classify benchmark
     amat = [
@@ -1234,10 +1385,13 @@ def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
         [2, 3, -2, -3, 0, 0, 0, 1, 1, 2, 0, 0, 0, -1, -1, -2],
         [0, 3, 0, -3, 0, 1, 2, 0, 1, 0, 0, -1, -2, 0, -1, 0],
     ]
-    assert _reference_cd(amat, 16, 2000) is None
+    mirror = [2, 3, 0, 1, *range(10, 16), *range(4, 10)]
+    assert _reference_cd(_reference_levels(amat, 16, 2000), 2000)[0] is None
+    assert _interleaved_reference_cd(amat, 16, 2000) is None
     assert _cd(amat, 16, 2000) is None
+    assert _cd(amat, 16, 2000, None, mirror) is None
     with zlat.node_budget(2000), pytest.raises(ResourceLimitError) as err:
-        nonneg_kernel_generators(amat)
+        nonneg_kernel_generators(amat, None, mirror)
     assert err.value.limit == 2000
 
 
