@@ -244,10 +244,10 @@ def _relation_generators(f: MonoidHom, stop):
     main part fixes its slack and no two share a tuple.  They reach ``stop``
     in completion order, a level's all before completion expands any node
     of that level, the zero tuple skipped, and the run ends when ``stop``
-    returns true.  The columns are [B | -B] up to a permutation: each
-    column's negative is its ``mirror`` (ims and -ims, qs and -qs, the two
-    columns of a slack pair), so completion expands one node of each pair
-    of nodes that are mirror images, with the same answer and charges.
+    returns true.  The columns are [B | -B] up to a permutation (ims and
+    -ims, qs and -qs, the two columns of a slack pair), so completion
+    expands one node of each pair of nodes that are mirror images, with
+    the same answer and charges.
     """
     kp = f.source.ngens
     kq = f.target.ngens
@@ -260,16 +260,12 @@ def _relation_generators(f: MonoidHom, stop):
     rows = [row[:n] + [x for c in row[n:] for x in (-c, c)] for row in rows]
     if not rows:
         rows = [[0] * n]
-    # the column of each column's negative: ims <-> -ims, qs <-> -qs, and
-    # each slack pair (n is even, so a pair is j, j ^ 1)
-    mirror = [*range(kp, 2 * kp), *range(kp), *range(2 * kp + kq, n), *range(2 * kp, 2 * kp + kq)]
-    mirror += [j ^ 1 for j in range(n, len(rows[0]))]
 
     def report(v):
         key = (v[:kp], v[kp: 2 * kp], v[2 * kp: 2 * kp + kq], v[2 * kp + kq: n])
         return any(map(any, key)) and stop(key)
 
-    zlat.nonneg_kernel_generators(rows, report, mirror)
+    zlat.nonneg_kernel_generators(rows, report)
 
 
 def integrality_tuple_generators(f: MonoidHom):

@@ -4,6 +4,8 @@ Plain functions over lists of Python ints; everything is exact
 arbitrary-precision arithmetic.
 """
 
+from operator import mul, neg
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -192,7 +194,7 @@ def hnf_rows(a):
     return H, pivots
 
 
-def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
+def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None):
     """Minimal nonzero solutions of A v = 0 with v in N^q (Contejean-Devie).
 
     ``amat`` is an m x q integer matrix.  The search draws its nodes from a
@@ -207,11 +209,6 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
     the sorted list of the solutions reported so far is then returned.  A
     ``stop`` that never returns true leaves the result unchanged, None at
     every refused budget included.
-
-    ``mirror``, if given, is a column involution with A e_mirror(j) =
-    -A e_j for every j (checked here; ValueError otherwise).  It changes
-    neither the result nor what ``stop`` sees nor where the search is
-    refused; it only saves work (below).  Absent, it is the identity.
 
     The search runs level by level from the unit vectors; the nodes of
     level k have coordinate sum k + 1.  Each level is spent in full when it
@@ -238,16 +235,22 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
     the interleaved search gets the same answer and the same ``stop``
     sequence here, and only its refusals can turn into answers.
 
-    Mirror pairs.  Let v' be v with coordinates permuted by ``mirror``:
-    A v' = -A v, so (A v') . A e_j' = (A v) . A e_j, and s <= v iff
-    s' <= v'.  The solutions are then closed under ', and by induction so
-    is every level: a node is a solution iff its twin is, and v + e_j is a
-    child iff (v + e_j)' = v' + e_j' is one, lying above a solution s iff
-    the twin lies above s'.  So one node of each pair {v, v'} is expanded,
-    keyed by the smaller packed int; its twin's packed vector and A^T A v'
-    are carried along, one add each per child.  A node with v = v' has
-    A v = 0 and is a solution.  Both twins are reported and both are
-    charged, so a node is one vector and the budget keeps its meaning.
+    Mirror pairs.  When the columns are [B | -B] up to a permutation, as
+    in the integrality system of a hom, ``_column_mirror`` pairs each
+    column j with a column j' that is its negative, A e_j' = -A e_j.  Let
+    v' be v with coordinates permuted by that involution: A v' = -A v, so
+    (A v') . A e_j' = (A v) . A e_j, and s <= v iff s' <= v'.  The
+    solutions are then closed under ', and by induction so is every level:
+    a node is a solution iff its twin is, and v + e_j is a child iff
+    (v + e_j)' = v' + e_j' is one, lying above a solution s iff the twin
+    lies above s'.  So one node of each pair {v, v'} is expanded, keyed by
+    the smaller packed int; its twin's packed vector and A^T A v' are
+    carried along, one add each per child.  A node with v = v' has A v = 0
+    and is a solution.  Both twins are reported and both are charged, so a
+    node is one vector, and neither the result nor what ``stop`` sees nor
+    where the search is refused depends on which involution is used.  A
+    matrix of any other shape gets the identity: every node is its own
+    twin, and the search is the one above.
 
     Encoding: a vector is one int with ``width``-bit fields, coordinate 0
     most significant, and a guard bit at the top of each field.  No
@@ -266,13 +269,9 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
     v + e_j of a node that lies above no solution can only lie above a
     solution s with s_j = v_j + 1, so only those are tried.
     """
-    if mirror is None:
-        mirror = range(q)
-    elif sorted(mirror) != list(range(q)) or any(
-        mirror[mirror[j]] != j or row[mirror[j]] != -row[j] for row in amat for j in range(q)
-    ):
-        raise ValueError("mirror must be a column involution with A e_mirror(j) = -A e_j")
-    gram = [[sum(row[j] * row[k] for row in amat) for k in range(q)] for j in range(q)]
+    cols = list(zip(*amat)) or [()] * q
+    mirror = _column_mirror(cols)
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
     width = (budget + 1).bit_length() + 1
     fmask = (1 << width) - 1
     shifts = [width * (q - 1 - j) for j in range(q)]
@@ -352,6 +351,25 @@ def cd_minimal_nonneg_solutions(amat, q, budget, spend, stop=None, mirror=None):
         level = nxt
         first = False
     return _unpack_sorted(sols, shifts, fmask)
+
+
+def _column_mirror(cols):
+    """An involution j -> j' of the columns ``cols`` (tuples) with
+    A e_j' = -A e_j: each nonzero column paired with one equal to its
+    negative, zero columns fixed.  The identity when some nonzero column
+    has no such partner, since a fixed nonzero column would break
+    A v' = -A v."""
+    mirror = list(range(len(cols)))
+    free = {}  # a column -> the indices of that column still unpaired
+    for j, col in enumerate(cols):
+        if any(col):
+            partners = free.get(tuple(map(neg, col)))
+            if partners:
+                k = partners.pop()
+                mirror[j], mirror[k] = k, j
+            else:
+                free.setdefault(col, []).append(j)
+    return list(range(len(cols))) if any(free.values()) else mirror
 
 
 def _unpack_sorted(sols, shifts, fmask):

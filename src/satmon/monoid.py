@@ -371,8 +371,7 @@ class Cone:
     full-dimensional in it), ``coords`` the span coordinates of the
     generators and ``facets`` the sorted primitive facet normals, empty when
     the cone is all of ``span``.  The incidence, the rays, the
-    triangulation, its frames and the rays' facet values are built when
-    first read.
+    triangulation and its frames are built when first read.
     """
 
     span: Lattice
@@ -426,14 +425,6 @@ class Cone:
         if self.rays is None:
             return None
         return zlat.simplex_frames([r for r, _ in self.rays], self.triangulation)
-
-    @cached_property
-    def ray_values(self):
-        """The facet values of each ray, in ``rays`` order, shared by every
-        box read off ``frames``."""
-        if self.rays is None:
-            return None
-        return tuple(tuple(vdot(f, r) for f in self.facets) for r, _ in self.rays)
 
 
 def cone_generators(

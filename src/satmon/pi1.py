@@ -89,12 +89,12 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     p spans Z^r, so its span is the identity lattice, which is also the
     span of the cover in M-coordinates.  The cover is cone cap M, the
     saturated monoid of p's cone in M: its Hilbert basis, in
-    M-coordinates, is read off p's rays, their facet values and the frames
-    of p's triangulation (``zlat.hilbert_from_hrep`` with ``lattice`` M),
-    so no ray is rewritten and no Smith form runs.  A point with
-    M-coordinates c is c . rows / den, so a facet normal phi of p becomes
-    rows . phi, the cover's facet normal, up to the positive factor den;
-    dividing it by its gcd keeps it primitive.
+    M-coordinates, is read off p's rays and the frames of p's
+    triangulation (``zlat.hilbert_from_hrep`` with ``lattice`` M), so no
+    ray is rewritten and no Smith form runs.  A point with M-coordinates c
+    is c . rows / den, so a facet normal phi of p becomes rows . phi, the
+    cover's facet normal, up to the positive factor den; dividing it by its
+    gcd keeps it primitive.
 
     The structure map needs no check once p is saturated.  p spans Z^r
     and M contains Z^r with finite index, so the inclusion is injective
@@ -111,9 +111,7 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
         cover = saturation_of_cone(ambient, cone.span, normals)
     else:
         rays = [r for r, _ in cone.rays]
-        sharp, _ = zlat.hilbert_from_hrep(
-            cone.facets, over.rank, rays, cone.frames, over, cone.ray_values
-        )
+        sharp, _ = zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)
         cover = known_saturation(ambient, cone.span, {h: h for h in sharp}, normals)
     return KummerCover(p, over, cover, coords)
 

@@ -638,7 +638,7 @@ def _box_points(gens, moduli, size):
     return pts
 
 
-def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None, vals=None):
+def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None):
     """Hilbert basis of {x in L : hrep . x >= 0} for a pointed cone, in the
     coordinates of L, the overlattice ``lattice`` of Z^dim (Z^dim itself
     by default).
@@ -654,8 +654,7 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None, vals=
     cone passes them with the ``frames`` of a triangulation on them
     (``simplex_frames``); otherwise double description finds the rays, they
     are triangulated by pulling, and a lower-dimensional cone is first
-    projected into its saturated span.  ``lattice`` needs known rays, and
-    so do ``vals``, the rows' values on each ray when the caller keeps them.
+    projected into its saturated span.  ``lattice`` needs known rays.
 
     With L = rowspan(B) / den (``lattice.rows`` B), a simplex's frame A
     gives coordinates f(x) = den x A, in which its ray u_t is den d e_t.
@@ -712,9 +711,9 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None, vals=
     # every row iff (P + guard - H) & guard == guard.  A box point has
     # values below den times the sum over the rays, so d times them fits,
     # and packing commutes with sums and exact division.
-    if vals is None:
-        vals = [[vdot(r, ray) for r in rows] for ray in rays]
-    vals = [(*vs, sum(vs)) for vs in vals]
+    vals = [[vdot(r, ray) for r in rows] for ray in rays]
+    for vs in vals:
+        vs.append(sum(vs))
     bound = den * sum(vs[-1] for vs in vals) * max(box[1] for box in boxes)
     width = bound.bit_length() + 1
     shifts = [width * i for i in range(len(rows) + 1)]
@@ -753,19 +752,18 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None, vals=
     )
 
 
-def hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None, lattice=None, vals=None):
+def hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None, lattice=None):
     """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis).
 
     ``rays`` and ``frames``, when given, are the extreme rays of the cone,
     which is then pointed and full-dimensional, and the frames of a
     triangulation on them (``_hilbert_pointed``); no double description
     runs.  With them, ``lattice`` may be an overlattice L of Z^dim: the
-    sharp part is then that of the cone in L, in L-coordinates; ``vals``
-    may give the rows' values on each ray, which then are not recomputed.
+    sharp part is then that of the cone in L, in L-coordinates.
     """
     rows = [tuple(r) for r in hrep_rows]
     if rays is not None:
-        return _hilbert_pointed(rows, dim, rays, frames, lattice, vals), []
+        return _hilbert_pointed(rows, dim, rays, frames, lattice), []
     if len(_independent_rows(rows, dim)) == dim:
         # rows of rank dim: the cone is pointed, and no Smith form is needed
         # to find its (zero) lineality space
@@ -790,22 +788,23 @@ def hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None, lattice=None, vals
     return sorted(sharp), [tuple(b) for b in lin]
 
 
-def nonneg_kernel_generators(rows, stop=None, mirror=None):
+def nonneg_kernel_generators(rows, stop=None):
     """Minimal nonzero solutions of A x = 0, x in N^q (Contejean-Devie).
 
     ``stop`` sees the solutions level by level, each level's before any of
     its nodes is expanded, and can end the search early
     (``kernels.cd_minimal_nonneg_solutions``); the solutions reported by
     then are returned.  Completion spends each level it expands from the
-    block's budget, which the searches inside ``stop`` share.  ``mirror``,
-    a column involution with A e_mirror(j) = -A e_j, lets completion expand
-    one node of each mirror pair; it changes no result and no charge.
+    block's budget, which the searches inside ``stop`` share.  When the
+    columns are [B | -B] up to a permutation, completion expands one node
+    of each pair of nodes that are mirror images; no result and no charge
+    depends on it.
     """
     q = len(rows[0]) if rows else 0
     if q == 0:
         return []
     charge = _node_meter("completion")
-    out = kernels.cd_minimal_nonneg_solutions(rows, q, charge.limit, charge, stop, mirror)
+    out = kernels.cd_minimal_nonneg_solutions(rows, q, charge.limit, charge, stop)
     if out is None:
         raise ResourceLimitError("completion node budget exceeded", charge.limit)
     return [tuple(v) for v in out]

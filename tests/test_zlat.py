@@ -931,9 +931,7 @@ def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
             for over in enumerate_overlattices(p.ambient.rank, n):
                 want = _charged(_smith_box_cover_basis, cone, over)
                 got = _charged(
-                    lambda: zlat.hilbert_from_hrep(
-                        cone.facets, over.rank, rays, cone.frames, over, cone.ray_values
-                    )[0]
+                    lambda: zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)[0]
                 )
                 assert got == want, (p, over)
                 compared += 1
@@ -1154,11 +1152,11 @@ def _completion_order(sols):
     return sorted(sols, key=lambda s: (sum(s), tuple(-x for x in s) if sum(s) == 1 else s))
 
 
-def _cd(amat, q, budget, stop=None, mirror=None):
+def _cd(amat, q, budget, stop=None):
     """The completion kernel with a budget of its own."""
     with zlat.node_budget(budget):
         charge = zlat._node_meter("completion")
-        return kernels.cd_minimal_nonneg_solutions(amat, q, budget, charge, stop, mirror)
+        return kernels.cd_minimal_nonneg_solutions(amat, q, budget, charge, stop)
 
 
 def _least_answered_budget(answers, cap):
@@ -1179,7 +1177,7 @@ def _least_answered_budget(answers, cap):
     return hi
 
 
-def _assert_cd_matches_reference_at_every_budget(amat, q, cap, mirror=None):
+def _assert_cd_matches_reference_at_every_budget(amat, q, cap):
     """The kernel matches ``_reference_cd`` exactly at every budget 0 .. N + 1.
 
     N is the least budget at which the reference answers; if it exceeds
@@ -1209,26 +1207,26 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap, mirror=None):
     n = _least_answered_budget(lambda b: _reference_cd(levels, b)[0], cap)
     if n is None:
         order = _reference_cd(levels, cap)[1]
-        assert _cd(amat, q, cap, seen.append, mirror) is None and seen == order, amat
+        assert _cd(amat, q, cap, seen.append) is None and seen == order, amat
         assert _interleaved_reference_cd(amat, q, cap) is None, amat
         return False
     order = _reference_cd(levels, n)[1]
     for budget in range(n + 2):
         want, got = _reference_cd(levels, budget)
-        assert _cd(amat, q, budget, None, mirror) == want, (amat, budget)
+        assert _cd(amat, q, budget, None) == want, (amat, budget)
         seen.clear()
-        assert _cd(amat, q, budget, seen.append, mirror) == want
+        assert _cd(amat, q, budget, seen.append) == want
         assert seen == got, (amat, budget)
         k = budget % len(order) + 1 if order else 1
         seen.clear()
-        out = _cd(amat, q, budget, stop_at(k), mirror)
+        out = _cd(amat, q, budget, stop_at(k))
         if len(got) >= k:
             assert seen == got[:k] and out == sorted(seen), (amat, budget, k)
         else:
             assert seen == got and out == want, (amat, budget, k)
     for k in range(1, len(order) + 1):
         seen.clear()
-        out = _cd(amat, q, n, stop_at(k), mirror)
+        out = _cd(amat, q, n, stop_at(k))
         assert seen == order[:k] and out == sorted(seen), (amat, k)
 
     old = _least_answered_budget(lambda b: _interleaved_reference_cd(amat, q, b), cap)
@@ -1238,7 +1236,7 @@ def _assert_cd_matches_reference_at_every_budget(amat, q, cap, mirror=None):
     assert n <= old, (amat, n, old)
     for budget in (old, old + 1):
         seen.clear()
-        assert _cd(amat, q, budget, seen.append, mirror) == full, (amat, budget)
+        assert _cd(amat, q, budget, seen.append) == full, (amat, budget)
         assert seen == _completion_order(full), (amat, budget)
     return n < old
 
@@ -1249,19 +1247,19 @@ def test_cd_kernel_leaves_to_stop_what_it_spends():
     # budget on each solution sees level 1's two solutions, which spend the 2
     # nodes level 2 needs, so at budget 10 the kernel returns None at the
     # first child it makes, without asking for more than is left; without
-    # that stop it answers.  The mirror x <-> z, y <-> w changes neither.
+    # that stop it answers.  The columns pair up as mirrors, x <-> z and
+    # y <-> w, which changes neither.
     amat = [[1, 2, -1, -2]]
-    for mirror in (None, [2, 3, 0, 1]):
-        want = [(0, 1, 0, 1), (0, 1, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
-        assert _cd(amat, 4, 10, None, mirror) == want
-        assert _cd(amat, 4, 9, None, mirror) is None
-        with zlat.node_budget(10):
-            witness = zlat._node_meter("witness")
-            charge = zlat._node_meter("completion")
-            seen = []
-            stop = lambda s: seen.append(s) or witness() < 0
-            assert kernels.cd_minimal_nonneg_solutions(amat, 4, 10, charge, stop, mirror) is None
-            assert seen == [(0, 1, 0, 1), (1, 0, 1, 0)] and charge(0) == 0
+    want = [(0, 1, 0, 1), (0, 1, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
+    assert _cd(amat, 4, 10) == want
+    assert _cd(amat, 4, 9) is None
+    with zlat.node_budget(10):
+        witness = zlat._node_meter("witness")
+        charge = zlat._node_meter("completion")
+        seen = []
+        stop = lambda s: seen.append(s) or witness() < 0
+        assert kernels.cd_minimal_nonneg_solutions(amat, 4, 10, charge, stop) is None
+        assert seen == [(0, 1, 0, 1), (1, 0, 1, 0)] and charge(0) == 0
 
 
 def test_cd_packed_kernel_matches_reference_on_random_matrices():
@@ -1274,9 +1272,9 @@ def test_cd_packed_kernel_matches_reference_on_random_matrices():
 
 
 def test_cd_packed_kernel_matches_reference_on_relation_shaped_matrices():
-    # [M | -M]: the shape of the integrality system of a hom (homs.py), with
-    # and without its mirror; the solutions-first search answers some of the
-    # matrices below the budget the interleaved search needs
+    # [M | -M]: the shape of the integrality system of a hom (homs.py),
+    # whose columns pair up as mirrors; the solutions-first search answers
+    # some of the matrices below the budget the interleaved search needs
     rng = rng_for("cd-packed-relation")
     recovered = 0
     for _ in range(60):
@@ -1284,9 +1282,7 @@ def test_cd_packed_kernel_matches_reference_on_relation_shaped_matrices():
         k = rng.randint(1, 4)
         mm = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         amat = [row + [-x for x in row] for row in mm]
-        mirror = [*range(k, 2 * k), *range(k)]
-        for mir in (None, mirror):
-            recovered += _assert_cd_matches_reference_at_every_budget(amat, 2 * k, 300, mir)
+        recovered += _assert_cd_matches_reference_at_every_budget(amat, 2 * k, 300)
     assert recovered > 0
 
 
@@ -1319,9 +1315,9 @@ def test_cd_packed_kernel_matches_reference_when_a_coordinate_nears_the_budget()
 
 def _mirrored_systems(rng):
     """(A, mirror) pairs: [M | -M] laid out as the integrality system
-    [ims, -ims, qs, -qs | slack pairs (-c, c)] of ``homs``, zero columns and
-    a zero column that is its own mirror included, then with the columns
-    shuffled (the mirror shuffled along)."""
+    [ims, -ims, qs, -qs | slack pairs (-c, c)] of ``homs``, zero columns
+    included, then with the columns shuffled (the layout's pairing shuffled
+    along).  The pairing fixes zero columns."""
     for _ in range(50):
         m = rng.randint(1, 3)
         kp, kq, ns = rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2)
@@ -1341,6 +1337,7 @@ def _mirrored_systems(rng):
             mirror.append(len(mirror))
         if not cols:
             continue
+        mirror = [k if any(cols[k]) else j for j, k in enumerate(mirror)]
         perm = list(range(len(cols)))
         if rng.random() < 0.5:
             rng.shuffle(perm)
@@ -1349,33 +1346,36 @@ def _mirrored_systems(rng):
         yield amat, [back[mirror[p]] for p in perm]
 
 
-def test_cd_kernel_with_mirror_matches_kernel_without():
-    # same answer, None included, same stop sequence and same answer to a
-    # stop that fires, at every budget up to one past the least that answers
+def test_cd_kernel_pairs_each_column_with_its_negative():
+    # on [M | -M] shapes every nonzero column gets a partner that is its
+    # negative (not always the layout's, when columns repeat), and zero
+    # columns stay fixed; a nonzero column with no partner, or no rows at
+    # all, give the identity
+    rng = rng_for("cd-mirror")
+    for amat, layout in _mirrored_systems(rng):
+        q = len(layout)
+        cols = list(zip(*amat))
+        mirror = kernels._column_mirror(cols)
+        assert [mirror[k] for k in mirror] == list(range(q)), amat
+        for j, k in enumerate(mirror):
+            assert cols[k] == tuple(-x for x in cols[j]) and (k == j) == (not any(cols[j])), amat
+        assert mirror == layout or any(cols[j] == cols[k] for j in range(q) for k in range(j))
+    assert kernels._column_mirror([(1,), (2,), (-1,), (-2,)]) == [2, 3, 0, 1]
+    assert kernels._column_mirror([(1,), (2,), (-1,), (-2,), (1,)]) == list(range(5))
+    assert kernels._column_mirror([(1,), (-1,), (1,), (-1,), (0,)]) == [1, 0, 3, 2, 4]
+    assert kernels._column_mirror([(), (), ()]) == [0, 1, 2]
+
+
+def test_cd_kernel_matches_reference_on_mirrored_systems():
+    # the kernel expands one node of each mirror pair; the twin-free
+    # reference expands both, and the two agree at every budget on the
+    # answer, the stop sequence, a stop that fires and the refusal budget
     rng = rng_for("cd-mirror")
     shapes = 0
-    for amat, mirror in _mirrored_systems(rng):
-        q = len(mirror)
-        cap = 150
-        n = _least_answered_budget(lambda b: _cd(amat, q, b), cap)
-        assert n == _least_answered_budget(lambda b: _cd(amat, q, b, None, mirror), cap)
-        for budget in range(min(n if n is not None else cap, cap) + 2):
-            runs = []
-            for mir in (None, mirror):
-                seen, fired = [], []
-                out = _cd(amat, q, budget, seen.append, mir)
-                fire = _cd(amat, q, budget, lambda s: fired.append(s) or len(fired) == 2, mir)
-                runs.append((out, seen, fire, fired))
-            assert runs[0] == runs[1], (amat, mirror, budget)
+    for amat, layout in _mirrored_systems(rng):
+        _assert_cd_matches_reference_at_every_budget(amat, len(layout), cap=150)
         shapes += 1
     assert shapes >= 40
-
-
-def test_cd_kernel_rejects_a_column_map_that_is_no_mirror():
-    amat = [[1, 2, -1, -2]]
-    for mirror in ([2, 3, 0, 1, 4], [1, 0, 3, 2], [2, 3, 1, 0], [2, 2, 0, 1]):
-        with pytest.raises(ValueError, match="mirror"):
-            _cd(amat, 4, 100, None, mirror)
 
 
 def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
@@ -1385,13 +1385,11 @@ def test_cd_packed_kernel_refuses_classify_sized_case_like_reference():
         [2, 3, -2, -3, 0, 0, 0, 1, 1, 2, 0, 0, 0, -1, -1, -2],
         [0, 3, 0, -3, 0, 1, 2, 0, 1, 0, 0, -1, -2, 0, -1, 0],
     ]
-    mirror = [2, 3, 0, 1, *range(10, 16), *range(4, 10)]
     assert _reference_cd(_reference_levels(amat, 16, 2000), 2000)[0] is None
     assert _interleaved_reference_cd(amat, 16, 2000) is None
     assert _cd(amat, 16, 2000) is None
-    assert _cd(amat, 16, 2000, None, mirror) is None
     with zlat.node_budget(2000), pytest.raises(ResourceLimitError) as err:
-        nonneg_kernel_generators(amat, None, mirror)
+        nonneg_kernel_generators(amat)
     assert err.value.limit == 2000
 
 
