@@ -190,7 +190,8 @@ def preimage_generators(f: MonoidHom):
     eye = [tuple(int(i == t) for i in range(gp.rank)) for t in range(gp.rank)]
     cols = [f.target.cone_coords(f.apply_exponents(presp.lift(e + pad))) for e in eye]
     rows = [tuple(vdot(phi, c) for c in cols) for phi in f.target.cone_facets()]
-    gens = cone_generators(gp, Lattice._of_hnf(eye), rows)
+    sharp, units = zlat.hilbert_from_hrep(rows, gp.rank)
+    gens = cone_generators(gp, Lattice._of_hnf(eye), sharp, units)
     return sorted(f.source.element_from_exponents(presp.lift(g)) for g in gens)
 
 
@@ -469,16 +470,13 @@ def ramification_indices(f: MonoidHom) -> RamificationReport:
     src, tgt = f.source, f.target
     _require_saturated(src, "source")
     _require_saturated(tgt, "target")
-    coords = [src.cone_coords(g) for g in src.gens]
     valuations = {}  # zero set of each source facet -> its values on the gens
-    for phi in src.cone_facets():
-        vals = [vdot(phi, c) for c in coords]
+    for vals in zip(*src._cone().values):
         valuations[tuple(i for i, v in enumerate(vals) if v == 0)] = vals
-    tcoords = [tgt.cone_coords(g) for g in tgt.gens]
+    tcone = tgt._cone()
     icoords = [tgt.cone_coords(im) for im in f.gen_images]
     faces = sorted(
-        ((tuple(j for j, c in enumerate(tcoords) if vdot(psi, c) == 0), psi)
-         for psi in tgt.cone_facets()),
+        ((tuple(j for j, k in enumerate(row) if k), psi) for psi, row in zip(tcone.facets, tcone.kills)),
         key=lambda fp: (len(fp[0]), fp[0]),
     )
     out = []

@@ -207,20 +207,9 @@ class AffineMonoid(Memoized):
         """Saturation inside the ambient group: {x : n x in P for some n>=1}.
 
         The result has the same cone and span lattice, so it is built from
-        them, on the rays and the frames of the triangulation of the cone
-        when it is pointed, and it is its own saturation.
+        them (``Cone.saturation``), and it is its own saturation.
         """
-
-        def build():
-            cone = self._cone()
-            if cone.rays is None:
-                return saturation_of_cone(self.ambient, cone.span, cone.facets)
-            rays = [r for r, _ in cone.rays]
-            return saturation_of_cone(
-                self.ambient, cone.span, cone.facets, rays, cone.frames
-            )
-
-        return self._get("sat", build)
+        return self._get("sat", lambda: self._cone().saturation(self.ambient))
 
     def is_saturated(self):
         """Is P = sat(P)?  Decided from the cone, without a search.
@@ -255,15 +244,13 @@ class AffineMonoid(Memoized):
         sat = self.saturate()
         facets = self.cone_facets()
         zero = (0,) * len(facets)
-
-        def values(c):
-            return tuple(vdot(f, c) for f in facets)
-
-        gvals = [values(c) for c in self._cone().coords]
+        gvals = self._cone().values
         reached = set(gvals)
         units = None
+        # the saturation's values are taken one generator at a time, as the
+        # first defect ends the scan
         for s, c in zip(sat.gens, sat._cone().coords):
-            v = values(c)
+            v = tuple(vdot(f, c) for f in facets)
             if v != zero:
                 if v not in reached:
                     return s
@@ -370,8 +357,8 @@ class Cone:
     ``span`` is the saturated lattice the free parts span (the cone is
     full-dimensional in it), ``coords`` the span coordinates of the
     generators and ``facets`` the sorted primitive facet normals, empty when
-    the cone is all of ``span``.  The incidence, the rays, the
-    triangulation and its frames are built when first read.
+    the cone is all of ``span``.  The facet values, the incidence, the
+    rays, the triangulation and its frames are built when first read.
     """
 
     span: Lattice
@@ -379,9 +366,14 @@ class Cone:
     facets: tuple
 
     @cached_property
+    def values(self):
+        """values[i][j]: the value of facet j on generator i."""
+        return tuple(tuple(vdot(f, c) for f in self.facets) for c in self.coords)
+
+    @cached_property
     def kills(self):
         """kills[j][i]: facet j vanishes on generator i."""
-        return tuple(tuple(vdot(f, c) == 0 for c in self.coords) for f in self.facets)
+        return tuple(tuple(v == 0 for v in col) for col in zip(*self.values))
 
     @cached_property
     def rays(self):
@@ -426,59 +418,67 @@ class Cone:
             return None
         return zlat.simplex_frames([r for r, _ in self.rays], self.triangulation)
 
+    def saturation(self, ambient: FgAbelianGroup, lattice=None):
+        """The saturated monoid of the cone: {x in ``ambient`` : free part
+        in ``span``, every facet value >= 0}.
 
-def cone_generators(
-    ambient: FgAbelianGroup, span: Lattice, rows, rays=None, frames=None
-):
-    """Generators of {x : free part in ``span``, every row value >= 0}.
+        With ``lattice``, an overlattice M of ``span`` = Z^r, it is the
+        monoid cone cap M in M-coordinates, in a torsion-free ``ambient``
+        of rank r.  A point with M-coordinates c is c . rows / den, so a
+        facet normal phi becomes rows . phi, the facet normal in M, up to
+        the positive factor den; dividing it by its gcd keeps it primitive.
+
+        This is the one place that chooses how the Hilbert basis is found.
+        A pointed cone reads it off its rays and the frames of its
+        triangulation (``zlat.hilbert_from_frames``), in M too, so no ray
+        is rewritten and no Smith form runs.  A cone with units runs
+        ``zlat.hilbert_from_hrep`` on its facets, and so does a saturation
+        of the zero cone, which charges no node for its one empty simplex.
+        The result carries its cone and is its own saturation.
+        """
+        facets = self.facets
+        if lattice is not None:
+            facets = tuple(
+                sorted(zlat.primitive([vdot(row, phi) for row in lattice.rows]) for phi in facets)
+            )
+        if self.rays is None or not self.span.rank and lattice is None:
+            sharp, units = zlat.hilbert_from_hrep(facets, self.span.rank)
+        else:
+            rays = [r for r, _ in self.rays]
+            sharp = zlat.hilbert_from_frames(self.facets, rays, self.frames, lattice)
+            units = []
+        if lattice is None:
+            coords = cone_generators(ambient, self.span, sharp, units)
+        else:
+            # M-coordinates are span coordinates: the span is Z^r
+            coords = {h: h for h in sharp + units + [vneg(u) for u in units]}
+        gens = sorted(coords)
+        sat = AffineMonoid(ambient, gens)
+        cone = Cone(self.span, tuple(coords[g] for g in gens), facets)
+        sat._cache.update(cone=cone, sat=sat, is_sat=True)
+        return sat
+
+
+def cone_generators(ambient: FgAbelianGroup, span: Lattice, sharp, units):
+    """Generators of {x : free part in ``span`` and in a cone C}, from the
+    Hilbert basis of C in the coordinates of ``span``: its ``sharp`` part
+    and a basis of its ``units`` (``zlat.hilbert_from_hrep``).
 
     ``span`` is a saturated lattice in the free part of ``ambient``
-    (canonical basis) and ``rows`` are linear forms in its coordinates,
-    passed to ``zlat.hilbert_from_hrep`` as they are, with ``rays`` and
-    ``frames`` when the cone is pointed and those are known.  The
-    generators are the torsion basis and the Hilbert basis of the cone,
-    units with their negatives.  Returns a dict from each generator to its
-    span coordinates.
+    (canonical basis).  The generators are the torsion basis, the sharp
+    part and the units with their negatives.  Returns a dict from each
+    generator to its span coordinates.
     """
     nt = len(ambient.torsion)
     coords = {
         (0,) * ambient.rank + tuple(1 if t == j else 0 for t in range(nt)): (0,) * span.rank
         for j in range(nt)
     }
-    if span.rank:
-        sharp, units = zlat.hilbert_from_hrep(rows, span.rank, rays, frames)
-        cols = list(zip(*span.basis))
-        pad = (0,) * nt
-        for h in sharp + units + [vneg(u) for u in units]:
-            coords[tuple(vdot(col, h) for col in cols) + pad] = h
+    cols = list(zip(*span.basis))
+    pad = (0,) * nt
+    for h in sharp + units + [vneg(u) for u in units]:
+        coords[tuple(vdot(col, h) for col in cols) + pad] = h
     return coords
-
-
-def saturation_of_cone(
-    ambient: FgAbelianGroup, span: Lattice, facets, rays=None, frames=None
-):
-    """The saturated monoid {x : free part in ``span``, facet values >= 0}.
-
-    ``facets`` are the sorted primitive facet normals of a cone in the
-    coordinates of ``span``, empty when the cone is all of ``span``; the
-    generators are ``cone_generators``.
-    """
-    return known_saturation(
-        ambient, span, cone_generators(ambient, span, facets, rays, frames), facets
-    )
-
-
-def known_saturation(ambient: FgAbelianGroup, span: Lattice, coords, facets):
-    """The saturated monoid whose generators are the keys of ``coords``,
-    a dict to their span coordinates, in the cone of ``facets``.
-
-    The monoid carries that cone and is known to be its own saturation.
-    """
-    gens = sorted(coords)
-    sat = AffineMonoid(ambient, gens)
-    cone = Cone(span, tuple(coords[g] for g in gens), tuple(facets))
-    sat._cache.update(cone=cone, sat=sat, is_sat=True)
-    return sat
 
 
 def _monoid_of_quotient(pres):

@@ -4,9 +4,9 @@ pi_1 is exposed only through its finite quotients: the n-stage is (dual to)
 P^gp tensor Z/n, and connected abelian covers of index n correspond to
 overlattices M of P^gp with [M : P^gp] = n and all prime factors of n
 outside the fixed prime set.  The cover monoid is the saturation of P
-inside M: same cone, refined lattice, so it is built straight from P's
-facets, rays and triangulation, whose simplices' frames serve every cover:
-each box of cone cap M is read off a frame of P's simplices.
+inside M: same cone, refined lattice, so it is P's cone value saturated
+in M (``Cone.saturation``), and the frames of P's simplices serve every
+cover: each box of cone cap M is read off one of them.
 P -> cone cap M is exact exactly when
 P is saturated (the preimage of cone cap M in P^gp is cone cap P^gp =
 sat(P)), so the base is checked once, not each cover.
@@ -23,7 +23,7 @@ from itertools import product
 from . import zlat
 from .errors import CoprimalityError, PreconditionError
 from .homs import MonoidHom
-from .monoid import AffineMonoid, known_saturation, saturation_of_cone
+from .monoid import AffineMonoid
 from .zlat import FgAbelianGroup, Overlattice
 
 
@@ -88,13 +88,8 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
 
     p spans Z^r, so its span is the identity lattice, which is also the
     span of the cover in M-coordinates.  The cover is cone cap M, the
-    saturated monoid of p's cone in M: its Hilbert basis, in
-    M-coordinates, is read off p's rays and the frames of p's
-    triangulation (``zlat.hilbert_from_hrep`` with ``lattice`` M), so no
-    ray is rewritten and no Smith form runs.  A point with M-coordinates c
-    is c . rows / den, so a facet normal phi of p becomes rows . phi, the
-    cover's facet normal, up to the positive factor den; dividing it by its
-    gcd keeps it primitive.
+    saturation of p's cone in M (``Cone.saturation`` with ``lattice`` M),
+    read off p's rays and the frames of p's triangulation.
 
     The structure map needs no check once p is saturated.  p spans Z^r
     and M contains Z^r with finite index, so the inclusion is injective
@@ -103,16 +98,7 @@ def _cover_from_overlattice(p: AffineMonoid, over: Overlattice, cone):
     """
     forms = over.coordinate_forms
     coords = tuple(tuple(zlat.vdot(f, g) for f in forms) for g in p.gens)
-    normals = sorted(
-        zlat.primitive([zlat.vdot(row, phi) for row in over.rows]) for phi in cone.facets
-    )
-    ambient = FgAbelianGroup(over.rank)
-    if cone.rays is None:
-        cover = saturation_of_cone(ambient, cone.span, normals)
-    else:
-        rays = [r for r, _ in cone.rays]
-        sharp, _ = zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)
-        cover = known_saturation(ambient, cone.span, {h: h for h in sharp}, normals)
+    cover = cone.saturation(FgAbelianGroup(over.rank), over)
     return KummerCover(p, over, cover, coords)
 
 
@@ -134,7 +120,7 @@ def enumerate_covers(p: AffineMonoid, n, sigma):
         raise PreconditionError(
             "generators must span the ambient group; pass the intrinsic copy"
         )
-    overs = zlat.enumerate_overlattices(p.ambient, n, sigma)
+    overs = zlat.enumerate_overlattices(p.ambient.rank, n, sigma)
     if not p.is_saturated():
         raise PreconditionError(
             "cover construction requires a saturated base (injective + exact failed)"

@@ -491,15 +491,6 @@ class TrichotomyVerdict:
     n: int = None
 
 
-def _overlattice_equal(o1: Overlattice, o2: Overlattice):
-    lcm = o1.den * o2.den // math.gcd(o1.den, o2.den)
-    s1 = lcm // o1.den
-    s2 = lcm // o2.den
-    l1 = Lattice([[x * s1 for x in r] for r in o1.rows], o1.rank)
-    l2 = Lattice([[x * s2 for x in r] for r in o2.rows], o2.rank)
-    return l1.basis == l2.basis
-
-
 def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
     """Trichotomy for Gamma+ <= Sigma+ with finite-index lattice extension.
 
@@ -526,11 +517,11 @@ def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
     quot = over.quotient_by_standard()
     if quot.rank != 0 or len(quot.torsion) > 1:
         return TrichotomyVerdict("not-finitely-generated", False, gamma=g)
-    n = quot.torsion[0] if quot.torsion else 1
-    rows = [[n if i == j else 0 for j in range(r)] for i in range(r)]
-    rows.append([int(x) for x in g])
-    cand = Overlattice(n, tuple(tuple(b) for b in Lattice(rows, r).basis))
-    if _overlattice_equal(over, cand):
+    n = quot.torsion[0]
+    # gamma is primitive, so Gamma + (1/n) Z gamma has index n over Gamma,
+    # as Sigma has: the two are equal iff gamma / n is in Sigma = lat / den
+    # (n divides den, since den kills Sigma / Gamma)
+    if lat.contains([over.den // n * x for x in g]):
         return TrichotomyVerdict("discrete", True, gamma=g, n=n)
     return TrichotomyVerdict("not-finitely-generated", False, gamma=g, n=n)
 
@@ -799,15 +790,12 @@ def gr_finiteness(tv: TypeVPresentation):
         raise NonDivisibleBaseError("the base must be a divisible valuative monoid")
     k = tv.q0.ngens
     keep = list(range(k))
-    changed = True
-    while changed:
-        changed = False
-        for j in list(keep):
-            rest = [tv.lift_of_q0_gen(t) for t in keep if t != j]
-            if tv.member(tv.lift_of_q0_gen(j), gens=rest):
-                keep.remove(j)
-                changed = True
-                break
+    # one pass: sat(V + S) only shrinks with S, so a generator the rest
+    # does not sat-generate stays unremovable after later removals
+    for j in range(k):
+        rest = [tv.lift_of_q0_gen(t) for t in keep if t != j]
+        if tv.member(tv.lift_of_q0_gen(j), gens=rest):
+            keep.remove(j)
     gens = [tv.lift_of_q0_gen(j) for j in keep]
     # relation lattice on the kept generators over V
     uw = [list(tv.chart.witnesses[i]) for i in range(tv.p0.ngens)]

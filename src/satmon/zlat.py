@@ -638,23 +638,49 @@ def _box_points(gens, moduli, size):
     return pts
 
 
-def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None):
-    """Hilbert basis of {x in L : hrep . x >= 0} for a pointed cone, in the
-    coordinates of L, the overlattice ``lattice`` of Z^dim (Z^dim itself
-    by default).
+def _hilbert_pointed(rows, dim):
+    """Hilbert basis of {x in Z^dim : row . x >= 0} for a pointed cone
+    (rows of rank dim).
+
+    Double description finds the rays, they are triangulated by pulling,
+    and a lower-dimensional cone is first projected into its saturated
+    span; the basis is read off the frames of the triangulation
+    (``hilbert_from_frames``).  Double description is charged on its own.
+    """
+    pairs = _double_description(rows, dim)
+    if not pairs:
+        return []
+    rays = [r for r, _ in pairs]
+    masks = [m for _, m in pairs]
+    # a row on every ray is an implicit equation; without one the cone
+    # is full-dimensional
+    on_every_ray = masks[0]
+    for m in masks:
+        on_every_ray &= m
+    cdim = len(_independent_rows(rays, dim)) if on_every_ray else dim
+    simplices = pulling_triangulation(masks, len(rows), cdim)
+    if cdim == dim:
+        return hilbert_from_frames(rows, rays, simplex_frames(rays, simplices))
+    span = Lattice(rays, dim).saturation()
+    low_rays = [span.coords(r) for r in rays]
+    low_rows = [v for v in ([vdot(r, b) for b in span.basis] for r in rows) if any(v)]
+    low = hilbert_from_frames(low_rows, low_rays, simplex_frames(low_rays, simplices))
+    cols = list(zip(*span.basis))
+    return sorted(tuple(vdot(col, h) for col in cols) for h in low)
+
+
+def hilbert_from_frames(rows, rays, frames, lattice=None):
+    """Hilbert basis of {x in L : row . x >= 0}, in the coordinates of L,
+    the overlattice ``lattice`` of Z^dim (Z^dim itself by default), for a
+    pointed full-dimensional cone with primitive extreme ``rays`` and the
+    ``frames`` of a triangulation on them (``simplex_frames``).
 
     Every irreducible element is a ray or a point of the half-open
-    parallelepiped of a simplex of a triangulation on the rays.  Those
-    candidates are sieved in degree order (degree = sum of the row values):
-    a candidate p is kept unless p - h lies in the cone for a kept h.  Such
+    parallelepiped of a simplex of the triangulation.  Those candidates
+    are sieved in degree order (degree = sum of the row values): a
+    candidate p is kept unless p - h lies in the cone for a kept h.  Such
     an h can be taken of degree <= deg(p) / 2, since a reducible p is a sum
-    of at least two basis elements.  Rows must have rank dim.
-
-    A caller that knows the primitive extreme rays of a full-dimensional
-    cone passes them with the ``frames`` of a triangulation on them
-    (``simplex_frames``); otherwise double description finds the rays, they
-    are triangulated by pulling, and a lower-dimensional cone is first
-    projected into its saturated span.  ``lattice`` needs known rays.
+    of at least two basis elements.
 
     With L = rowspan(B) / den (``lattice.rows`` B), a simplex's frame A
     gives coordinates f(x) = den x A, in which its ray u_t is den d e_t.
@@ -662,32 +688,9 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None):
     so the simplex's parallelepiped in L is the subgroup of
     prod_t Z/(den d / m_t) that the images B_j A of L's generators generate
     (``_box_points``), and x is sum_t f_t u_t / (den d).  Each simplex is
-    charged its
-    [L : Z^dim] d / prod m_t points before any box is enumerated; double
-    description is charged on its own.
+    charged its [L : Z^dim] d / prod m_t points before any box is
+    enumerated.
     """
-    rows = [tuple(r) for r in hrep_rows]
-    if rays is None:
-        pairs = _double_description(rows, dim)
-        if not pairs:
-            return []
-        rays = [r for r, _ in pairs]
-        masks = [m for _, m in pairs]
-        # a row on every ray is an implicit equation; without one the cone
-        # is full-dimensional
-        on_every_ray = masks[0]
-        for m in masks:
-            on_every_ray &= m
-        cdim = len(_independent_rows(rays, dim)) if on_every_ray else dim
-        simplices = pulling_triangulation(masks, len(rows), cdim)
-        if cdim < dim:
-            span = Lattice(rays, dim).saturation()
-            low_rays = [span.coords(r) for r in rays]
-            low_rows = [v for v in ([vdot(r, b) for b in span.basis] for r in rows) if any(v)]
-            low = _hilbert_pointed(low_rows, cdim, low_rays, simplex_frames(low_rays, simplices))
-            cols = list(zip(*span.basis))
-            return sorted(tuple(vdot(col, h) for col in cols) for h in low)
-        frames = simplex_frames(rays, simplices)
     if lattice is None:
         den, index, lrays, ms = 1, 1, rays, [1] * len(rays)
     else:
@@ -752,18 +755,9 @@ def _hilbert_pointed(hrep_rows, dim, rays=None, frames=None, lattice=None):
     )
 
 
-def hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None, lattice=None):
-    """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis).
-
-    ``rays`` and ``frames``, when given, are the extreme rays of the cone,
-    which is then pointed and full-dimensional, and the frames of a
-    triangulation on them (``_hilbert_pointed``); no double description
-    runs.  With them, ``lattice`` may be an overlattice L of Z^dim: the
-    sharp part is then that of the cone in L, in L-coordinates.
-    """
+def hilbert_from_hrep(hrep_rows, dim):
+    """Generators of {x in Z^dim : hrep . x >= 0}: (sharp part, unit basis)."""
     rows = [tuple(r) for r in hrep_rows]
-    if rays is not None:
-        return _hilbert_pointed(rows, dim, rays, frames, lattice), []
     if len(_independent_rows(rows, dim)) == dim:
         # rows of rank dim: the cone is pointed, and no Smith form is needed
         # to find its (zero) lineality space
@@ -1031,19 +1025,13 @@ def _overlattice_forms(r, n):
         yield from forms(diag, r - 1, ())
 
 
-def enumerate_overlattices(group, n, sigma=None):
-    """All M with L <= M <= L tensor Q and [M : L] = n, L = Z^rank.
+def enumerate_overlattices(r, n, sigma=None):
+    """All M with L <= M <= L tensor Q and [M : L] = n, L = Z^r.
 
-    ``group`` must be torsion-free.  n must be coprime to the prime set;
-    otherwise CoprimalityError.  Deterministic, duplicate-free.  The
-    enumeration is charged to the node budget (``_overlattice_forms``).
+    n must be coprime to the prime set; otherwise CoprimalityError.
+    Deterministic, duplicate-free.  The enumeration is charged to the node
+    budget (``_overlattice_forms``).
     """
-    if isinstance(group, FgAbelianGroup):
-        if group.torsion:
-            raise ValueError("overlattice enumeration requires a torsion-free group")
-        r = group.rank
-    else:
-        r = int(group)
     if n < 1:
         raise ValueError("index must be >= 1")
     if sigma is not None and not sigma.coprime(n):

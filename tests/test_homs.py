@@ -241,7 +241,7 @@ def test_classify_not_integral_golden_is_decided_by_the_cone(monkeypatch):
     with open(os.path.join(here, "golden", "classify_not_integral.request.json")) as fh:
         request = json.load(fh)
     searches = count_calls(monkeypatch, zlat, "solve_nonneg")
-    saturations = count_calls(monkeypatch, M, "saturation_of_cone")
+    saturations = count_calls(monkeypatch, M.Cone, "saturation")
     report, code = cli.run_request(request)
     assert code == 1 and report["result"]["verdicts"]["integral"]["holds"] is False
     assert searches == [] and len(saturations) == 2

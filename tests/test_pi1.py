@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import assert_matches_fresh, count_calls, random_affine_monoid, rng_for, same_submonoid
-from test_zlat import _smith_box_hilbert_from_hrep
+from test_zlat import _smith_box_hilbert_from_frames, _smith_box_hilbert_from_hrep
 from satmon import documents as D
 from satmon import homs as H
 from satmon import kernels
@@ -150,7 +150,8 @@ def test_covers_require_spanning(nat):
 def test_cover_cones_match_fresh_copies(monkeypatch):
     # every cover is built from the base's cone and carries it; a fresh
     # copy on the same generators recomputes it, its saturation by the
-    # Smith-form boxes that covers no longer use
+    # Smith-form boxes that covers no longer use, for pointed cones and for
+    # cones with units
     rng = rng_for("cover-known-cone")
     bases = []
     while len(bases) < 24:
@@ -160,8 +161,13 @@ def test_cover_cones_match_fresh_copies(monkeypatch):
             bases.append((m.saturate(), rng.choice((2, 3, 4, 6))))
     covers = [c for base, n in bases for c in pi1.enumerate_covers(base, n, PrimeSet.of(5))]
     monkeypatch.setattr(zlat, "hilbert_from_hrep", _smith_box_hilbert_from_hrep)
+    monkeypatch.setattr(zlat, "hilbert_from_frames", _smith_box_hilbert_from_frames)
+    hrep = count_calls(monkeypatch, zlat, "hilbert_from_hrep")
+    framed = count_calls(monkeypatch, zlat, "hilbert_from_frames")
     for c in covers:
         assert_matches_fresh(c.cover)
+    # each fresh copy saturates once, through one of the two oracles
+    assert len(framed) + len(hrep) == len(covers) and framed and hrep
     assert len(covers) >= 100
     assert {n for _, n in bases} == {2, 3, 4, 6}
 

@@ -1,13 +1,16 @@
 """Ordered lattices, membership over valuative bases, blowups, pipelines."""
 
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import rng_for, same_submonoid
+from conftest import count_calls, rng_for, same_submonoid
 from satmon import homs as H
 from satmon import monoid as M
 from satmon import valuative as V
+from satmon import zlat
 from satmon.errors import (
     MembershipError,
     NonDivisibleBaseError,
@@ -325,6 +328,70 @@ def test_trichotomy_bruteforce_agreement_dvr():
     assert _coset_min_exists_bruteforce(g1, over, (F(1, 2),)) is True
 
 
+def _overlattice_equal(o1, o2):
+    """Equality of two overlattices through their rescaled Hermite forms."""
+    lcm = o1.den * o2.den // math.gcd(o1.den, o2.den)
+    l1 = Lattice([[x * (lcm // o1.den) for x in r] for r in o1.rows], o1.rank)
+    l2 = Lattice([[x * (lcm // o2.den) for x in r] for r in o2.rows], o2.rank)
+    return l1.basis == l2.basis
+
+
+def _trichotomy_by_second_overlattice(gamma, over):
+    """The kind ``kummer_ext_classify`` gave when it built Gamma + (1/n) Z gamma
+    as a second overlattice and compared it with Sigma."""
+    r = gamma.rank
+    if gamma.divisible or over.index_over_standard() == 1:
+        return "equal"
+    if not gamma.is_discrete():
+        return "not-finitely-generated"
+    g = gamma.min_positive()
+    quot = over.quotient_by_standard()
+    if quot.rank != 0 or len(quot.torsion) > 1:
+        return "not-finitely-generated"
+    n = quot.torsion[0]
+    rows = [[n * int(i == j) for j in range(r)] for i in range(r)] + [list(g)]
+    cand = overlattice_from_rows(rows, n, r)
+    return "discrete" if _overlattice_equal(over, cand) else "not-finitely-generated"
+
+
+def _random_order(rng):
+    """A random total order on Z^r, r <= 3: integer level forms (discrete),
+    or a first level with an irrational part (dense in R)."""
+    while True:
+        r = rng.randint(1, 3)
+        d = rng.choice((0, 0, 2, 3))
+        if d and r < 2:
+            continue
+        levels = []
+        for _ in range(r):
+            a = tuple(F(rng.randint(-2, 2)) for _ in range(r))
+            b = tuple(F(rng.randint(-1, 1) if d else 0) for _ in range(r))
+            levels.append((a, b))
+        try:
+            return V.OrderedLattice(r, levels, d=d)
+        except ValueError:
+            continue
+
+
+def test_trichotomy_matches_the_second_overlattice_on_random_pairs():
+    # up to 4 overlattices of each index n <= 6 of random orders, rows and
+    # denominator scaled by 1 to 3: gamma / n in Sigma decides as the second
+    # overlattice Gamma + (1/n) Z gamma did
+    rng = rng_for("trichotomy-second-overlattice")
+    kinds = Counter()
+    while kinds["discrete"] < 150 or kinds["equal"] < 20:
+        gamma = _random_order(rng)
+        for n in range(1, 7):
+            overs = zlat.enumerate_overlattices(gamma.rank, n)
+            for over in rng.sample(overs, min(4, len(overs))):
+                k = rng.randint(1, 3)
+                over = Overlattice(k * over.den, tuple(tuple(k * x for x in row) for row in over.rows))
+                want = _trichotomy_by_second_overlattice(gamma, over)
+                assert V.kummer_ext_classify(gamma, over).kind == want, (gamma.levels, over)
+                kinds[want] += 1
+    assert kinds["not-finitely-generated"] >= 150
+
+
 # ---------------------------------------------------------------------------
 # valuative choice and blowups
 
@@ -601,6 +668,53 @@ def test_gr_semistable():
     assert len(rep.generators) == 2
     assert len(rep.relations) == 1
     assert rep.sat_generating and rep.relations_complete
+
+
+def _gr_kept_by_restarts(tv):
+    """The lifts that ``gr_finiteness`` keeps, pruned by the loop it used
+    to run: after each removal the scan starts again from the first kept
+    generator."""
+    keep = list(range(tv.q0.ngens))
+    changed = True
+    while changed:
+        changed = False
+        for j in list(keep):
+            rest = [tv.lift_of_q0_gen(t) for t in keep if t != j]
+            if tv.member(tv.lift_of_q0_gen(j), gens=rest):
+                keep.remove(j)
+                changed = True
+                break
+    return tuple(tv.lift_of_q0_gen(j) for j in keep)
+
+
+@pytest.mark.parametrize("q0_gens, axes", [
+    # N^2 onto the last two axes of N^3 and N^4: the lifts of those axes lie
+    # in V, the others are kept
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 1)]),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(0, 0, 1, 0), (0, 0, 0, 1)]),
+    # the first two lifts sat-generate each other, so the order decides
+    # which one is kept: the second, once the first is removed
+    ([(0, 0, 1), (0, 0, 2), (1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0)]),
+])
+def test_gr_one_pass_keeps_what_the_restarts_kept(monkeypatch, q0_gens, axes):
+    # over Q^2_{>=0}, at least two lifts are removed after a kept one, so
+    # the restarts test the kept lifts again; one pass asks one membership
+    # per generator and keeps the same lifts
+    q0 = monoid_from_vectors(q0_gens)
+    tv = V.TypeVPresentation(V.divisible_nonneg(2), H.MonoidHom(free_monoid(2), q0, axes), [(1, 0), (0, 1)])
+    with monkeypatch.context() as mp:
+        members = count_calls(mp, V.TypeVPresentation, "member")
+        want = _gr_kept_by_restarts(tv)
+        restarts = len(members)
+        members.clear()
+        rep = V.gr_finiteness(tv)
+        pruning = len(members)
+        members.clear()
+        # the check that ends ``gr_finiteness`` asks memberships of its own
+        tv.verify_sat_generating(list(rep.generators))
+        pruning -= len(members)
+    assert rep.generators == want and len(want) <= q0.ngens - 2
+    assert pruning == q0.ngens < restarts
 
 
 def test_gr_requires_divisible(lex2, nat2):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     brute_nonneg_solve,
+    count_calls,
     minors_gcd_invariants,
     random_affine_monoid,
     random_fp_monoid,
@@ -626,12 +627,8 @@ def _reference_box_hilbert(rays, hrep_rows, dim):
     return sorted(basis)
 
 
-def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
-    """``zlat.hilbert_from_hrep`` as it was, on the two reference kernels.
-
-    Known rays and a triangulation are accepted and ignored: the oracle
-    finds the rays itself.
-    """
+def _reference_hilbert_from_hrep(hrep_rows, dim):
+    """``zlat.hilbert_from_hrep`` as it was, on the two reference kernels."""
     rows = [tuple(r) for r in hrep_rows]
     lin = kernel_basis([list(r) for r in rows]) if rows else [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
@@ -655,6 +652,14 @@ def _reference_hilbert_from_hrep(hrep_rows, dim, rays=None, simplices=None):
         return sorted(sharp), [tuple(b) for b in lin]
     rays = _reference_extreme_rays(rows, dim)
     return _reference_box_hilbert(rays, rows, dim), []
+
+
+def _reference_hilbert_from_frames(rows, rays, frames, lattice=None):
+    """``zlat.hilbert_from_frames`` in Z^dim on the two reference kernels:
+    the known rays and frames are ignored, the oracle finds the rays
+    itself."""
+    assert lattice is None
+    return _reference_hilbert_from_hrep(rows, len(rays[0]))[0]
 
 
 def _smith_parallelepiped_ys(s, W):
@@ -748,14 +753,19 @@ def _smith_box_hilbert(hrep_rows, dim, rays=None, simplices=None):
     )
 
 
-def _smith_box_hilbert_from_hrep(hrep_rows, dim, rays=None, frames=None):
+def _smith_box_hilbert_from_frames(rows, rays, frames, lattice=None):
+    """``zlat.hilbert_from_frames`` in Z^dim as it was before simplex
+    frames, on ``_smith_box_hilbert``: the frames are read only for their
+    ray indices, the simplices they were built on."""
+    assert lattice is None
+    simplices = [sum(1 << t for t in idx) for idx, _, _ in frames]
+    return _smith_box_hilbert(rows, len(rays[0]), rays, simplices)
+
+
+def _smith_box_hilbert_from_hrep(hrep_rows, dim):
     """``zlat.hilbert_from_hrep`` as it was before simplex frames, on
-    ``_smith_box_hilbert``.  Known frames are read only for their ray
-    indices, the simplices they were built on."""
+    ``_smith_box_hilbert``."""
     rows = [tuple(r) for r in hrep_rows]
-    if rays is not None:
-        simplices = [sum(1 << t for t in idx) for idx, _, _ in frames]
-        return _smith_box_hilbert(rows, dim, rays, simplices), []
     if len(zlat._independent_rows(rows, dim)) == dim:
         return _smith_box_hilbert(rows, dim), []
     lin = kernel_basis([list(r) for r in rows]) if rows else [
@@ -930,9 +940,7 @@ def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
         for n in range(1, 7):
             for over in enumerate_overlattices(p.ambient.rank, n):
                 want = _charged(_smith_box_cover_basis, cone, over)
-                got = _charged(
-                    lambda: zlat.hilbert_from_hrep(cone.facets, over.rank, rays, cone.frames, over)[0]
-                )
+                got = _charged(zlat.hilbert_from_frames, cone.facets, rays, cone.frames, over)
                 assert got == want, (p, over)
                 compared += 1
     assert sum(len(p._cone().triangulation) > 1 for p in bases) >= 4
@@ -940,12 +948,18 @@ def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
 
 
 def _saturations_against_reference(monkeypatch, make_monoids):
+    # pointed cones reach the oracle through ``hilbert_from_frames``, cones
+    # with units through ``hilbert_from_hrep``; returns the calls of each
     new = [m.saturate().gens for m in make_monoids()]
     with monkeypatch.context() as mp:
         mp.setattr(zlat, "facet_normals", _reference_extreme_rays)
         mp.setattr(zlat, "hilbert_from_hrep", _reference_hilbert_from_hrep)
+        mp.setattr(zlat, "hilbert_from_frames", _reference_hilbert_from_frames)
+        hrep = count_calls(mp, zlat, "hilbert_from_hrep")
+        framed = count_calls(mp, zlat, "hilbert_from_frames")
         old = [m.saturate().gens for m in make_monoids()]
     assert new == old
+    return len(framed), len(hrep)
 
 
 def test_saturate_matches_reference_on_torsion_ambients(monkeypatch):
@@ -959,7 +973,8 @@ def test_saturate_matches_reference_on_torsion_ambients(monkeypatch):
             out.append(AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g))))
         return out
 
-    _saturations_against_reference(monkeypatch, monoids)
+    framed, hrep = _saturations_against_reference(monkeypatch, monoids)
+    assert framed >= 100 and hrep >= 40
 
 
 def test_saturate_matches_reference_on_gordan_corpus(monkeypatch):
@@ -968,7 +983,8 @@ def test_saturate_matches_reference_on_gordan_corpus(monkeypatch):
         rng = rng_for("acceptance-gordan")
         return [from_presentation(random_fp_monoid(rng))[0] for _ in range(200)]
 
-    _saturations_against_reference(monkeypatch, monoids)
+    framed, hrep = _saturations_against_reference(monkeypatch, monoids)
+    assert framed >= 120 and hrep >= 60
 
 
 # ---------------------------------------------------------------------------
