@@ -28,8 +28,8 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, documents as D, homs, pi1 as pi1mod, valuative as val
 from .documents import FORMAT
@@ -415,11 +415,22 @@ def run_request(request, deterministic=True):
 def run_batch(request, jobs=1, deterministic=True):
     o = D._obj(request, "$", ("format", "kind", "requests"))
     items = D._list(o["requests"], "$.requests")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda r: run_request(r, deterministic), items))
-    else:
-        results = [run_request(r, deterministic) for r in items]
+    results = [None] * len(items)
+    todo = iter(range(len(items)))
+
+    # the calling thread and jobs - 1 more take indices from one range
+    # iterator, whose next() hands each index to one thread, and write
+    # each report into its request's slot
+    def work():
+        for i in todo:
+            results[i] = run_request(items[i], deterministic)
+
+    threads = [threading.Thread(target=work) for _ in range(min(jobs, len(items)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
     code = max((c for _, c in results), default=0)
     report = {
         "format": FORMAT,

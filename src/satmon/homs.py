@@ -24,7 +24,6 @@ decides that.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from . import zlat
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     TorsionPreconditionError,
 )
 from .monoid import AffineMonoid, FpMonoid, Memoized, cone_generators, from_presentation
-from .zlat import FgAbelianGroup, Lattice, vdot, vneg, vsub
+from .zlat import FgAbelianGroup, Lattice, Value, vdot, vneg, vsub
 
 
 class MonoidHom(Memoized):
@@ -96,20 +95,19 @@ def compose(f: MonoidHom, g: MonoidHom):
 # groupification profile
 
 
-@dataclass(frozen=True)
 class GpProfile:
-    kernel: FgAbelianGroup
-    cokernel: FgAbelianGroup
-    cokernel_rank: int
-    torsion_order: int
-    kernel_witness: tuple = None  # exponent vector in Z^{#gens(P)}, or None
+    def __init__(self, kernel: FgAbelianGroup, cokernel: FgAbelianGroup, cokernel_rank,
+                 torsion_order, kernel_witness=None):
+        if math.prod(cokernel.torsion) != torsion_order:
+            raise ValueError("torsion_order must match the cokernel invariants")
+        self.kernel = kernel
+        self.cokernel = cokernel
+        self.cokernel_rank = cokernel_rank
+        self.torsion_order = torsion_order
+        self.kernel_witness = kernel_witness  # exponent vector in Z^{#gens(P)}, or None
 
     def kernel_order(self):
         return self.kernel.order()
-
-    def __post_init__(self):
-        if math.prod(self.cokernel.torsion) != self.torsion_order:
-            raise ValueError("torsion_order must match the cokernel invariants")
 
 
 def gp_profile(f: MonoidHom) -> GpProfile:
@@ -150,10 +148,10 @@ def gp_profile(f: MonoidHom) -> GpProfile:
 # individual predicates, each with a certificate
 
 
-@dataclass(frozen=True)
 class Verdict:
-    holds: bool
-    certificate: dict = field(default_factory=dict)
+    def __init__(self, holds, certificate=None):
+        self.holds = holds
+        self.certificate = {} if certificate is None else certificate
 
     def __bool__(self):
         return self.holds
@@ -371,22 +369,21 @@ def is_integral(f: MonoidHom) -> Verdict:
 # classification
 
 
-@dataclass(frozen=True)
 class ClassReport:
-    injective: Verdict
-    exact: Verdict
-    integral: Verdict  # may be None when skipped
-    vertical: Verdict
-    smooth: Verdict
-    etale: Verdict
-    kummer_etale: Verdict
-    profile: GpProfile
-
-    def __post_init__(self):
-        if self.kummer_etale.holds:
-            assert self.etale.holds and self.injective.holds and self.exact.holds
-        if self.etale.holds:
-            assert self.smooth.holds
+    def __init__(self, injective: Verdict, exact: Verdict, integral: Verdict, vertical: Verdict,
+                 smooth: Verdict, etale: Verdict, kummer_etale: Verdict, profile: GpProfile):
+        if kummer_etale.holds:
+            assert etale.holds and injective.holds and exact.holds
+        if etale.holds:
+            assert smooth.holds
+        self.injective = injective
+        self.exact = exact
+        self.integral = integral  # None when skipped
+        self.vertical = vertical
+        self.smooth = smooth
+        self.etale = etale
+        self.kummer_etale = kummer_etale
+        self.profile = profile
 
 
 def classify(f: MonoidHom, sigma, include_integral=True) -> ClassReport:
@@ -436,10 +433,12 @@ def classify(f: MonoidHom, sigma, include_integral=True) -> ClassReport:
 # ramification indices
 
 
-@dataclass(frozen=True)
-class RamificationReport:
-    indices: tuple  # ((face_indices_in_target, e), ...)
-    skipped: tuple  # face index tuples whose preimage is not height one
+class RamificationReport(Value):
+    _fields = ("indices", "skipped")
+
+    def __init__(self, indices, skipped):
+        self.indices = indices  # ((face_indices_in_target, e), ...)
+        self.skipped = skipped  # face index tuples whose preimage is not height one
 
     def as_dict(self):
         return {
@@ -496,14 +495,15 @@ def ramification_indices(f: MonoidHom) -> RamificationReport:
 # pushouts
 
 
-@dataclass(frozen=True)
 class PushoutResult:
-    category: str
-    fp: FpMonoid
-    monoid: AffineMonoid  # None in the mon category
-    left: MonoidHom  # P -> Q (None in mon)
-    right: MonoidHom  # Q0 -> Q (None in mon)
-    presentation: zlat.QuotientPresentation  # Z^(gens P + gens Q0) / relations (None in mon)
+    def __init__(self, category, fp: FpMonoid, monoid: AffineMonoid, left: MonoidHom,
+                 right: MonoidHom, presentation: zlat.QuotientPresentation):
+        self.category = category
+        self.fp = fp
+        self.monoid = monoid  # None in the mon category
+        self.left = left  # P -> Q (None in mon)
+        self.right = right  # Q0 -> Q (None in mon)
+        self.presentation = presentation  # Z^(gens P + gens Q0) / relations (None in mon)
 
 
 def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
@@ -547,13 +547,14 @@ def pushout(along: MonoidHom, arm: MonoidHom, category="sat") -> PushoutResult:
 # Vidal decomposition
 
 
-@dataclass(frozen=True)
 class VidalResult:
-    double: AffineMonoid  # (Q +_P Q)^sat
-    product: AffineMonoid  # Q + coker
-    forward_on_ambient: tuple  # columns: image of each ambient coordinate
-    backward_on_ambient: tuple
-    verified: bool
+    def __init__(self, double: AffineMonoid, product: AffineMonoid, forward_on_ambient,
+                 backward_on_ambient, verified):
+        self.double = double  # (Q +_P Q)^sat
+        self.product = product  # Q + coker
+        self.forward_on_ambient = forward_on_ambient  # columns: image of each ambient coordinate
+        self.backward_on_ambient = backward_on_ambient
+        self.verified = verified
 
 
 def direct_sum(g1: FgAbelianGroup, g2: FgAbelianGroup):

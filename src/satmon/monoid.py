@@ -10,27 +10,26 @@ Monoids are immutable; derived data (relation lattice, facets, saturation,
 faces) is cached on first use.  All operations are pure.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import zlat
 from .errors import InvalidFaceError, MembershipError
-from .zlat import FgAbelianGroup, Lattice, vdot, vneg
+from .zlat import FgAbelianGroup, Lattice, Value, vdot, vneg
 
 
-@dataclass(frozen=True)
-class FpMonoid:
+class FpMonoid(Value):
     """Finite presentation: ngens generators, relations u ~ v with u, v in N^n."""
 
-    ngens: int
-    relations: tuple
+    _fields = ("ngens", "relations")
 
-    def __post_init__(self):
-        for u, v in self.relations:
-            if len(u) != self.ngens or len(v) != self.ngens:
+    def __init__(self, ngens, relations):
+        for u, v in relations:
+            if len(u) != ngens or len(v) != ngens:
                 raise ValueError("relation vectors must have length ngens")
             if any(a < 0 for a in u) or any(a < 0 for a in v):
                 raise ValueError("relation vectors must be nonnegative")
+        self.ngens = ngens
+        self.relations = relations
 
 
 class Memoized:
@@ -350,8 +349,7 @@ class AffineMonoid(Memoized):
         return self.face_from_indices(face)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """The rational cone of a monoid's free parts, in span coordinates.
 
     ``span`` is the saturated lattice the free parts span (the cone is
@@ -361,9 +359,12 @@ class Cone:
     rays, the triangulation and its frames are built when first read.
     """
 
-    span: Lattice
-    coords: tuple
-    facets: tuple
+    _fields = ("span", "coords", "facets")
+
+    def __init__(self, span: Lattice, coords, facets):
+        self.span = span
+        self.coords = coords
+        self.facets = facets
 
     @cached_property
     def values(self):
@@ -432,16 +433,15 @@ class Cone:
         A pointed cone reads it off its rays and the frames of its
         triangulation (``zlat.hilbert_from_frames``), in M too, so no ray
         is rewritten and no Smith form runs.  A cone with units runs
-        ``zlat.hilbert_from_hrep`` on its facets, and so does a saturation
-        of the zero cone, which charges no node for its one empty simplex.
-        The result carries its cone and is its own saturation.
+        ``zlat.hilbert_from_hrep`` on its facets.  The result carries its
+        cone and is its own saturation.
         """
         facets = self.facets
         if lattice is not None:
             facets = tuple(
                 sorted(zlat.primitive([vdot(row, phi) for row in lattice.rows]) for phi in facets)
             )
-        if self.rays is None or not self.span.rank and lattice is None:
+        if self.rays is None:
             sharp, units = zlat.hilbert_from_hrep(facets, self.span.rank)
         else:
             rays = [r for r, _ in self.rays]

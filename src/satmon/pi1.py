@@ -16,7 +16,6 @@ divisibility maps (reduce invariants mod m); no profinite object is ever
 materialized, and roots of unity enter only as abstract cyclic groups.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -27,19 +26,17 @@ from .monoid import AffineMonoid
 from .zlat import FgAbelianGroup, Overlattice
 
 
-@dataclass(frozen=True)
 class Pi1Quotient:
     """The modulus-n stage of the fundamental group, P^gp tensor Z/n."""
 
-    modulus: int
-    group: FgAbelianGroup
-
-    def __post_init__(self):
-        for d in self.group.torsion:
-            if self.modulus % d != 0:
+    def __init__(self, modulus, group: FgAbelianGroup):
+        for d in group.torsion:
+            if modulus % d != 0:
                 raise ValueError("every invariant must divide the modulus")
-        if self.group.rank:
+        if group.rank:
             raise ValueError("a finite stage must be a finite group")
+        self.modulus = modulus
+        self.group = group
 
 
 def pi1_quotient(p: AffineMonoid, n, sigma) -> Pi1Quotient:
@@ -59,7 +56,6 @@ def pi1_quotient(p: AffineMonoid, n, sigma) -> Pi1Quotient:
     return Pi1Quotient(n, group)
 
 
-@dataclass(frozen=True)
 class KummerCover:
     """A connected abelian Kummer etale cover, recorded by its overlattice.
 
@@ -67,10 +63,11 @@ class KummerCover:
     structure map ``hom`` is built from them, and checked, when first read.
     """
 
-    base: AffineMonoid
-    overlattice: Overlattice
-    cover: AffineMonoid
-    images: tuple
+    def __init__(self, base: AffineMonoid, overlattice: Overlattice, cover: AffineMonoid, images):
+        self.base = base
+        self.overlattice = overlattice
+        self.cover = cover
+        self.images = images
 
     @cached_property
     def hom(self) -> MonoidHom:

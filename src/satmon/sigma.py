@@ -7,8 +7,6 @@ divisibility by its members, for a cofinite set we strip the excluded
 primes and check that nothing remains.
 """
 
-from dataclasses import dataclass
-
 from .zlat import trial_divisors
 
 
@@ -22,15 +20,13 @@ def _check_primes(ps):
                 raise ValueError(f"{p} is not a prime")
 
 
-@dataclass(frozen=True)
 class PrimeSet:
-    finite: tuple = None
-    complement: tuple = None
-
-    def __post_init__(self):
-        if (self.finite is None) == (self.complement is None):
+    def __init__(self, finite=None, complement=None):
+        if (finite is None) == (complement is None):
             raise ValueError("exactly one of finite/complement must be given")
-        _check_primes(self.finite if self.finite is not None else self.complement)
+        _check_primes(finite if finite is not None else complement)
+        self.finite = finite
+        self.complement = complement
 
     @classmethod
     def of(cls, *primes):

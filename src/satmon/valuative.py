@@ -22,7 +22,6 @@ the next level is tried.  Every Q(sqrt(d)) value is a pair of rationals
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -70,12 +69,14 @@ def is_squarefree(d):
     return d == 1 or math.isqrt(d) ** 2 != d
 
 
-@dataclass(frozen=True)
-class LevelForm:
+class LevelForm(zlat.Value):
     """Linear form with coefficients rational + rational*sqrt(d)."""
 
-    rational: tuple  # Fractions, length = rank
-    irrational: tuple  # Fractions, length = rank
+    _fields = ("rational", "irrational")
+
+    def __init__(self, rational, irrational):
+        self.rational = rational  # Fractions, length = rank
+        self.irrational = irrational  # Fractions, length = rank
 
     def sign(self, x, d):
         """Exact sign of the form's value at x, in Q(sqrt(d))."""
@@ -298,15 +299,13 @@ class LatticeMap:
 # monoid ideals and affine blowups
 
 
-@dataclass(frozen=True)
 class MonoidIdeal:
-    owner: AffineMonoid
-    generators: tuple
-
-    def __post_init__(self):
-        for g in self.generators:
-            if not self.owner.contains(g):
+    def __init__(self, owner: AffineMonoid, generators):
+        for g in generators:
+            if not owner.contains(g):
                 raise MembershipError(f"ideal generator {g} is not in the owner monoid")
+        self.owner = owner
+        self.generators = generators
 
     def contains(self, a):
         a = self.owner.ambient.reduce(a)
@@ -483,12 +482,12 @@ def verify_sat_generating_affine(f: MonoidHom, elements):
 # Kummer extension trichotomy
 
 
-@dataclass(frozen=True)
 class TrichotomyVerdict:
-    kind: str  # "equal" | "discrete" | "not-finitely-generated"
-    finitely_generated: bool
-    gamma: tuple = None
-    n: int = None
+    def __init__(self, kind, finitely_generated, gamma=None, n=None):
+        self.kind = kind  # "equal" | "discrete" | "not-finitely-generated"
+        self.finitely_generated = finitely_generated
+        self.gamma = gamma
+        self.n = n
 
 
 def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
@@ -530,15 +529,16 @@ def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
 # F. Kato step: flattening by blowup
 
 
-@dataclass(frozen=True)
 class KatoReport:
-    ideal: MonoidIdeal
-    chosen: tuple  # the element a
-    blowup: AffineMonoid  # P1
-    inclusion: MonoidHom  # P0 -> P1
-    base_changed: MonoidHom  # P1 -> Q1
-    integral: bool
-    factors_through_base: bool
+    def __init__(self, ideal: MonoidIdeal, chosen, blowup: AffineMonoid, inclusion: MonoidHom,
+                 base_changed: MonoidHom, integral, factors_through_base):
+        self.ideal = ideal
+        self.chosen = chosen  # the element a
+        self.blowup = blowup  # P1
+        self.inclusion = inclusion  # P0 -> P1
+        self.base_changed = base_changed  # P1 -> Q1
+        self.integral = integral
+        self.factors_through_base = factors_through_base
 
 
 def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap):
@@ -619,12 +619,12 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
 # Tsuji base change
 
 
-@dataclass(frozen=True)
 class TsujiReport:
-    n: int
-    base_changed: MonoidHom  # P2 -> Q2
-    evidence: tuple  # ((m, saturated_bool), ...)
-    passes: bool
+    def __init__(self, n, base_changed: MonoidHom, evidence, passes):
+        self.n = n
+        self.base_changed = base_changed  # P2 -> Q2
+        self.evidence = evidence  # ((m, saturated_bool), ...)
+        self.passes = passes
 
 
 def tsuji_base_change(f: MonoidHom, n, test_bound=6):
@@ -657,28 +657,31 @@ def tsuji_base_change(f: MonoidHom, n, test_bound=6):
 # Reduced Fibre Theorem pipeline and Grauert-Remmert finiteness
 
 
-@dataclass(frozen=True)
 class KummerLatticeExtension:
     """V -> W as lattices: W = (old lattice + (1/n) anchor values), reordered."""
 
-    lattice: OrderedLattice  # W in its own coordinates
-    overlattice: Overlattice  # W's lattice inside the old coordinates
-    old_basis_in_new: tuple  # images of the old standard basis vectors
-    quotient: object  # FgAbelianGroup W/V
-    order_coprime: bool
+    def __init__(self, lattice: OrderedLattice, overlattice: Overlattice, old_basis_in_new,
+                 quotient, order_coprime):
+        self.lattice = lattice  # W in its own coordinates
+        self.overlattice = overlattice  # W's lattice inside the old coordinates
+        self.old_basis_in_new = old_basis_in_new  # images of the old standard basis vectors
+        self.quotient = quotient  # FgAbelianGroup W/V
+        self.order_coprime = order_coprime
 
 
-@dataclass(frozen=True)
 class RftReport:
-    kato: KatoReport
-    ramification: object
-    n: int
-    tsuji: TsujiReport
-    extension: KummerLatticeExtension  # None when the base is divisible
-    final: "TypeVPresentation"
-    final_integral: bool
-    final_sat_generating: bool
-    w_equals_base: bool
+    def __init__(self, kato: KatoReport, ramification, n, tsuji: TsujiReport,
+                 extension: KummerLatticeExtension, final: "TypeVPresentation", final_integral,
+                 final_sat_generating, w_equals_base):
+        self.kato = kato
+        self.ramification = ramification
+        self.n = n
+        self.tsuji = tsuji
+        self.extension = extension  # None when the base is divisible
+        self.final = final
+        self.final_integral = final_integral
+        self.final_sat_generating = final_sat_generating
+        self.w_equals_base = w_equals_base
 
 
 def _extension_of_base(base: OrderedLattice, anchor_vals, n, sigma=None):
@@ -769,13 +772,14 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
     )
 
 
-@dataclass(frozen=True)
 class GrReport:
-    generators: tuple  # lift pairs generating Q over V
-    relations: tuple  # ((v1, m1), (v2, m2)) pairs of presentation words
-    relation_lattice_rows: tuple
-    sat_generating: bool
-    relations_complete: bool
+    def __init__(self, generators, relations, relation_lattice_rows, sat_generating,
+                 relations_complete):
+        self.generators = generators  # lift pairs generating Q over V
+        self.relations = relations  # ((v1, m1), (v2, m2)) pairs of presentation words
+        self.relation_lattice_rows = relation_lattice_rows
+        self.sat_generating = sat_generating
+        self.relations_complete = relations_complete
 
 
 def gr_finiteness(tv: TypeVPresentation):

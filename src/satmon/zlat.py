@@ -16,7 +16,6 @@ node budget per request (``node_budget``), shared by all its searches.
 import contextvars
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -79,6 +78,29 @@ def trial_divisors(more):
         charge()
         yield k
         k += 1
+
+
+# ---------------------------------------------------------------------------
+# value types
+
+
+class Value:
+    """Equality and hashing by the attributes named in ``_fields``; a value
+    equals only values of its own class.  Nothing assigns those attributes
+    after ``__init__``, so a value's hash never changes."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +273,23 @@ def preimage_lattice(rows, target: Lattice, ncols=None):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Value):
     """Z^rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk, each >= 2.
 
     Elements are int tuples of length rank + k, torsion coordinates reduced
     into [0, d).
     """
 
-    rank: int
-    torsion: tuple = ()
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        for i, d in enumerate(self.torsion):
+    def __init__(self, rank, torsion=()):
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError("torsion invariants must be >= 2")
-            if i and self.torsion[i] % self.torsion[i - 1] != 0:
+            if i and torsion[i] % torsion[i - 1] != 0:
                 raise ValueError("torsion invariants must form a divisibility chain")
+        self.rank = rank
+        self.torsion = torsion
 
     @property
     def dim(self):
@@ -331,7 +353,6 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class QuotientPresentation:
     """Z^ngens / <relation columns> in invariant form, with both directions.
 
@@ -339,10 +360,11 @@ class QuotientPresentation:
     ``lift`` picks a representative exponent vector for a group element.
     """
 
-    group: FgAbelianGroup
-    ngens: int
-    project_rows: tuple
-    lift_cols: tuple  # ngens x dim matrix, columns indexed by group coords
+    def __init__(self, group: FgAbelianGroup, ngens, project_rows, lift_cols):
+        self.group = group
+        self.ngens = ngens
+        self.project_rows = project_rows
+        self.lift_cols = lift_cols  # ngens x dim matrix, columns indexed by group coords
 
     def project(self, x):
         return self.group.reduce(kernels.mat_vec([list(r) for r in self.project_rows], list(x)))
@@ -702,7 +724,8 @@ def hilbert_from_frames(rows, rays, frames, lattice=None):
     boxes = []
     for idx, d, adj in frames:
         size = index * d // math.prod(ms[t] for t in idx)
-        charge(size)
+        # the zero cone's empty simplex has the box {0}: nothing to scan
+        charge(size if idx else 0)
         if size > 1:
             boxes.append((idx, d, adj, size))
     if not boxes:
@@ -808,11 +831,11 @@ def nonneg_kernel_generators(rows, stop=None):
 # nonnegative Diophantine feasibility
 
 
-@dataclass(frozen=True)
 class NonnegSolution:
-    status: str  # "sat" | "unsat"
-    witness: tuple = None
-    certificate: dict = None
+    def __init__(self, status, witness=None, certificate=None):
+        self.status = status  # "sat" | "unsat"
+        self.witness = witness
+        self.certificate = certificate
 
     @property
     def is_sat(self):
@@ -910,12 +933,14 @@ def solve_nonneg(rows, b):
 # overlattice enumeration
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(Value):
     """Lattice M with Z^rank <= M <= Q^rank; basis rows are ``rows / den``."""
 
-    den: int
-    rows: tuple  # tuple of int tuples; M = rowspan(rows) / den
+    _fields = ("den", "rows")
+
+    def __init__(self, den, rows):
+        self.den = den
+        self.rows = rows  # tuple of int tuples; M = rowspan(rows) / den
 
     @property
     def rank(self):
@@ -1051,6 +1076,5 @@ def enumerate_overlattices(r, n, sigma=None):
 def _overlattice_of_hnf(den, rows):
     """Overlattice(den, rows) for rows in canonical HNF, its lattice filled in."""
     ov = Overlattice(den, rows)
-    # the cached_property's own slot; a frozen dataclass forbids setattr
-    ov.__dict__["lattice"] = Lattice._of_hnf(rows)
+    ov.lattice = Lattice._of_hnf(rows)
     return ov

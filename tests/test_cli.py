@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -147,6 +148,64 @@ def test_batch_jobs_1_vs_4_byte_identical():
     assert json.dumps(r1, indent=2, ensure_ascii=True) + "\n" == _golden(
         "batch.report.json"
     )
+    # more jobs than requests, and no requests at all
+    many, code = cli.run_batch(batch, jobs=len(batch["requests"]) + 3)
+    assert json.dumps(many) == json.dumps(r1) and code == 0
+    empty = {**batch, "requests": []}
+    e1, e4 = cli.run_batch(empty, jobs=1), cli.run_batch(empty, jobs=4)
+    assert json.dumps(e1) == json.dumps(e4)
+    assert e1[0]["reports"] == [] and e1[1] == 0
+    # a failing request's error report stays at its own index, between
+    # the golden reports, however many threads run the batch
+    bad = {"format": "satmon/1", "kind": "request", "op": "no-such-op", "args": {}}
+    mixed = {**batch, "requests": [*batch["requests"][:2], bad, *batch["requests"][2:]]}
+    runs = [cli.run_batch(mixed, jobs=k) for k in (1, 2, 4, 9)]
+    for rep, code in runs:
+        assert json.dumps(rep) == json.dumps(runs[0][0]) and code == 2
+        assert [r["status"] for r in rep["reports"]] == ["ok", "ok", "error", "ok"]
+        assert rep["reports"][2]["request"] == bad
+        assert [r for i, r in enumerate(rep["reports"]) if i != 2] == r1["reports"]
+
+
+def test_batch_threads_take_each_request_once():
+    # more threads than cores and a short switch interval: a request run
+    # twice, skipped or written to another index shows in the echoed budgets
+    reqs = [
+        {"format": "satmon/1", "kind": "request", "op": "saturate", "budget": str(1000 + k),
+         "args": {"monoid": D.monoid_out(M.monoid_from_vectors([(2,), (3 + k % 4,)]))}}
+        for k in range(160)
+    ]
+    batch = {"format": "satmon/1", "kind": "batch", "requests": reqs}
+    out = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = threading.Thread(target=lambda: out.append(cli.run_batch(batch, jobs=8)))
+        t.start()
+        t.join(120)
+        assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    (rep, code), = out
+    assert [r["request"]["budget"] for r in rep["reports"]] == [q["budget"] for q in reqs]
+    assert json.dumps(rep) == json.dumps(cli.run_batch(batch, jobs=1)[0]) and code == 0
+
+
+def test_import_generates_no_code_and_starts_no_pool():
+    # dataclass code generation (with inspect) and the thread pool (with
+    # logging) are start-up costs every CLI process would pay
+    probe = (
+        "import sys; before = set(sys.modules); import satmon.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=HERE, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "satmon.cli" in added
+    heavy = {"dataclasses", "inspect", "concurrent.futures", "logging"}
+    assert not heavy & added, sorted(heavy & added)
 
 
 # ---------------------------------------------------------------------------

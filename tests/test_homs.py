@@ -122,6 +122,23 @@ def test_gp_profile_doubling(nat):
     assert prof.torsion_order == 2
 
 
+def test_gp_profile_checks_its_torsion_order():
+    coker = FgAbelianGroup(1, (2, 4))
+    assert H.GpProfile(FgAbelianGroup(0), coker, 1, 8).kernel_witness is None
+    for order in (2, 4, 6, 1):
+        with pytest.raises(ValueError, match="torsion_order"):
+            H.GpProfile(FgAbelianGroup(0), coker, 1, order)
+
+
+def test_verdicts_do_not_share_a_certificate():
+    a, b = H.Verdict(True), H.Verdict(True)
+    assert a.certificate == b.certificate == {} and a.certificate is not b.certificate
+    a.certificate["kernel"] = "0"
+    assert b.certificate == {} and H.Verdict(False).certificate == {}
+    cert = {"face": "whole"}
+    assert H.Verdict(True, cert).certificate is cert
+
+
 def test_gp_profile_sum(nat2, nat):
     prof = H.gp_profile(H.MonoidHom(nat2, nat, [(1,), (1,)]))
     assert (prof.kernel.rank, prof.kernel.torsion) == (1, ())
@@ -433,6 +450,19 @@ def test_classify_closure_invariants(nat2):
     assert rep.kummer_etale.holds and rep.etale.holds and rep.smooth.holds
     rep = H.classify(f, PrimeSet.of(2))
     assert not rep.smooth.holds and not rep.etale.holds and not rep.kummer_etale.holds
+    # a report that breaks the closure is refused when it is built
+    yes, no = H.Verdict(True), H.Verdict(False)
+    prof = rep.profile
+    H.ClassReport(yes, yes, None, yes, yes, yes, yes, prof)
+    H.ClassReport(no, yes, None, no, yes, yes, no, prof)
+    for inj, exact, smooth, etale, ke in (
+        (yes, yes, yes, no, yes),  # Kummer etale without etale
+        (no, yes, yes, yes, yes),  # Kummer etale without injective
+        (yes, no, yes, yes, yes),  # Kummer etale without exact
+        (yes, yes, no, yes, no),  # etale without smooth
+    ):
+        with pytest.raises(AssertionError):
+            H.ClassReport(inj, exact, None, yes, smooth, etale, ke, prof)
 
 
 def test_classify_requires_saturated():

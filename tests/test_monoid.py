@@ -23,6 +23,16 @@ from satmon.zlat import FgAbelianGroup, Lattice, node_budget, vdot
 # presentations
 
 
+def test_fp_monoid_checks_its_relations():
+    FpMonoid(2, (((1, 0), (0, 1)),))
+    for rel in (((1,), (0, 1)), ((1, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="length ngens"):
+            FpMonoid(2, (rel,))
+    for rel in (((-1, 0), (0, 1)), ((1, 0), (0, -1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FpMonoid(2, (((1, 1), (2, 0)), rel))
+
+
 def test_from_presentation_collapse():
     mono, images, _ = from_presentation(FpMonoid(2, (((1, 0), (0, 1)),)))
     assert mono.ambient == FgAbelianGroup(1)

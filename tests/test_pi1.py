@@ -33,6 +33,38 @@ def test_pi1_quotient_kills_torsion():
     assert q.group.torsion == (3,)
 
 
+def test_pi1_quotient_checks_its_group():
+    pi1.Pi1Quotient(6, FgAbelianGroup(0, (2, 6)))
+    with pytest.raises(ValueError, match="divide the modulus"):
+        pi1.Pi1Quotient(6, FgAbelianGroup(0, (4,)))
+    with pytest.raises(ValueError, match="finite group"):
+        pi1.Pi1Quotient(3, FgAbelianGroup(1, (3,)))
+
+
+def test_prime_sets_check_their_primes():
+    assert PrimeSet(finite=(2, 3)).finite == (2, 3)
+    assert PrimeSet(complement=()).complement == ()
+    for kwargs in ({}, {"finite": (2,), "complement": (3,)}):
+        with pytest.raises(ValueError, match="exactly one"):
+            PrimeSet(**kwargs)
+    for bad in (PrimeSet.of, PrimeSet.all_except):
+        for p in (1, 4, 9, 0, -3):
+            with pytest.raises(ValueError, match="not a prime"):
+                bad(2, p)
+
+
+def test_rank_zero_cones_charge_no_node():
+    # the zero cone's one simplex is empty, its box {0}: neither the
+    # saturation of a rank-0 monoid nor the cover of Z^0 scans a point
+    trivial = M.AffineMonoid(FgAbelianGroup(0), ())
+    torsion = M.AffineMonoid(FgAbelianGroup(0, (2, 4)), [(1, 2)])
+    with zlat.node_budget(0):
+        assert trivial.saturate().gens == ()
+        assert torsion.saturate().gens == ((0, 1), (1, 0))
+        (cover,) = pi1.enumerate_covers(trivial, 1, PrimeSet.empty())
+        assert cover.cover.gens == () and cover.overlattice == zlat.Overlattice(1, ())
+
+
 def test_pi1_coprimality_error(nat):
     with pytest.raises(CoprimalityError):
         pi1.pi1_quotient(nat, 4, PrimeSet.of(2))

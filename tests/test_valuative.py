@@ -446,6 +446,10 @@ def test_affine_blowup_membership_error(nat2):
     ideal = V.MonoidIdeal(nat2, ((1, 1),))
     with pytest.raises(MembershipError):
         V.affine_blowup(nat2, ideal, (1, 0))  # (1,0) not in the ideal (1,1)+P
+    # an ideal's generators must lie in its owner
+    for gens in (((-1, 0),), ((1, 1), (1, -1))):
+        with pytest.raises(MembershipError, match="not in the owner monoid"):
+            V.MonoidIdeal(nat2, gens)
 
 
 def test_blowup_preserves_groupification(nat2):

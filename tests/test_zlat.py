@@ -17,8 +17,10 @@ from conftest import (
 )
 from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
-from satmon.monoid import AffineMonoid, from_presentation, monoid_from_vectors
+from satmon.homs import RamificationReport
+from satmon.monoid import AffineMonoid, FpMonoid, from_presentation, monoid_from_vectors
 from satmon.sigma import PrimeSet
+from satmon.valuative import LevelForm
 from satmon.zlat import (
     FgAbelianGroup,
     Lattice,
@@ -281,6 +283,37 @@ def test_group_arithmetic():
     assert g.element_order((1, 0, 0)) is None
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (3, 2))  # no divisibility chain
+    with pytest.raises(ValueError, match="divisibility chain"):
+        FgAbelianGroup(2, (2, 4, 6))
+    for bad in ((1,), (0,), (-2,), (2, 1)):
+        with pytest.raises(ValueError, match=">= 2"):
+            FgAbelianGroup(1, bad)
+
+
+def test_values_compare_and_hash_by_their_fields():
+    makers = [
+        lambda: (FgAbelianGroup(1, (2,)), FgAbelianGroup(1, (4,))),
+        lambda: (zlat.Overlattice(2, ((1, 0), (0, 2))), zlat.Overlattice(2, ((1, 1), (0, 2)))),
+        lambda: (FpMonoid(2, (((1, 0), (0, 1)),)), FpMonoid(2, ())),
+        lambda: (LevelForm((1,), (0,)), LevelForm((0,), (1,))),
+        lambda: (RamificationReport((((0,), 2),), ()), RamificationReport((), ())),
+    ]
+    for make in makers:
+        (a, other), (b, _) = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != other and len({a, b, other}) == 2
+    # the same fields in another class, or in a tuple, are another value
+    same = [
+        FgAbelianGroup(1, ()), zlat.Overlattice(1, ()), FpMonoid(1, ()),
+        LevelForm(1, ()), RamificationReport(1, ()),
+    ]
+    for x, y in itertools.combinations(same, 2):
+        assert x != y and y != x
+    assert all(x != (1, ()) for x in same)
+    # a cone compares by span, coordinates and facets (its span has no hash)
+    cones = [AffineMonoid(FgAbelianGroup(2), gens)._cone()
+             for gens in ([(1, 0), (0, 1)], [(1, 0), (0, 1)], [(1, 0), (1, 2)])]
+    assert cones[0] is not cones[1] and cones[0] == cones[1] and cones[0] != cones[2]
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +690,9 @@ def _reference_hilbert_from_hrep(hrep_rows, dim):
 def _reference_hilbert_from_frames(rows, rays, frames, lattice=None):
     """``zlat.hilbert_from_frames`` in Z^dim on the two reference kernels:
     the known rays and frames are ignored, the oracle finds the rays
-    itself."""
+    itself.  A cone without rays is the zero cone of Z^0."""
     assert lattice is None
-    return _reference_hilbert_from_hrep(rows, len(rays[0]))[0]
+    return _reference_hilbert_from_hrep(rows, len(rays[0]) if rays else 0)[0]
 
 
 def _smith_parallelepiped_ys(s, W):
@@ -948,8 +981,9 @@ def test_cover_boxes_match_smith_boxes_on_every_small_overlattice():
 
 
 def _saturations_against_reference(monkeypatch, make_monoids):
-    # pointed cones reach the oracle through ``hilbert_from_frames``, cones
-    # with units through ``hilbert_from_hrep``; returns the calls of each
+    # pointed cones, the zero cone included, reach the oracle through
+    # ``hilbert_from_frames``, cones with units through
+    # ``hilbert_from_hrep``; returns the calls of each
     new = [m.saturate().gens for m in make_monoids()]
     with monkeypatch.context() as mp:
         mp.setattr(zlat, "facet_normals", _reference_extreme_rays)
@@ -984,7 +1018,8 @@ def test_saturate_matches_reference_on_gordan_corpus(monkeypatch):
         return [from_presentation(random_fp_monoid(rng))[0] for _ in range(200)]
 
     framed, hrep = _saturations_against_reference(monkeypatch, monoids)
-    assert framed >= 120 and hrep >= 60
+    # 36 of them are zero cones, which take the frames path
+    assert framed >= 160 and hrep >= 30
 
 
 # ---------------------------------------------------------------------------
