@@ -129,14 +129,6 @@ class OrderedLattice:
     def compare(self, x, y):
         return self.sign(tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y)))
 
-    def is_member(self, x):
-        """x in V = the nonnegative part."""
-        try:
-            self.check_element(x)
-        except ValueError:
-            return False
-        return self.sign(x) >= 0
-
     # -- convex subgroup chain ------------------------------------------------
 
     def kernel_chain(self):
@@ -451,31 +443,20 @@ class TypeVPresentation:
             sys.eq(v_row(1 if t == i else 0 for t in range(nu)), Fraction(0))
         return sys.feasible_point() is not None
 
-    def verify_sat_generating(self, gens):
-        """Do the given lift pairs sat-generate Q over V?"""
-        for g in gens:
-            if not self.member(g):
-                return False
-        for j in range(self.q0.ngens):
-            if not self.member(self.lift_of_q0_gen(j), gens=list(gens)):
-                return False
-        return True
+    def verify_sat_generating(self, keep):
+        """Do the lifts of Q0's generators with indices in ``keep``
+        sat-generate Q over V?
 
-
-def verify_sat_generating_affine(f: MonoidHom, elements):
-    """Affine version: do image(f) and ``elements`` sat-generate the target?
-
-    The saturation of the generated submonoid is saturated, so each
-    ``sat.contains`` below is a facet test, not a search.
-    """
-    q = f.target
-    for e in elements:
-        if not q.contains(e):
-            return False
-    gens = list(dict.fromkeys(list(f.gen_images) + list(elements)))
-    gens = [g for g in gens if not q.ambient.is_zero(g)]
-    sat = AffineMonoid(q.ambient, gens).saturate()
-    return all(sat.contains(g) for g in q.gens)
+        Q is sat-generated over V by the lifts of all of Q0's generators, so
+        the kept lifts sat-generate it iff each of the others lies in their
+        saturation.  A kept lift lies there as its own witness, so only the
+        generators outside ``keep`` are asked, one ``member`` each.
+        """
+        gens = [self.lift_of_q0_gen(j) for j in keep]
+        return all(
+            self.member(self.lift_of_q0_gen(j), gens=gens)
+            for j in range(self.q0.ngens) if j not in keep
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -530,37 +511,31 @@ def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
 
 
 class KatoReport:
-    def __init__(self, ideal: MonoidIdeal, chosen, blowup: AffineMonoid, inclusion: MonoidHom,
-                 base_changed: MonoidHom, integral, factors_through_base):
+    def __init__(self, ideal: MonoidIdeal, chosen, base_changed: MonoidHom, integral,
+                 factors_through_base, anchor_values):
         self.ideal = ideal
         self.chosen = chosen  # the element a
-        self.blowup = blowup  # P1
-        self.inclusion = inclusion  # P0 -> P1
         self.base_changed = base_changed  # P1 -> Q1
         self.integral = integral
         self.factors_through_base = factors_through_base
+        self.anchor_values = anchor_values  # the anchor at each generator of P1
 
 
-def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, a, anchor: LatticeMap):
-    """Blow up the chart source at (K, a), base change, and test integrality."""
+def kato_verify(chart: MonoidHom, ideal: MonoidIdeal, anchor: LatticeMap):
+    """Blow up the chart source at (K, a), base change, and test integrality.
+
+    ``vcp_select`` chooses a and builds the blowup P1 = P0[K - a] with the
+    anchor's value and sign at each of its generators; that one blowup
+    serves the whole check: the base change along P0 -> P1, its integrality,
+    whether the anchor factors through P1, and the values the pipeline
+    carries on.
+    """
     p0 = chart.source
     if ideal.owner != p0:
         raise ValueError("ideal must live in the chart source")
-    a = p0.ambient.reduce(a)
-    if not ideal.contains(a):
-        raise MembershipError(f"{a} is not an element of the ideal")
-    p1 = affine_blowup(p0, ideal, a)
-    inc = MonoidHom(p0, p1, p0.gens)
-    po = pushout(chart, inc, "sat")
-    hom1 = po.left
-    integ = is_integral(hom1)
-    factors = True
-    for g in p1.gens:
-        v = anchor.eval_element(g)
-        if anchor.lattice.sign(v) < 0:
-            factors = False
-            break
-    return KatoReport(ideal, a, p1, inc, hom1, integ.holds, factors)
+    a, _, p1, factors, cert = vcp_select(p0, ideal, anchor)
+    hom1 = pushout(chart, MonoidHom(p0, p1, p0.gens), "sat").left
+    return KatoReport(ideal, a, hom1, is_integral(hom1).holds, factors, [v for _, v, _ in cert])
 
 
 def _ideal_candidates(p: AffineMonoid, coeff_bound, charge):
@@ -579,19 +554,21 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
 
     Tries ideals generated by up to FLATTEN_MAX_GENS sums of generators with
     coefficients up to FLATTEN_COEFF_BOUND, pruning generating sets that are
-    not antichains.  Each candidate built and each combination tried is a
-    node of the "flattening-ideal search", charged to the node budget that
-    the searches it runs draw on too.  The candidates of a bound include
-    those of every smaller one, so a combination of earlier candidates was
-    tried, with the same verdicts, at an earlier bound: it is skipped, and
-    not charged.  Raises SearchFailureError when nothing within the bounds
-    works (the caller may supply K explicitly).
+    not antichains.  Each candidate ideal gets one ``kato_verify``, in which
+    VCP chooses a and one blowup serves the whole check; the first report
+    that is integral and factors through the base is returned (it carries
+    the ideal and a).  An integral chart is checked on the zero ideal.  Each
+    candidate built and each combination tried is a node of the
+    "flattening-ideal search", charged to the node budget that the searches
+    it runs draw on too.  The candidates of a bound include those of every
+    smaller one, so a combination of earlier candidates was tried, with the
+    same verdicts, at an earlier bound: it is skipped, and not charged.
+    Raises SearchFailureError when nothing within the bounds works (the
+    caller may supply K explicitly).
     """
     p0 = chart.source
     if is_integral(chart).holds:
-        zero = p0.ambient.zero()
-        ideal = MonoidIdeal(p0, (zero,))
-        return ideal, zero, kato_verify(chart, ideal, zero, anchor)
+        return kato_verify(chart, MonoidIdeal(p0, (p0.ambient.zero(),)), anchor)
     charge = zlat._node_meter("flattening-ideal search")
     earlier = set()
     for bound in range(1, FLATTEN_COEFF_BOUND + 1):
@@ -604,11 +581,9 @@ def find_flattening_ideal(chart: MonoidHom, anchor: LatticeMap):
                 if any(x != y and p0.contains(p0.ambient.sub(x, y))
                        for x in combo for y in combo):
                     continue  # not an antichain
-                ideal = MonoidIdeal(p0, combo)
-                a = vcp_select(p0, ideal, anchor)[0]
-                rep = kato_verify(chart, ideal, a, anchor)
+                rep = kato_verify(chart, MonoidIdeal(p0, combo), anchor)
                 if rep.integral and rep.factors_through_base:
-                    return ideal, a, rep
+                    return rep
         earlier = set(elems)
     raise SearchFailureError(
         "no flattening ideal within the bounded search; supply K explicitly"
@@ -634,6 +609,10 @@ def tsuji_base_change(f: MonoidHom, n, test_bound=6):
     so the report states that all integral pushouts along multiplication by
     m <= test_bound are saturated -- bounded evidence, not a proof.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if test_bound < 1:
+        raise ValueError("test_bound must be >= 1")
     if not is_integral(f).holds:
         raise NotIntegralError("tsuji base change requires an integral homomorphism")
     p1 = f.source
@@ -660,11 +639,10 @@ def tsuji_base_change(f: MonoidHom, n, test_bound=6):
 class KummerLatticeExtension:
     """V -> W as lattices: W = (old lattice + (1/n) anchor values), reordered."""
 
-    def __init__(self, lattice: OrderedLattice, overlattice: Overlattice, old_basis_in_new,
-                 quotient, order_coprime):
+    def __init__(self, lattice: OrderedLattice, overlattice: Overlattice, quotient,
+                 order_coprime):
         self.lattice = lattice  # W in its own coordinates
         self.overlattice = overlattice  # W's lattice inside the old coordinates
-        self.old_basis_in_new = old_basis_in_new  # images of the old standard basis vectors
         self.quotient = quotient  # FgAbelianGroup W/V
         self.order_coprime = order_coprime
 
@@ -700,25 +678,21 @@ def _extension_of_base(base: OrderedLattice, anchor_vals, n, sigma=None):
     basis_fracs = over.basis_fractions()
     levels = base.restrict_forms_to_basis(basis_fracs)
     w = OrderedLattice(r, levels, d=base.d, divisible=False)
-    old_basis = []
-    for i in range(r):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        c = over.coords(e)
-        assert c is not None
-        old_basis.append(c)
     quot = over.quotient_by_standard()
     ok = True
     if sigma is not None:
         order = math.prod(quot.torsion) if quot.torsion else 1
         ok = sigma.coprime(order)
-    return KummerLatticeExtension(w, over, tuple(old_basis), quot, ok)
+    return KummerLatticeExtension(w, over, quot, ok)
 
 
 def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
     """Flatten by blowup, base change by the ramification lcm, extend V.
 
     Produces W (a Kummer etale extension of V), the finitely presented
-    saturated chart over it, and the full certificate chain.
+    saturated chart over it, and the full certificate chain.  A supplied
+    ideal gets one ``kato_verify``, whose anchor values at P1's generators
+    give W and the final anchor.
     """
     from .homs import classify  # local import to keep module load light
 
@@ -728,32 +702,28 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
             raise PreconditionError(
                 "with a nonempty prime set the chart must be etale"
             )
-    if ideal is not None:
-        a, _, _, _, _ = vcp_select(tv.p0, ideal, tv.anchor)
-        kato = kato_verify(tv.chart, ideal, a, tv.anchor)
+    if ideal is None:
+        kato = find_flattening_ideal(tv.chart, tv.anchor)
+    else:
+        kato = kato_verify(tv.chart, ideal, tv.anchor)
         if not (kato.integral and kato.factors_through_base):
             raise SearchFailureError("supplied ideal does not flatten the chart")
-    else:
-        ideal, a, kato = find_flattening_ideal(tv.chart, tv.anchor)
     hom1 = kato.base_changed
-    p1 = hom1.source
     ram = ramification_indices(hom1)
     n = 1
     for _, e in ram.indices:
         n = n * e // math.gcd(n, e)
     tsuji = tsuji_base_change(hom1, n)
     hom2 = tsuji.base_changed
-    # anchor on P1 (same ambient as P0 after blowup: evaluate directly)
-    anchor1_vals = [tv.anchor.eval_element(g) for g in p1.gens]
     if tv.base.divisible:
         wbase = tv.base
         extension = None
-        anchor2_vals = [tuple(Fraction(x, n) for x in v) for v in anchor1_vals]
+        anchor2_vals = [tuple(Fraction(x, n) for x in v) for v in kato.anchor_values]
     else:
-        extension = _extension_of_base(tv.base, anchor1_vals, n, sigma)
+        extension = _extension_of_base(tv.base, kato.anchor_values, n, sigma)
         wbase = extension.lattice
         anchor2_vals = []
-        for v in anchor1_vals:
+        for v in kato.anchor_values:
             iv = [int(Fraction(x)) for x in v]
             c = extension.overlattice.coords(iv)
             assert c is not None
@@ -761,9 +731,7 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
     # the P2 chart is hom2.source (= P1 as a monoid) anchored by theta/n
     final = TypeVPresentation(wbase, hom2, anchor2_vals)
     final_integral = is_integral(hom2).holds
-    final_sat = final.verify_sat_generating(
-        [final.lift_of_q0_gen(j) for j in range(final.q0.ngens)]
-    )
+    final_sat = final.verify_sat_generating(range(final.q0.ngens))
     w_eq = tv.base.divisible or (
         extension is not None and extension.overlattice.index_over_standard() == 1
     )
@@ -773,11 +741,9 @@ def rft_pipeline(tv: TypeVPresentation, sigma=None, ideal=None):
 
 
 class GrReport:
-    def __init__(self, generators, relations, relation_lattice_rows, sat_generating,
-                 relations_complete):
+    def __init__(self, generators, relations, sat_generating, relations_complete):
         self.generators = generators  # lift pairs generating Q over V
         self.relations = relations  # ((v1, m1), (v2, m2)) pairs of presentation words
-        self.relation_lattice_rows = relation_lattice_rows
         self.sat_generating = sat_generating
         self.relations_complete = relations_complete
 
@@ -823,7 +789,7 @@ def gr_finiteness(tv: TypeVPresentation):
             relations.append((((Fraction(0),) * tv.base.rank, pos), (vv, negv)))
         else:
             relations.append(((tuple(-x for x in vv), pos), ((Fraction(0),) * tv.base.rank, negv)))
-    sat_ok = tv.verify_sat_generating(gens)
+    sat_ok = tv.verify_sat_generating(keep)
     complete = True
     for (v1, m1), (v2, m2) in relations:
         lhs_v = [Fraction(a) - Fraction(b) for a, b in zip(v1, v2)]
@@ -840,10 +806,4 @@ def gr_finiteness(tv: TypeVPresentation):
         balance = [a + b for a, b in zip(lhs_v, tv.anchor.eval_exponents(sol))]
         if any(balance):
             complete = False
-    return GrReport(
-        tuple(gens),
-        tuple(relations),
-        tuple(tuple(b) for b in lam.basis),
-        sat_ok,
-        complete,
-    )
+    return GrReport(tuple(gens), tuple(relations), sat_ok, complete)

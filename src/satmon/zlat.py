@@ -396,19 +396,6 @@ def quotient_by_columns(n, cols):
     return QuotientPresentation(group, n, project_rows, lift_cols)
 
 
-def cokernel(a):
-    """Z^rows / (column span of A), with the projection map.
-
-    Returns (group, presentation); presentation.project sends an ambient
-    vector of Z^rows to invariant coordinates.
-    """
-    r = len(a)
-    c = len(a[0]) if r else 0
-    cols = [tuple(a[i][j] for i in range(r)) for j in range(c)]
-    pres = quotient_by_columns(r, cols)
-    return pres.group, pres
-
-
 def group_equations(blocks):
     """Integer rows and right-hand side for equations in f.g. abelian groups.
 

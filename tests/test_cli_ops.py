@@ -339,6 +339,21 @@ def test_invalid_input_reported(nat):
     assert res["message"] == "ValueError: pushout arms must share their source"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_tsuji_refuses_a_bound_below_one(nat, bound):
+    # no m <= bound is tested, so a pass would be empty evidence
+    hom = D.hom_out(H.MonoidHom(nat, free_monoid(1), [(2,)]))
+    res = _error(req("tsuji", {"hom": hom, "n": "2", "bound": bound}))
+    assert res == {"error": "invalid-input", "message": "ValueError: test_bound must be >= 1"}
+
+
+def test_tsuji_refuses_n_below_one(nat):
+    # n = 0 would push out along the zero map
+    hom = D.hom_out(H.MonoidHom(nat, free_monoid(1), [(2,)]))
+    res = _error(req("tsuji", {"hom": hom, "n": "0"}))
+    assert res == {"error": "invalid-input", "message": "ValueError: n must be >= 1"}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_budgets_stay_with_their_requests(tmp_path, jobs):
     # a budget that trips must not leak into the next request, whether it

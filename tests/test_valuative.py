@@ -104,7 +104,7 @@ def test_is_squarefree_charges_the_node_budget():
 
 def test_divisible_elements():
     dv = V.divisible_nonneg(1)
-    assert dv.is_member((F(1, 2),))
+    assert dv.sign((F(1, 2),)) > 0
     nlat = V.lex_lattice(1)
     with pytest.raises(ValueError):
         nlat.sign((F(1, 2),))
@@ -154,14 +154,28 @@ def test_member_witness(half_v_presentation):
 
 def test_sat_generating_half_v(half_v_presentation):
     tv = half_v_presentation
-    both = [tv.lift_of_q0_gen(0), tv.lift_of_q0_gen(1)]
-    assert tv.verify_sat_generating(both)
+    assert tv.verify_sat_generating([0, 1])
     # one generator still sat-generates here: 2*(0,1/2) = (0,1) already lies
     # in V (lex-positive), so the saturation of <V, (1/2,0)> contains (0,1/2)
     assert lexpos_oracle(tv)
-    assert tv.verify_sat_generating([tv.lift_of_q0_gen(0)])
+    assert tv.verify_sat_generating([0])
     # even the empty set works for this presentation: 2*Q <= V
     assert tv.verify_sat_generating([])
+
+
+def test_sat_generating_asks_only_the_generators_outside_the_set(monkeypatch, half_v_presentation):
+    # a kept lift lies in the saturation it generates, so each generator
+    # outside the set is asked once and the others not at all
+    tv = half_v_presentation
+    asked = count_calls(monkeypatch, V.TypeVPresentation, "member")
+    for keep in ([0, 1], [1], []):
+        asked.clear()
+        assert tv.verify_sat_generating(keep)
+        assert [x for _, x in asked] == [tv.lift_of_q0_gen(j) for j in range(2) if j not in keep]
+    # every generator of the final chart of the rft pipeline is kept
+    asked.clear()
+    rep = V.rft_pipeline(tv)
+    assert rep.final_sat_generating and asked == []
 
 
 def lexpos_oracle(tv):
@@ -175,15 +189,9 @@ def test_sat_generating_genuinely_fails():
     lex1 = V.lex_lattice(1)
     chart = H.MonoidHom(free_monoid(1), free_monoid(2), [(1, 0)])
     tv = V.TypeVPresentation(lex1, chart, [(1,)])
-    assert tv.verify_sat_generating([tv.lift_of_q0_gen(0), tv.lift_of_q0_gen(1)])
-    assert not tv.verify_sat_generating([tv.lift_of_q0_gen(0)])
+    assert tv.verify_sat_generating([0, 1])
+    assert not tv.verify_sat_generating([0])
     assert not tv.member(tv.lift_of_q0_gen(1), gens=[tv.lift_of_q0_gen(0)])
-
-
-def test_sat_generating_affine(nat, nat2):
-    f = H.MonoidHom(nat, nat2, [(1, 0)])
-    assert V.verify_sat_generating_affine(f, [(0, 1)])
-    assert not V.verify_sat_generating_affine(f, [])
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +476,9 @@ def test_kato_verify_trivial_for_integral(lex2, nat2):
     theta0 = H.MonoidHom(nat2, free_monoid(2), [(2, 0), (0, 2)])
     anchor = V.LatticeMap(lex2, nat2, [(1, 0), (0, 1)])
     ideal = V.MonoidIdeal(nat2, ((1, 0),))
-    rep = V.kato_verify(theta0, ideal, (1, 0), anchor)
+    rep = V.kato_verify(theta0, ideal, anchor)
+    assert rep.chosen == (1, 0)
     assert rep.integral and rep.factors_through_base
-
-
-def test_kato_invalid_element(lex2, nat2):
-    theta0 = H.MonoidHom(nat2, free_monoid(2), [(2, 0), (0, 2)])
-    anchor = V.LatticeMap(lex2, nat2, [(1, 0), (0, 1)])
-    ideal = V.MonoidIdeal(nat2, ((1, 0),))
-    with pytest.raises(MembershipError):
-        V.kato_verify(theta0, ideal, (0, 1), anchor)
 
 
 def test_kato_bounded_search_flattens_ogus(lex2):
@@ -489,9 +490,36 @@ def test_kato_bounded_search_flattens_ogus(lex2):
     theta = po.left
     assert not H.is_integral(theta).holds
     anchor = V.LatticeMap(lex2, p, [p_anchor_value(p, i) for i in range(p.ngens)])
-    ideal, a, rep = V.find_flattening_ideal(theta, anchor)
+    rep = V.find_flattening_ideal(theta, anchor)
     assert rep.integral and rep.factors_through_base
-    assert len(ideal.generators) >= 2
+    assert len(rep.ideal.generators) >= 2 and rep.ideal.contains(rep.chosen)
+
+
+def test_one_kato_check_runs_one_blowup(monkeypatch, lex2, half_v_presentation):
+    # VCP builds the blowup it chooses a for, and the Kato check reuses it
+    from conftest import ogus_data
+
+    theta0, arm, p = ogus_data()
+    theta = H.pushout(theta0, arm, "sat").left
+    anchor = V.LatticeMap(lex2, p, [p_anchor_value(p, i) for i in range(p.ngens)])
+    checks = count_calls(monkeypatch, V, "kato_verify")
+    blowups = count_calls(monkeypatch, V, "affine_blowup")
+    V.find_flattening_ideal(theta, anchor)
+    assert len(blowups) == len(checks) == 1
+    # a supplied ideal is checked once, with one blowup
+    tv = half_v_presentation
+    checks.clear()
+    blowups.clear()
+    V.rft_pipeline(tv, ideal=V.MonoidIdeal(tv.p0, ((1, 0), (0, 1))))
+    assert len(blowups) == len(checks) == 1
+
+
+def test_kato_anchor_values_are_the_anchor_at_the_blowup_generators(half_v_presentation, xyz_presentation):
+    for tv in (half_v_presentation, xyz_presentation):
+        for ideal in (None, V.MonoidIdeal(tv.p0, tv.p0.gens)):
+            rep = V.rft_pipeline(tv, ideal=ideal)
+            want = [tv.anchor.eval_element(g) for g in rep.kato.base_changed.source.gens]
+            assert rep.kato.anchor_values == want
 
 
 def test_flattening_search_is_charged_to_the_budget():
@@ -506,8 +534,8 @@ def test_flattening_search_is_charged_to_the_budget():
         V.find_flattening_ideal(chart, anchor)
     assert e.value.limit == 1000
     with node_budget(5000):
-        ideal, _, rep = V.find_flattening_ideal(chart, anchor)
-    assert ideal.generators == ((1, 0), (1, 1)) and rep.integral
+        rep = V.find_flattening_ideal(chart, anchor)
+    assert rep.ideal.generators == ((1, 0), (1, 1)) and rep.integral
 
 
 def test_flattening_search_tries_each_antichain_once(monkeypatch):
@@ -519,9 +547,9 @@ def test_flattening_search_tries_each_antichain_once(monkeypatch):
     anchor = V.LatticeMap(V.lex_lattice(2), p, list(p.gens))
     checked = []
 
-    def failing(chart, ideal, a, anchor):
+    def failing(chart, ideal, anchor):
         checked.append(ideal.generators)
-        return V.KatoReport(ideal, a, None, None, None, False, False)
+        return V.KatoReport(ideal, None, None, False, False, None)
 
     monkeypatch.setattr(V, "kato_verify", failing)
     with pytest.raises(SearchFailureError):
@@ -703,7 +731,8 @@ def _gr_kept_by_restarts(tv):
 def test_gr_one_pass_keeps_what_the_restarts_kept(monkeypatch, q0_gens, axes):
     # over Q^2_{>=0}, at least two lifts are removed after a kept one, so
     # the restarts test the kept lifts again; one pass asks one membership
-    # per generator and keeps the same lifts
+    # per generator and keeps the same lifts, and the check that ends
+    # ``gr_finiteness`` asks one per removed lift
     q0 = monoid_from_vectors(q0_gens)
     tv = V.TypeVPresentation(V.divisible_nonneg(2), H.MonoidHom(free_monoid(2), q0, axes), [(1, 0), (0, 1)])
     with monkeypatch.context() as mp:
@@ -712,13 +741,10 @@ def test_gr_one_pass_keeps_what_the_restarts_kept(monkeypatch, q0_gens, axes):
         restarts = len(members)
         members.clear()
         rep = V.gr_finiteness(tv)
-        pruning = len(members)
-        members.clear()
-        # the check that ends ``gr_finiteness`` asks memberships of its own
-        tv.verify_sat_generating(list(rep.generators))
-        pruning -= len(members)
+        asked = len(members)
     assert rep.generators == want and len(want) <= q0.ngens - 2
-    assert pruning == q0.ngens < restarts
+    assert asked == 2 * q0.ngens - len(want)
+    assert q0.ngens < restarts
 
 
 def test_gr_requires_divisible(lex2, nat2):
@@ -742,4 +768,5 @@ def test_nagata_relation_module_on_dvr_corpus():
         assert rep.sat_generating and rep.relations_complete
         # the relation lattice regenerates: each relation balances, and the
         # kept generators plus V sat-generate the presented monoid
-        assert tv.verify_sat_generating(list(rep.generators))
+        keep = [j for j in range(tv.q0.ngens) if tv.lift_of_q0_gen(j) in rep.generators]
+        assert len(keep) == len(rep.generators) and tv.verify_sat_generating(keep)
