@@ -48,7 +48,7 @@ class AffineMonoid(Memoized):
         gens = tuple(ambient.reduce(g) for g in gens)
         seen = set()
         for g in gens:
-            if ambient.is_zero(g):
+            if not any(g):
                 raise ValueError("generators must be nonzero (trivial monoid: gens=())")
             if g in seen:
                 raise ValueError(f"duplicate generator {g}")
@@ -143,11 +143,26 @@ class AffineMonoid(Memoized):
     # -- cone data -----------------------------------------------------------
 
     def _cone(self):
+        """The ``Cone`` of the free parts, built once.
+
+        Its span is the saturation of the lattice the free parts generate.
+        When the free parts have rank ``ambient.rank`` that is Z^rank, so
+        the span is the standard lattice and the coordinates are the free
+        parts themselves: no Hermite or Smith form runs.  Only a
+        rank-deficient span is saturated with a Smith form.
+        """
+
         def build():
             free = self.free_gens()
-            span = Lattice(free, self.ambient.rank).saturation()
-            coords = tuple(span.coords(f) for f in free)
-            nonzero = [c for c in coords if any(c)]
+            rank = self.ambient.rank
+            nonzero = [f for f in free if any(f)]
+            if len(zlat._independent_rows(nonzero, rank)) == rank:
+                eye = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+                span, coords = Lattice._of_hnf(eye), tuple(free)
+            else:
+                span = Lattice(free, rank).saturation()
+                coords = tuple(span.coords(f) for f in free)
+                nonzero = [c for c in coords if any(c)]
             facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
             return Cone(span, coords, tuple(facets))
 

@@ -338,16 +338,6 @@ class FgAbelianGroup(Value):
     def exponent_of_torsion(self):
         return self.torsion[-1] if self.torsion else 1
 
-    def element_order(self, v):
-        v = self.reduce(v)
-        if any(v[: self.rank]):
-            return None
-        n = 1
-        for a, d in zip(v[self.rank:], self.torsion):
-            if a:
-                n = n * (d // math.gcd(d, a)) // math.gcd(n, d // math.gcd(d, a))
-        return n
-
     def describe(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"

@@ -123,6 +123,7 @@ def test_version_mismatch():
         "rft_lex_ramified",
         "vidal_square_n2",
         "classify_not_integral",
+        "saturate_rank_deficient_torsion",
     ],
 )
 def test_golden_reports(name):

@@ -532,8 +532,8 @@ def _height_one_valuation(m, face):
     _, images, pres = m.quotient_by_face(face)
     g = pres.group
     for h in sorted({im for im in images if not g.is_zero(im)}):
-        if g.element_order(h) is not None:
-            continue
+        if not any(h[: g.rank]):
+            continue  # torsion
         vals = [_ratio(g, im, h) for im in images]
         if all(v is not None for v in vals):
             return vals

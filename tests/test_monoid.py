@@ -1,21 +1,24 @@
 """Affine monoids: presentations, saturation, membership, faces, quotients."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import (
     assert_matches_fresh,
+    count_calls,
     random_affine_monoid,
     random_ambient_monoid,
     random_fp_monoid,
     rng_for,
     same_submonoid,
 )
+from satmon import cli, kernels, zlat
+from satmon import documents as D
 from satmon import homs as H
-from satmon import zlat
 from satmon.errors import InvalidFaceError, MembershipError, ResourceLimitError
-from satmon.monoid import AffineMonoid, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
+from satmon.monoid import AffineMonoid, Cone, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
 from satmon.zlat import FgAbelianGroup, Lattice, node_budget, vdot
 
 
@@ -122,6 +125,86 @@ def test_saturation_cone_matches_fresh_copy():
     assert len(with_units) >= 20
     assert sum(1 for m in monoids if m.ambient.torsion) >= 40
     assert sum(1 for m in monoids if not m.gens) >= 3
+
+
+def _smith_form_cone(m):
+    """The cone of ``m`` with its span saturated by a Smith form whatever
+    its rank."""
+    free = m.free_gens()
+    span = Lattice(free, m.ambient.rank).saturation()
+    coords = tuple(span.coords(f) for f in free)
+    nonzero = [c for c in coords if any(c)]
+    facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
+    return Cone(span, coords, tuple(facets))
+
+
+def _span_kind_monoids(rng, count):
+    """Monoids of every span kind: free parts of full rank, free parts in a
+    random sublattice of lower rank (often not saturated), torsion-only
+    generators and no generators, in ambients of rank 0-4 with or without
+    torsion."""
+    out = []
+    while len(out) < count:
+        amb = FgAbelianGroup(rng.randint(0, 4), rng.choice([(), (), (2,), (3,), (2, 4)]))
+        kind = rng.choice(["full", "full", "lower", "lower", "torsion", "none"])
+        k = {"full": amb.rank, "lower": rng.randint(0, max(amb.rank - 1, 0))}.get(kind, 0)
+        basis = [
+            tuple(rng.choice([1, 2, 3]) * rng.randint(-2, 2) for _ in range(amb.rank))
+            for _ in range(k)
+        ]
+        gens = set()
+        for _ in range(0 if kind == "none" else rng.randint(1, 5)):
+            free = [0] * amb.rank
+            for b in basis:
+                c = rng.randint(-2, 2)
+                free = [x + c * y for x, y in zip(free, b)]
+            gens.add(amb.reduce(tuple(free) + tuple(rng.randint(0, d - 1) for d in amb.torsion)))
+        out.append(AffineMonoid(amb, sorted(g for g in gens if any(g))))
+    return out
+
+
+def test_cone_matches_the_smith_form_span_on_every_span_kind():
+    # a span of full rank is taken as Z^rank without a Smith form; on every
+    # kind of span the cone, the saturation and the saturatedness equal
+    # those of the Smith-form path
+    rng = rng_for("span-kinds")
+    monoids = _span_kind_monoids(rng, 1200)
+    oracles = [AffineMonoid(m.ambient, m.gens) for m in monoids]
+    for o in oracles:
+        o._cache["cone"] = _smith_form_cone(o)
+    expected = [(o.saturate(), o.is_saturated()) for o in oracles]
+    kinds = Counter()
+    for m, o, (sat, is_sat) in zip(monoids, oracles, expected):
+        cone, want = m._cone(), o._cone()
+        assert cone == want and cone.span.pivots == want.span.pivots, m
+        assert m.saturate() == sat and m.saturate()._cone() == sat._cone(), m
+        assert m.is_saturated() == is_sat, m
+        free = m.free_gens()
+        kinds["full"] += want.span.rank == m.ambient.rank
+        kinds["lower"] += 0 < want.span.rank < m.ambient.rank
+        kinds["unsaturated span"] += Lattice(free, m.ambient.rank).basis != want.span.basis
+        kinds["torsion ambient"] += bool(m.ambient.torsion)
+        kinds["torsion only"] += bool(m.gens) and not any(map(any, free))
+        kinds["rank 0"] += m.ambient.rank == 0
+        kinds["no generators"] += not m.gens
+        kinds["not saturated"] += not is_sat
+    assert kinds["full"] >= 400 and kinds["lower"] >= 200, kinds
+    assert kinds["unsaturated span"] >= 100 and kinds["torsion ambient"] >= 400, kinds
+    assert min(kinds["torsion only"], kinds["rank 0"], kinds["no generators"]) >= 50, kinds
+    assert kinds["not saturated"] >= 100, kinds
+
+
+def test_full_rank_saturate_runs_no_hermite_or_smith_form(monkeypatch):
+    # a pointed cone whose free parts have full rank: its span is Z^3, read
+    # off directly, so the request runs no Hermite or Smith form
+    m = monoid_from_vectors([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 1, 3)])
+    request = {"format": "satmon/1", "kind": "request", "op": "saturate",
+               "args": {"monoid": D.monoid_out(m)}}
+    hnf = count_calls(monkeypatch, kernels, "hnf_rows")
+    snf = count_calls(monkeypatch, kernels, "snf_with_transforms")
+    report, code = cli.run_request(request)
+    assert code == 0 and report["result"]["already_saturated"] is False
+    assert len(hnf) == len(snf) == 0
 
 
 def test_cone_rays_match_double_description_on_the_facets():

@@ -321,9 +321,10 @@ def test_first_cover_exact_iff_base_saturated():
     (((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)), 3, 13, 2),
 ])
 def test_covers_read_their_boxes_off_the_base_frames(monkeypatch, gens, n, covers, simplices):
-    # a covers request runs one Smith form for the base's span saturation
-    # and one per cover for its deck group, none per simplex; each base
-    # simplex gets one adjugate, beyond the one of each double description
+    # a covers request runs one Smith form per cover, for its deck group,
+    # and none for the base (its span is all of Z^rank) or per simplex;
+    # each base simplex gets one adjugate, beyond the one of each double
+    # description
     from satmon import cli
 
     base = M.monoid_from_vectors(gens)
@@ -335,5 +336,5 @@ def test_covers_read_their_boxes_off_the_base_frames(monkeypatch, gens, n, cover
     dd = count_calls(monkeypatch, zlat, "_double_description")
     report, code = cli.run_request(request)
     assert code == 0 and report["result"]["count"] == str(covers)
-    assert len(snf) == covers + 1
+    assert len(snf) == covers
     assert len(adjugates) == len(dd) + simplices

@@ -277,9 +277,6 @@ def test_group_arithmetic():
     a = g.reduce((5, 3, 9))
     assert a == (5, 1, 1)
     assert g.add(a, a) == (10, 0, 2)
-    assert g.element_order((0, 1, 0)) == 2
-    assert g.element_order((0, 1, 1)) == 4
-    assert g.element_order((1, 0, 0)) is None
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (3, 2))  # no divisibility chain
     with pytest.raises(ValueError, match="divisibility chain"):
