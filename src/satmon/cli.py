@@ -116,7 +116,7 @@ def _op_face(args, sigma, path):
     D._obj(args, path, ("monoid",), ("elements",))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
     elems = [
-        D._ivec(e, f"{path}.elements[{i}]")
+        D._elem(e, f"{path}.elements[{i}]", m.ambient)
         for i, e in enumerate(D._list(args.get("elements", []), f"{path}.elements"))
     ]
     face = m.face_generated_by(elems)
@@ -167,7 +167,7 @@ def _op_pushout(args, sigma, path):
 def _op_blowup(args, sigma, path):
     D._obj(args, path, ("ideal", "a"))
     ideal = D.parse_ideal(args["ideal"], f"{path}.ideal")
-    a = D._ivec(args["a"], f"{path}.a")
+    a = D._elem(args["a"], f"{path}.a", ideal.owner.ambient)
     bl = val.affine_blowup(ideal.owner, ideal, a)
     return {"blowup": D.monoid_out(bl)}, True
 
@@ -320,7 +320,7 @@ def _op_vidal(args, sigma, path):
 def _op_semistable(args, sigma, path):
     D._obj(args, path, ("monoid", "pi", "n"))
     m = D.parse_monoid(args["monoid"], f"{path}.monoid")
-    piv = D._ivec(args["pi"], f"{path}.pi")
+    piv = D._elem(args["pi"], f"{path}.pi", m.ambient)
     n = D._int(args["n"], f"{path}.n")
     hom, new_gens = homs.semistable_extension(m, piv, n)
     rep = homs.classify(hom, sigma, include_integral=False)
@@ -357,6 +357,8 @@ _OPS = {
 def run_request(request, deterministic=True):
     """Dispatch one request document; returns (report_dict, exit_code)."""
     t0 = time.perf_counter()
+    op = request.get("op") if isinstance(request, dict) else None
+    code, status = 2, "error"
     try:
         D.check_format(request)
         if request["kind"] != "request":
@@ -367,7 +369,6 @@ def run_request(request, deterministic=True):
             ("format", "kind", "op", "args"),
             ("sigma", "budget"),
         )
-        op = o["op"]
         if op not in _OPS:
             raise SchemaError("$.op", f"unknown operation {op!r}")
         budget = (
@@ -380,24 +381,12 @@ def run_request(request, deterministic=True):
         status = "ok" if ok else "verdict-false"
     except SchemaError as e:
         data = {"error": "schema-violation", "path": e.path, "message": e.reason}
-        code = 2
-        status = "error"
-        op = request.get("op") if isinstance(request, dict) else None
     except ResourceLimitError as e:
         data = {"error": "resource-limit", "message": str(e), "limit": e.limit}
-        code = 2
-        status = "error"
-        op = request.get("op") if isinstance(request, dict) else None
     except SatmonError as e:
         data = {"error": type(e).__name__, "message": str(e)}
-        code = 2
-        status = "error"
-        op = request.get("op") if isinstance(request, dict) else None
     except Exception as e:  # never traceback to the user; report and exit 2
         data = {"error": "invalid-input", "message": f"{type(e).__name__}: {e}"}
-        code = 2
-        status = "error"
-        op = request.get("op") if isinstance(request, dict) else None
     ms = None if deterministic else round((time.perf_counter() - t0) * 1000, 3)
     report = {
         "format": FORMAT,

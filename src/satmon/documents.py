@@ -66,6 +66,14 @@ def _ivec(v, path):
     return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path)))
 
 
+def _elem(v, path, group):
+    """An element of ``group``: exactly group.dim integers, as given."""
+    e = _ivec(v, path)
+    if len(e) != group.dim:
+        raise SchemaError(path, f"expected {group.dim} coordinates")
+    return e
+
+
 def _fvec(v, path):
     return tuple(_frac(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path)))
 
@@ -125,11 +133,8 @@ def parse_monoid(doc, path="$"):
         raise SchemaError(f"{path}.kind", "expected kind 'monoid'")
     amb = parse_group(o["ambient"], f"{path}.ambient")
     gens = [
-        _ivec(g, f"{path}.gens[{i}]") for i, g in enumerate(_list(o["gens"], f"{path}.gens"))
+        _elem(g, f"{path}.gens[{i}]", amb) for i, g in enumerate(_list(o["gens"], f"{path}.gens"))
     ]
-    for i, g in enumerate(gens):
-        if len(g) != amb.dim:
-            raise SchemaError(f"{path}.gens[{i}]", f"expected {amb.dim} coordinates")
     try:
         return AffineMonoid(amb, gens)
     except ValueError as e:
@@ -183,7 +188,7 @@ def parse_hom(doc, path="$"):
     src = parse_monoid(o["source"], f"{path}.source")
     tgt = parse_monoid(o["target"], f"{path}.target")
     images = [
-        _ivec(g, f"{path}.gen_images[{i}]")
+        _elem(g, f"{path}.gen_images[{i}]", tgt.ambient)
         for i, g in enumerate(_list(o["gen_images"], f"{path}.gen_images"))
     ]
     if len(images) != src.ngens:
@@ -273,7 +278,7 @@ def parse_ideal(doc, path="$"):
         raise SchemaError(f"{path}.kind", "expected kind 'ideal'")
     owner = parse_monoid(o["owner"], f"{path}.owner")
     gens = [
-        _ivec(g, f"{path}.generators[{i}]")
+        _elem(g, f"{path}.generators[{i}]", owner.ambient)
         for i, g in enumerate(_list(o["generators"], f"{path}.generators"))
     ]
     try:
@@ -296,9 +301,9 @@ def ideal_out(ideal: MonoidIdeal):
 def parse_overlattice(v, path):
     o = _obj(v, path, ("den", "rows"))
     den = _int(o["den"], f"{path}.den")
-    rows = tuple(
-        _ivec(r, f"{path}.rows[{i}]") for i, r in enumerate(_list(o["rows"], f"{path}.rows"))
-    )
+    raw = _list(o["rows"], f"{path}.rows")
+    square = FgAbelianGroup(len(raw))  # each row is a vector of Z^n, n rows
+    rows = tuple(_elem(r, f"{path}.rows[{i}]", square) for i, r in enumerate(raw))
     if den < 1:
         raise SchemaError(f"{path}.den", "denominator must be >= 1")
     return Overlattice(den, rows)

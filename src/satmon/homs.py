@@ -31,8 +31,9 @@ from .errors import (
     PreconditionError,
     TorsionPreconditionError,
 )
+from .kernels import identity_matrix
 from .monoid import AffineMonoid, FpMonoid, Memoized, cone_generators, from_presentation
-from .zlat import FgAbelianGroup, Lattice, Value, vdot, vneg, vsub
+from .zlat import FgAbelianGroup, Lattice, Value, vadd, vdot, vneg, vsub
 
 
 class MonoidHom(Memoized):
@@ -96,14 +97,9 @@ def compose(f: MonoidHom, g: MonoidHom):
 
 
 class GpProfile:
-    def __init__(self, kernel: FgAbelianGroup, cokernel: FgAbelianGroup, cokernel_rank,
-                 torsion_order, kernel_witness=None):
-        if math.prod(cokernel.torsion) != torsion_order:
-            raise ValueError("torsion_order must match the cokernel invariants")
+    def __init__(self, kernel: FgAbelianGroup, cokernel: FgAbelianGroup, kernel_witness=None):
         self.kernel = kernel
         self.cokernel = cokernel
-        self.cokernel_rank = cokernel_rank
-        self.torsion_order = torsion_order
         self.kernel_witness = kernel_witness  # exponent vector in Z^{#gens(P)}, or None
 
     def kernel_order(self):
@@ -139,7 +135,7 @@ def gp_profile(f: MonoidHom) -> GpProfile:
                 sum(klat.basis[t][i] * lifted[t] for t in range(klat.rank))
                 for i in range(kp)
             )
-        return GpProfile(kernel, coker, coker.rank, math.prod(coker.torsion), witness)
+        return GpProfile(kernel, coker, witness)
 
     return f._get("gp_profile", build)
 
@@ -396,23 +392,19 @@ def classify(f: MonoidHom, sigma, include_integral=True) -> ClassReport:
     vertical = is_vertical(f)
     integral = is_integral(f) if include_integral else None
     korder = prof.kernel_order()
+    torder = math.prod(prof.cokernel.torsion)
     if korder is None:
         smooth = Verdict(False, {"kernel_infinite": prof.kernel.describe()})
     elif not sigma.coprime(korder):
         smooth = Verdict(False, {"kernel_order_not_coprime": korder})
-    elif not sigma.coprime(prof.torsion_order):
-        smooth = Verdict(
-            False, {"cokernel_torsion_order_not_coprime": prof.torsion_order}
-        )
+    elif not sigma.coprime(torder):
+        smooth = Verdict(False, {"cokernel_torsion_order_not_coprime": torder})
     else:
-        smooth = Verdict(
-            True,
-            {"kernel_order": korder, "cokernel_torsion_order": prof.torsion_order},
-        )
-    if smooth.holds and prof.cokernel_rank == 0:
+        smooth = Verdict(True, {"kernel_order": korder, "cokernel_torsion_order": torder})
+    if smooth.holds and prof.cokernel.rank == 0:
         etale = Verdict(True, {"cokernel": prof.cokernel.describe()})
     elif smooth.holds:
-        etale = Verdict(False, {"cokernel_rank": prof.cokernel_rank})
+        etale = Verdict(False, {"cokernel_rank": prof.cokernel.rank})
     else:
         etale = Verdict(False, {"not_smooth": True})
     if etale.holds and inj.holds and exact.holds:
@@ -588,108 +580,57 @@ def direct_sum(g1: FgAbelianGroup, g2: FgAbelianGroup):
 
 
 def vidal_decompose(f: MonoidHom) -> VidalResult:
-    """(Q +_P Q)^sat = Q + Q^gp/P^gp via (a, b) -> (a + b, class of b)."""
-    prof = gp_profile(f)
-    if prof.cokernel_rank != 0:
+    """(Q +_P Q)^sat = Q + Q^gp/P^gp via (a, b) -> (a + b, class of b).
+
+    D = (Q +_P Q)^sat is presented over the exponents (e1, e2) of the two
+    copies of Q's generators, and E = Q^gp + N, with N = Z^ngens(Q) modulo
+    Q's relations and the witnesses of f.  Forward, a D-coordinate lifted
+    to (e1, e2) goes to (class of e1 + e2, class of e2 in N); backward, the
+    pair (a, t) goes to the class of (lift(a) - y, y), y a lift of t.
+    ``verified`` checks each map against the other: every torsion column is
+    killed by its order, the other map undoes it on every coordinate, and
+    the generators of its monoid land in the other monoid.
+    """
+    if gp_profile(f).cokernel.rank != 0:
         raise TorsionPreconditionError("cokernel of the groupification must be torsion")
     _require_saturated(f.source, "source")
     _require_saturated(f.target, "target")
     q = f.target
     kq = q.ngens
     po = pushout(f, f, "sat")
-    dmon = po.monoid
-    damb = dmon.ambient
-    # presentation of the pushout ambient over the 2*kq exponent generators
-    dpres = po.presentation
-
-    # classes in N = Q^gp/P^gp: Z^kq modulo Q's relations and the witnesses
-    relq = [list(b) for b in q.relation_lattice().basis]
-    cokpres = zlat.quotient_by_columns(kq, relq + [list(w) for w in f.witnesses])
-    ncoker = cokpres.group
-
-    eamb, embq, embn, split = direct_sum(q.gp_presentation().group, ncoker)
+    dmon, dpres = po.monoid, po.presentation  # dpres.group is D's ambient
     qgp = q.gp_presentation()
+    relq = [list(b) for b in q.relation_lattice().basis]
+    npres = zlat.quotient_by_columns(kq, relq + [list(w) for w in f.witnesses])
+    eamb, embq, embn, split = direct_sum(qgp.group, npres.group)
+    egens = [embq(qgp.project(e)) for e in identity_matrix(kq)]
+    egens += [embn(e) for e in identity_matrix(npres.group.dim)]
+    emon = AffineMonoid(eamb, list(dict.fromkeys(g for g in egens if not eamb.is_zero(g))))
 
-    def q_to_e(exp):
-        return embq(qgp.project(exp))
+    def forward(c):
+        e = dpres.lift(c)
+        return eamb.add(embq(qgp.project(vadd(e[:kq], e[kq:]))), embn(npres.project(e[kq:])))
 
-    egens = []
-    for i in range(kq):
-        e = tuple(1 if t == i else 0 for t in range(kq))
-        g = q_to_e(e)
-        if not eamb.is_zero(g) and g not in egens:
-            egens.append(g)
-    for j in range(ncoker.dim):
-        g = embn(tuple(1 if t == j else 0 for t in range(ncoker.dim)))
-        if not eamb.is_zero(g) and g not in egens:
-            egens.append(g)
-    emon = AffineMonoid(eamb, egens)
+    def backward(c):
+        a, t = split(c)
+        y = npres.lift(t)
+        return dpres.project(vsub(qgp.lift(a), y) + y)
 
-    # forward map on D's ambient coordinates
-    fwd_cols = []
-    for c in range(damb.dim):
-        coord = tuple(1 if t == c else 0 for t in range(damb.dim))
-        exp2 = dpres.lift(coord)  # exponents over (copy1, copy2)
-        e1 = exp2[:kq]
-        e2 = exp2[kq:]
-        total = tuple(a + b for a, b in zip(e1, e2))
-        img = eamb.add(q_to_e(total), embn(cokpres.project(e2)))
-        fwd_cols.append(img)
-    # backward map on E's ambient coordinates
-    lift_n_to_q = []
-    for j in range(ncoker.dim):
-        y = cokpres.lift(tuple(1 if t == j else 0 for t in range(ncoker.dim)))
-        lift_n_to_q.append(y)
+    fwd = tuple(map(forward, identity_matrix(dmon.ambient.dim)))
+    bwd = tuple(map(backward, identity_matrix(eamb.dim)))
 
-    def d_from_pair(e1, e2):
-        return damb.reduce(dpres.project(tuple(e1) + tuple(e2)))
+    def checks(a, b, cols, back):
+        """The three checks of the map a -> b with ``cols``, undone by ``back``."""
+        amb, bamb = a.ambient, b.ambient
+        yield all(bamb.is_zero(bamb.scale(d, cols[amb.rank + j]))
+                  for j, d in enumerate(amb.torsion))
+        yield all(amb.combine(col, back) == tuple(e)
+                  for col, e in zip(cols, identity_matrix(amb.dim)))
+        yield all(b.contains(bamb.combine(g, cols)) for g in a.gens)
 
-    bwd_cols = []
-    for c in range(eamb.dim):
-        coord = tuple(1 if t == c else 0 for t in range(eamb.dim))
-        a, t = split(coord)  # coord = embq(a) + embn(t)
-        aexp = qgp.lift(a)
-        yt = [0] * kq
-        for j in range(ncoker.dim):
-            if t[j]:
-                for s in range(kq):
-                    yt[s] += t[j] * lift_n_to_q[j][s]
-        first = tuple(x - y for x, y in zip(aexp, yt))
-        img = d_from_pair(first, yt)
-        bwd_cols.append(img)
-
-    def apply_cols(amb_from, amb_to, cols_, v):
-        return amb_to.combine(amb_from.reduce(v), cols_)
-
-    verified = True
-    # well-definedness on torsion coordinates
-    for j, d in enumerate(damb.torsion):
-        col = fwd_cols[damb.rank + j]
-        if not eamb.is_zero(eamb.scale(d, col)):
-            verified = False
-    for j, d in enumerate(eamb.torsion):
-        col = bwd_cols[eamb.rank + j]
-        if not damb.is_zero(damb.scale(d, col)):
-            verified = False
-    # mutually inverse on coordinates
-    for c in range(damb.dim):
-        coord = tuple(1 if t == c else 0 for t in range(damb.dim))
-        back = apply_cols(eamb, damb, bwd_cols, fwd_cols[c])
-        if damb.reduce(back) != damb.reduce(coord):
-            verified = False
-    for c in range(eamb.dim):
-        coord = tuple(1 if t == c else 0 for t in range(eamb.dim))
-        back = apply_cols(damb, eamb, fwd_cols, bwd_cols[c])
-        if eamb.reduce(back) != eamb.reduce(coord):
-            verified = False
-    # monoid level: generators map into the other monoid
-    for g in dmon.gens:
-        if not emon.contains(apply_cols(damb, eamb, fwd_cols, g)):
-            verified = False
-    for g in emon.gens:
-        if not dmon.contains(apply_cols(eamb, damb, bwd_cols, g)):
-            verified = False
-    return VidalResult(dmon, emon, tuple(fwd_cols), tuple(bwd_cols), verified)
+    # torsion both ways, then inverses both ways, then generators both ways
+    verified = all(map(all, zip(checks(dmon, emon, fwd, bwd), checks(emon, dmon, bwd, fwd))))
+    return VidalResult(dmon, emon, fwd, bwd, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +643,8 @@ def semistable_extension(p: AffineMonoid, pi, n):
     Returns (hom, new_gen_images): the images of the n added generators in
     the target.  n = 0 requires pi = 0 and returns the identity.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     pi = p.ambient.reduce(pi)
     wit = p.membership(pi)
     if wit is None:

@@ -481,7 +481,7 @@ def kummer_ext_classify(gamma: OrderedLattice, over: Overlattice):
     r = gamma.rank
     if over.rank != r:
         raise ValueError("overlattice rank mismatch")
-    lat = Lattice([list(row) for row in over.rows], r)
+    lat = over.lattice
     for i in range(r):
         std = [over.den if j == i else 0 for j in range(r)]
         if not lat.contains(std):
@@ -674,7 +674,7 @@ def _extension_of_base(base: OrderedLattice, anchor_vals, n, sigma=None):
             iv.append(int(fx))
         rows.append(iv)
     lat = Lattice(rows, r)
-    over = Overlattice(n, tuple(tuple(b) for b in lat.basis))
+    over = zlat._overlattice_of_hnf(n, tuple(tuple(b) for b in lat.basis))
     basis_fracs = over.basis_fractions()
     levels = base.restrict_forms_to_basis(basis_fracs)
     w = OrderedLattice(r, levels, d=base.d, divisible=False)

@@ -354,6 +354,42 @@ def test_tsuji_refuses_n_below_one(nat):
     assert res == {"error": "invalid-input", "message": "ValueError: n must be >= 1"}
 
 
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_semistable_refuses_n_below_zero(nat, n):
+    res = _error(req("semistable", {"monoid": D.monoid_out(nat), "pi": ["1"], "n": n}))
+    assert res == {"error": "invalid-input", "message": "ValueError: n must be >= 0"}
+
+
+_N2 = D.monoid_out(free_monoid(2))
+_N2_IDEAL = D.ideal_out(V.MonoidIdeal(free_monoid(2), ((1, 0), (0, 1))))
+
+
+def _n2_hom(image):
+    return dict(D.hom_out(H.MonoidHom.identity(free_monoid(2))), gen_images=[image, ["0", "1"]])
+
+
+@pytest.mark.parametrize("op, args, path", [
+    ("face", {"monoid": _N2, "elements": [["1", "0", "7"]]}, "$.args.elements[0]"),
+    ("face", {"monoid": _N2, "elements": [["1"]]}, "$.args.elements[0]"),
+    ("classify", {"hom": _n2_hom(["1", "0", "9"])}, "$.args.hom.gen_images[0]"),
+    ("classify", {"hom": _n2_hom(["1"])}, "$.args.hom.gen_images[0]"),
+    ("blowup", {"ideal": dict(_N2_IDEAL, generators=[["1", "0", "4"], ["0", "1"]]),
+                "a": ["0", "1"]}, "$.args.ideal.generators[0]"),
+    ("blowup", {"ideal": _N2_IDEAL, "a": ["1", "0", "3"]}, "$.args.a"),
+    ("semistable", {"monoid": _N2, "pi": ["1", "1", "5"], "n": "2"}, "$.args.pi"),
+    ("kummer-classify", {"gamma": D.lattice_out(V.lex_lattice(2)),
+                         "overlattice": {"den": "2", "rows": [["2", "0"], ["0", "1", "7"]]}},
+     "$.args.overlattice.rows[1]"),
+], ids=["face-long", "face-short", "gen-image-long", "gen-image-short", "ideal-generator",
+        "blowup-a", "semistable-pi", "overlattice-row"])
+def test_vectors_must_have_the_length_of_their_group(op, args, path):
+    # extra coordinates used to be dropped without a word, and missing ones
+    # raised an IndexError
+    res = _error(req(op, args))
+    assert res == {"error": "schema-violation", "path": path,
+                   "message": "expected 2 coordinates"}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_budgets_stay_with_their_requests(tmp_path, jobs):
     # a budget that trips must not leak into the next request, whether it

@@ -30,7 +30,7 @@ from conftest import (
 from satmon import cli
 from satmon import homs as H
 from satmon import monoid as M
-from satmon import zlat
+from satmon import pi1, zlat
 from satmon.errors import MembershipError, ResourceLimitError, TorsionPreconditionError
 from satmon.monoid import free_monoid, monoid_from_vectors
 from satmon.sigma import PrimeSet
@@ -119,15 +119,6 @@ def test_gp_profile_doubling(nat):
     prof = H.gp_profile(doubling(nat))
     assert prof.kernel.order() == 1
     assert (prof.cokernel.rank, prof.cokernel.torsion) == (0, (2,))
-    assert prof.torsion_order == 2
-
-
-def test_gp_profile_checks_its_torsion_order():
-    coker = FgAbelianGroup(1, (2, 4))
-    assert H.GpProfile(FgAbelianGroup(0), coker, 1, 8).kernel_witness is None
-    for order in (2, 4, 6, 1):
-        with pytest.raises(ValueError, match="torsion_order"):
-            H.GpProfile(FgAbelianGroup(0), coker, 1, order)
 
 
 def test_verdicts_do_not_share_a_certificate():
@@ -150,7 +141,6 @@ def test_gp_profile_half_grid_chart():
     f = H.MonoidHom(free_monoid(2), free_monoid(2), [(2, 0), (0, 2)])
     prof = H.gp_profile(f)
     assert (prof.cokernel.rank, prof.cokernel.torsion) == (0, (2, 2))
-    assert prof.torsion_order == 4
 
 
 def _witness_gp_profile(f):
@@ -224,7 +214,7 @@ def test_gp_profile_from_images_matches_the_witness_path():
             assert "witnesses" not in f._cache  # the profile read no witness
         kernel, coker, witness = _witness_gp_profile(f)
         assert (prof.kernel, prof.cokernel, prof.kernel_witness) == (kernel, coker, witness), f
-        assert prof.cokernel_rank == coker.rank
+        assert prof.cokernel.rank == coker.rank
     assert sum(1 for f in homs if f.target.ambient.torsion) >= len(homs) // 3
     assert sum(1 for f in homs if f.source.ambient.rank == 3) >= 300
     assert sum(1 for f in homs if not f.source.is_saturated()) >= 250
@@ -233,7 +223,7 @@ def test_gp_profile_from_images_matches_the_witness_path():
     assert sum(1 for p in profs if p.kernel_witness is not None) >= 400
     assert sum(1 for p in profs if p.kernel.torsion) >= 150
     assert sum(1 for p in profs if p.cokernel.torsion) >= 500
-    assert sum(1 for p in profs if p.cokernel_rank) >= 400
+    assert sum(1 for p in profs if p.cokernel.rank) >= 400
 
 
 def test_classify_into_saturated_target_runs_no_membership_search(monkeypatch):
@@ -719,6 +709,63 @@ def test_vidal_half_grid():
 def test_vidal_requires_torsion_cokernel(nat, nat2):
     with pytest.raises(TorsionPreconditionError):
         H.vidal_decompose(H.MonoidHom(nat, nat2, [(1, 1)]))
+
+
+def _vidal_homs(rng, count):
+    """Multiplication by 1-3 on random saturated monoids of rank 1-3 in
+    Z^r, Z^r + Z/2, Z^r + Z/3 and Z^r + Z/2 + Z/4, then every Kummer cover
+    of N and of N^2 of index 2 and 3."""
+    homs = []
+    while len(homs) < count:
+        r = rng.randint(1, 3)
+        amb = FgAbelianGroup(r, ((), (2,), (3,), (2, 4))[len(homs) % 4])
+        gens = {amb.reduce([rng.randint(0, 2) for _ in range(r)]
+                           + [rng.randrange(d) for d in amb.torsion])
+                for _ in range(rng.randint(1, 4))}
+        p = M.AffineMonoid(amb, sorted(g for g in gens if not amb.is_zero(g))).saturate()
+        if p.ngens:
+            k = rng.randint(1, 3)
+            homs.append(H.MonoidHom(p, p, [amb.scale(k, g) for g in p.gens]))
+    for base in (free_monoid(1), free_monoid(2)):
+        for n in (2, 3):
+            homs += [c.hom for c in pi1.enumerate_covers(base, n, PrimeSet.empty())]
+    return homs
+
+
+def _apply_columns(cols, v, group):
+    """sum v_i cols_i, each torsion coordinate reduced mod its invariant."""
+    acc = [sum(c * col[i] for c, col in zip(v, cols)) for i in range(group.dim)]
+    return tuple(acc[:group.rank]) + tuple(
+        x % d for x, d in zip(acc[group.rank:], group.torsion))
+
+
+def test_vidal_maps_undo_each_other_on_every_coordinate():
+    homs = _vidal_homs(rng_for("vidal-maps"), 120)
+    for f in homs:
+        rep = H.vidal_decompose(f)
+        assert rep.verified, f
+        fwd, bwd = rep.forward_on_ambient, rep.backward_on_ambient
+        for amb, there, back in ((rep.double.ambient, fwd, bwd), (rep.product.ambient, bwd, fwd)):
+            assert len(there) == amb.dim
+            for c, col in enumerate(there):
+                assert _apply_columns(back, col, amb) == tuple(int(i == c) for i in range(amb.dim))
+    assert len(homs) >= 129
+    assert sum(1 for f in homs if f.source.ambient.torsion) >= 80
+    assert sum(1 for f in homs if f.source.ambient.rank == 3) >= 30
+
+
+def test_vidal_verification_sees_a_split_that_drops_the_cokernel(monkeypatch, nat, nat2):
+    direct_sum = H.direct_sum
+
+    def lossy(g1, g2):
+        amb, embed1, embed2, split = direct_sum(g1, g2)
+        return amb, embed1, embed2, lambda v: (split(v)[0], g2.zero())
+
+    monkeypatch.setattr(H, "direct_sum", lossy)
+    on_nat = [H.MonoidHom(nat, nat, [(k,)]) for k in (1, 2, 3)]
+    assert [H.vidal_decompose(f).verified for f in on_nat] == [True, False, False]
+    half_grid = H.MonoidHom(nat2, nat2, [(2, 0), (0, 2)])
+    assert not H.vidal_decompose(half_grid).verified
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def test_cover_properties_hold_per_cover():
         for c in pi1.enumerate_covers(base, n, PrimeSet.empty()):
             fresh_base = M.AffineMonoid(base.ambient, base.gens)
             hom = H.MonoidHom(fresh_base, c.cover, c.hom.gen_images)
-            assert H.gp_profile(hom).cokernel_rank == 0
+            assert H.gp_profile(hom).cokernel.rank == 0
             assert H.is_injective(hom).holds and H.is_exact(hom).holds
             fresh = M.AffineMonoid(FgAbelianGroup(r), hom.gen_images).saturate()
             assert c.cover.gens == fresh.gens
