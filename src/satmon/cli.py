@@ -22,6 +22,10 @@ own), so a malformed value is a schema violation of that request; the
 fallback is ``zlat.DEFAULT_NODE_BUDGET``.  ``run_request`` sets the budget
 with ``zlat.node_budget`` for the request alone; library code does the same
 with ``with zlat.node_budget(n):``.
+
+Equal monoids share their cone and saturation within a process, and every
+request that reads them is charged their nodes again, so a report does not
+depend on earlier requests or on ``--jobs`` (``monoid.AffineMonoid._shared``).
 """
 
 import argparse

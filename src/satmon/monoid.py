@@ -7,9 +7,14 @@ rational cone spanned by the free parts of the generators, whose facet
 normals certify every face computation exactly.
 
 Monoids are immutable; derived data (relation lattice, facets, saturation,
-faces) is cached on first use.  All operations are pure.
+faces) is cached on first use.  All operations are pure.  Equal monoids
+share their cone, saturation and saturatedness through one process-wide
+memo, and every read of them is charged their nodes again
+(``AffineMonoid._shared``).
 """
 
+import threading
+from collections import OrderedDict
 from functools import cached_property
 
 from . import zlat
@@ -41,6 +46,51 @@ class Memoized:
         return self._cache[key]
 
 
+# The memo of ``AffineMonoid._shared``: monoid value, as the ints
+# (ambient rank, ambient torsion, gens) that hash without a Python call, ->
+# {name: (value, events)}, least recently used first.  A value is kept
+# from its second sighting on (each instance that reads is a sighting), so
+# a stream of new monoids costs a hash and a lookup each and records
+# nothing; ``_SEEN`` holds the hashes of the last MEMO_SIZE values seen
+# once, oldest first.  MEMO_SIZE is set by memory: an entry holds about
+# 4 KB (the classify and covers workloads of satbench) to 6 KB (its
+# saturate cones of dimension 5), so 128 entries stay under 1 MB and hold
+# all 78 values that the full classify corpus keeps and the 62 that
+# covers keeps.
+MEMO_SIZE = 128
+_MEMO = OrderedDict()
+_SEEN = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def clear_memo():
+    """Forget every shared cone, saturation and saturatedness."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+        _SEEN.clear()
+
+
+def _memo_entry(key):
+    """The memo's dict for a monoid value, the value becoming the most
+    recently used; False on the value's first sighting."""
+    h = hash(key)
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None:
+            _MEMO.move_to_end(key)
+        elif h in _SEEN:
+            del _SEEN[h]
+            entry = _MEMO[key] = {}
+            if len(_MEMO) > MEMO_SIZE:
+                _MEMO.popitem(last=False)
+        else:
+            entry = False
+            _SEEN[h] = None
+            if len(_SEEN) > MEMO_SIZE:
+                del _SEEN[next(iter(_SEEN))]
+        return entry
+
+
 class AffineMonoid(Memoized):
     """Submonoid of an FgAbelianGroup given by its generators."""
 
@@ -56,6 +106,7 @@ class AffineMonoid(Memoized):
         self.ambient = ambient
         self.gens = gens
         self._cache = {}
+        self._memo = None  # the value's memo entry, looked up on first read
 
     # -- plumbing ----------------------------------------------------------
 
@@ -140,10 +191,85 @@ class AffineMonoid(Memoized):
 
         return new, to_new
 
+    # -- the memo --------------------------------------------------------------
+
+    def _shared(self, name):
+        """The cone ("cone"), the saturation ("sat") or the saturatedness
+        ("is_sat"), built by ``_build_<name>`` once per instance and shared
+        by equal monoids through the memo, charged the same nodes either way.
+
+        A miss records the build's events in order: the meters' charges
+        (``zlat._node_meter``: one tally per run of consecutive charges of
+        one meter) and its reads of this instance's three names.  A hit
+        replays them on the instance that reads: each charge goes to the
+        current budget, and each read goes through ``_shared`` again, so it
+        is free when the instance already holds the name.
+
+        Replay charges what building would, inside a budget block (where
+        every request runs).  A build reads nothing but the monoid's value
+        and, through its reads of these three names, which of them the
+        instance holds: every other monoid it touches is made inside it,
+        and it reads no other charged name of this one.  So on any instance
+        of the value a build makes the recorded sequence of charges and
+        reads, each read charging what that read charges on that instance
+        then, and a replayed read does the same, by induction on the
+        nesting of reads.  Totals only grow, and a meter refuses at the
+        first charge that takes the block's total past its limit, so a
+        tally takes the total past the limit exactly when one of its
+        charges does: the replay is refused at the same point, naming the
+        same search and limit, with the same earlier reads done and held.
+        No report, then, depends on what ran earlier in the process, or on
+        the thread that ran it.
+
+        The saturation is shared as its generators and cone, and a hit
+        builds a new monoid of them.  Inside the recorded build of another
+        monoid, the read is built for this instance alone, and that
+        recording takes its charges as its own.
+        """
+        rec = zlat._RECORDER.get()
+        if rec is not None:
+            if rec[0] is not self:
+                return self._get(name, getattr(self, "_build_" + name))
+            if name not in rec[1]:
+                rec[1].append(name)
+        cache = self._cache
+        if name in cache:
+            return cache[name]
+        entry = self._memo
+        if entry is None:
+            amb = self.ambient
+            entry = self._memo = _memo_entry((amb.rank, amb.torsion, self.gens))
+        if entry is False:
+            value = getattr(self, "_build_" + name)()
+        elif name in entry:
+            value, events = entry[name]
+            token = zlat._RECORDER.set(None)
+            try:
+                for ev in events:
+                    if type(ev) is str:
+                        self._shared(ev)
+                    else:
+                        zlat._node_meter(ev[0])(ev[1])
+            finally:
+                zlat._RECORDER.reset(token)
+            if name == "sat":
+                value = _saturated(self.ambient, *value)
+        else:
+            events = []
+            token = zlat._RECORDER.set((self, events))
+            try:
+                value = getattr(self, "_build_" + name)()
+            finally:
+                zlat._RECORDER.reset(token)
+            shared = (value.gens, value._cache["cone"]) if name == "sat" else value
+            entry[name] = (shared, tuple(e if type(e) is str else tuple(e) for e in events))
+        cache[name] = value
+        return value
+
     # -- cone data -----------------------------------------------------------
 
     def _cone(self):
-        """The ``Cone`` of the free parts, built once.
+        """The ``Cone`` of the free parts.
 
         Its span is the saturation of the lattice the free parts generate.
         When the free parts have rank ``ambient.rank`` that is Z^rank, so
@@ -151,22 +277,21 @@ class AffineMonoid(Memoized):
         parts themselves: no Hermite or Smith form runs.  Only a
         rank-deficient span is saturated with a Smith form.
         """
+        return self._shared("cone")
 
-        def build():
-            free = self.free_gens()
-            rank = self.ambient.rank
-            nonzero = [f for f in free if any(f)]
-            if len(zlat._independent_rows(nonzero, rank)) == rank:
-                eye = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-                span, coords = Lattice._of_hnf(eye), tuple(free)
-            else:
-                span = Lattice(free, rank).saturation()
-                coords = tuple(span.coords(f) for f in free)
-                nonzero = [c for c in coords if any(c)]
-            facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
-            return Cone(span, coords, tuple(facets))
-
-        return self._get("cone", build)
+    def _build_cone(self):
+        free = self.free_gens()
+        rank = self.ambient.rank
+        nonzero = [f for f in free if any(f)]
+        if len(zlat._independent_rows(nonzero, rank)) == rank:
+            eye = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+            span, coords = Lattice._of_hnf(eye), tuple(free)
+        else:
+            span = Lattice(free, rank).saturation()
+            coords = tuple(span.coords(f) for f in free)
+            nonzero = [c for c in coords if any(c)]
+        facets = zlat.facet_normals(nonzero, span.rank) if nonzero else []
+        return Cone(span, coords, tuple(facets))
 
     def cone_facets(self):
         return self._cone().facets
@@ -175,9 +300,14 @@ class AffineMonoid(Memoized):
         return self._cone().span
 
     def cone_coords(self, x):
-        """Coordinates of the free part of x in the span lattice, or None."""
+        """Coordinates of the free part of x in the span lattice, or None.
+
+        A span of full rank is Z^rank with the standard basis, so the
+        coordinates are the free part itself.
+        """
         span = self._cone().span
-        return span.coords(self.ambient.free_part(self.ambient.reduce(x)))
+        free = self.ambient.free_part(self.ambient.reduce(x))
+        return free if span.rank == self.ambient.rank else span.coords(free)
 
     # -- membership ----------------------------------------------------------
 
@@ -223,7 +353,10 @@ class AffineMonoid(Memoized):
         The result has the same cone and span lattice, so it is built from
         them (``Cone.saturation``), and it is its own saturation.
         """
-        return self._get("sat", lambda: self._cone().saturation(self.ambient))
+        return self._shared("sat")
+
+    def _build_sat(self):
+        return self._cone().saturation(self.ambient)
 
     def is_saturated(self):
         """Is P = sat(P)?  Decided from the cone, without a search.
@@ -245,7 +378,10 @@ class AffineMonoid(Memoized):
         S outside U, so h = sum a_i g_i in P has exactly one g_i outside U,
         with a_i = 1, and h - g_i is in U: h has the facet values of g_i.
         """
-        return self._get("is_sat", lambda: self._saturation_defect() is None)
+        return self._shared("is_sat")
+
+    def _build_is_sat(self):
+        return self._saturation_defect() is None
 
     def _saturation_defect(self):
         """An element of sat(P) outside P, or None when P is saturated.
@@ -323,7 +459,7 @@ class AffineMonoid(Memoized):
         for x in elements:
             s = amb.add(s, amb.reduce(x))
         cone = self._cone()
-        sc = cone.span.coords(amb.free_part(s))
+        sc = self.cone_coords(s)
         active = [row for f, row in zip(cone.facets, cone.kills) if vdot(f, sc) == 0]
         idxs = tuple(i for i in range(self.ngens) if all(row[i] for row in active))
         return Face(self, idxs)
@@ -468,10 +604,15 @@ class Cone(Value):
             # M-coordinates are span coordinates: the span is Z^r
             coords = {h: h for h in sharp + units + [vneg(u) for u in units]}
         gens = sorted(coords)
-        sat = AffineMonoid(ambient, gens)
-        cone = Cone(self.span, tuple(coords[g] for g in gens), facets)
-        sat._cache.update(cone=cone, sat=sat, is_sat=True)
-        return sat
+        return _saturated(ambient, gens, Cone(self.span, tuple(coords[g] for g in gens), facets))
+
+
+def _saturated(ambient, gens, cone):
+    """The monoid of ``gens``, saturated with cone ``cone``: it carries its
+    cone and is its own saturation."""
+    sat = AffineMonoid(ambient, gens)
+    sat._cache.update(cone=cone, sat=sat, is_sat=True)
+    return sat
 
 
 def cone_generators(ambient: FgAbelianGroup, span: Lattice, sharp, units):

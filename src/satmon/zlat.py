@@ -29,6 +29,10 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # block; read only by ``_node_meter``.  A context variable, so each thread
 # (each request of a ``--jobs`` batch) sees its own.
 _NODE_BUDGET = contextvars.ContextVar("node_budget", default=None)
+# The computation whose charges are being recorded, as (owner, events), or
+# None; read by ``_node_meter``, set by the monoid memo
+# (``monoid.AffineMonoid._shared``), which replays the events on a hit.
+_RECORDER = contextvars.ContextVar("node_recorder", default=None)
 
 
 @contextmanager
@@ -56,6 +60,11 @@ def _node_meter(search):
     The call that takes the block's total past its budget, ``charge.limit``,
     raises ResourceLimitError naming ``search`` and carrying the budget.
     Outside any block the meter has ``DEFAULT_NODE_BUDGET`` of its own.
+
+    While a computation is recorded (``_RECORDER``), its events get one
+    ``[search, nodes]`` tally per run of consecutive charges of this meter:
+    a tally grows until another meter's charge or a memoized read comes
+    between.
     """
     block = _NODE_BUDGET.get() or [DEFAULT_NODE_BUDGET, 0]
     limit = block[0]
@@ -65,6 +74,18 @@ def _node_meter(search):
         if block[1] > limit:
             raise ResourceLimitError(f"{search} node budget exceeded", limit)
         return limit - block[1]
+
+    rec = _RECORDER.get()
+    if rec is not None:
+        events, unrecorded, tally = rec[1], charge, None
+
+        def charge(k=1):
+            nonlocal tally
+            if tally is None or events[-1] is not tally:
+                tally = [search, 0]
+                events.append(tally)
+            tally[1] += k
+            return unrecorded(k)
 
     charge.limit = limit
     return charge

@@ -13,6 +13,12 @@ from satmon.sigma import PrimeSet
 from satmon.zlat import FgAbelianGroup
 
 
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    """Each test starts with an empty monoid memo, as a fresh process does."""
+    M.clear_memo()
+
+
 # ---------------------------------------------------------------------------
 # canonical fixtures
 
@@ -516,6 +522,7 @@ def assert_matches_fresh(m):
     triangulation), saturation and saturatedness are those of a fresh copy
     on the same generators, computed from scratch."""
     assert "cone" in m._cache, m
+    M.clear_memo()
     fresh = M.AffineMonoid(m.ambient, m.gens)
     cone, fresh_cone = m._cone(), fresh._cone()
     assert cone == fresh_cone, m

@@ -1,5 +1,10 @@
 """Affine monoids: presentations, saturation, membership, faces, quotients."""
 
+import glob
+import json
+import os
+import sys
+import threading
 import time
 from collections import Counter
 
@@ -17,6 +22,7 @@ from conftest import (
 from satmon import cli, kernels, zlat
 from satmon import documents as D
 from satmon import homs as H
+from satmon import monoid as M
 from satmon.errors import InvalidFaceError, MembershipError, ResourceLimitError
 from satmon.monoid import AffineMonoid, Cone, Face, FpMonoid, free_monoid, from_presentation, monoid_from_vectors
 from satmon.zlat import FgAbelianGroup, Lattice, node_budget, vdot
@@ -165,20 +171,28 @@ def _span_kind_monoids(rng, count):
 
 def test_cone_matches_the_smith_form_span_on_every_span_kind():
     # a span of full rank is taken as Z^rank without a Smith form; on every
-    # kind of span the cone, the saturation and the saturatedness equal
-    # those of the Smith-form path
+    # kind of span the cone, the saturation, the saturatedness and the cone
+    # coordinates of a point (None outside the span) equal those of the
+    # Smith-form path
     rng = rng_for("span-kinds")
     monoids = _span_kind_monoids(rng, 1200)
     oracles = [AffineMonoid(m.ambient, m.gens) for m in monoids]
     for o in oracles:
         o._cache["cone"] = _smith_form_cone(o)
     expected = [(o.saturate(), o.is_saturated()) for o in oracles]
+    # each monoid computes its own saturation, none is read off the memo
+    M.clear_memo()
     kinds = Counter()
     for m, o, (sat, is_sat) in zip(monoids, oracles, expected):
         cone, want = m._cone(), o._cone()
         assert cone == want and cone.span.pivots == want.span.pivots, m
         assert m.saturate() == sat and m.saturate()._cone() == sat._cone(), m
         assert m.is_saturated() == is_sat, m
+        amb = m.ambient
+        point = tuple(rng.randint(-3, 3) for _ in range(amb.rank)) + (0,) * len(amb.torsion)
+        for x in m.gens + (point,):
+            assert m.cone_coords(x) == want.span.coords(amb.free_part(x)), (m, x)
+        kinds["point outside span"] += m.cone_coords(point) is None
         free = m.free_gens()
         kinds["full"] += want.span.rank == m.ambient.rank
         kinds["lower"] += 0 < want.span.rank < m.ambient.rank
@@ -191,7 +205,7 @@ def test_cone_matches_the_smith_form_span_on_every_span_kind():
     assert kinds["full"] >= 400 and kinds["lower"] >= 200, kinds
     assert kinds["unsaturated span"] >= 100 and kinds["torsion ambient"] >= 400, kinds
     assert min(kinds["torsion only"], kinds["rank 0"], kinds["no generators"]) >= 50, kinds
-    assert kinds["not saturated"] >= 100, kinds
+    assert kinds["not saturated"] >= 100 and kinds["point outside span"] >= 100, kinds
 
 
 def test_full_rank_saturate_runs_no_hermite_or_smith_form(monkeypatch):
@@ -571,3 +585,147 @@ def test_gordan_closure_property():
         again = sat.saturate()
         assert again.gens == sat.gens
         assert all(sat.contains(g) for g in mono.gens)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide memo: equal monoids share their cone, saturation and
+# saturatedness, and every report is that of a fresh process
+
+MEMO_BUDGETS = (30, 100, 300, 1000, 2000, None)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _at_budget(request, budget):
+    r = {k: v for k, v in request.items() if k != "budget"}
+    if budget is not None:
+        r["budget"] = str(budget)
+    return r
+
+
+def _report_text(request):
+    return json.dumps(cli.run_request(request)[0], indent=2, ensure_ascii=True)
+
+
+def _memo_requests():
+    """classify requests of the homs of tests/test_homs.py (torsion
+    targets, sources of rank 1-3) and of the identity on each target, and
+    every golden request, at each of ``MEMO_BUDGETS``, in a seeded
+    shuffled order.  The default budget runs only on the homs answered
+    within 5000 nodes, as a search the default lets run can take seconds."""
+    from test_homs import _random_hom, _random_saturated_hom
+
+    rng = rng_for("memo-replay")
+    homs = []
+    for i in range(40):
+        f = (_random_hom if i % 2 else _random_saturated_hom)(rng)
+        homs += [f, H.MonoidHom.identity(f.target)]
+    requests = []
+    for f in homs:
+        r = {"format": "satmon/1", "kind": "request", "op": "classify",
+             "args": {"hom": D.hom_out(f)}, "sigma": {"primes": [str(rng.choice((2, 3)))]}}
+        M.clear_memo()
+        cheap = "error" not in cli.run_request(_at_budget(r, 5000))[0]["result"]
+        requests += [_at_budget(r, b) for b in MEMO_BUDGETS if b is not None or cheap]
+    for path in sorted(glob.glob(os.path.join(GOLDEN, "*.request.json"))):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for r in doc.get("requests", [doc]):
+            requests += [_at_budget(r, b) for b in MEMO_BUDGETS]
+    rng.shuffle(requests)
+    assert sum(r["op"] == "classify" for r in requests) >= 200
+    assert any(f.source.ambient.rank == 3 for f in homs)
+    assert any(f.target.ambient.torsion for f in homs)
+    return requests
+
+
+@pytest.fixture(scope="module")
+def memo_corpus():
+    """The requests, each one's report from an empty memo, and the number
+    of cones those reports built."""
+    requests = _memo_requests()
+    fresh = []
+    with pytest.MonkeyPatch.context() as mp:
+        builds = count_calls(mp, AffineMonoid, "_build_cone")
+        for r in requests:
+            M.clear_memo()
+            fresh.append(_report_text(r))
+    return requests, fresh, len(builds)
+
+
+def test_reports_with_a_warm_memo_equal_those_of_a_fresh_process(monkeypatch, memo_corpus):
+    requests, fresh, fresh_builds = memo_corpus
+    builds = count_calls(monkeypatch, AffineMonoid, "_build_cone")
+    for r, want in zip(requests, fresh):
+        assert _report_text(r) == want, r
+    refused = Counter(json.loads(t)["result"].get("message", "").split(" node")[0] for t in fresh)
+    # refusals in each cone search and in completion are among the reports,
+    # and most cones are read off the memo
+    assert {"double description", "Hilbert basis", "completion"} <= set(refused)
+    assert 4 * len(builds) < fresh_builds
+
+
+def test_batches_that_repeat_monoids_give_the_same_reports_on_any_jobs(memo_corpus):
+    requests, fresh, _ = memo_corpus
+    classify = [(r, t) for r, t in zip(requests, fresh) if r["op"] == "classify"][:120]
+    batch = {"format": "satmon/1", "kind": "batch", "requests": [r for r, _ in classify] * 2}
+    want = [json.loads(t) for _, t in classify] * 2
+    M.clear_memo()
+    assert cli.run_batch(batch, jobs=1)[0]["reports"] == want
+    # more threads than cores and a short switch interval, on a cleared and
+    # on a filled memo: threads fill and read the same entries
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cleared in (True, False):
+            if cleared:
+                M.clear_memo()
+            out = []
+            t = threading.Thread(target=lambda: out.append(cli.run_batch(batch, jobs=4)))
+            t.start()
+            t.join(120)
+            assert not t.is_alive()
+            assert out[0][0]["reports"] == want
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _charges(m, reads, budget):
+    """The block's total after each read of ``reads`` on m, ending with the
+    message of the refusal that stops them, if one does."""
+    out = []
+    with node_budget(budget):
+        block = zlat._NODE_BUDGET.get()
+        try:
+            for name in reads:
+                getattr(m, name)()
+                out.append(block[1])
+        except ResourceLimitError as e:
+            out.append(str(e))
+    return out
+
+
+def test_a_memo_hit_charges_each_read_as_a_fresh_process_does():
+    # the cone is charged its double description (7 nodes) and the
+    # saturation its Hilbert basis (8 more); whichever order filled the
+    # memo, a monoid that reads its cone first and one that asks for
+    # saturatedness first each pay, and are refused, as a fresh process
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 3), (0, 1, 2), (2, 0, 1)]
+    cone_first, sat_first = ("_cone", "is_saturated"), ("is_saturated",)
+    seen = Counter()
+    for budget in range(17):
+        for filled in (cone_first, sat_first):
+            for order in ((cone_first, sat_first), (sat_first, cone_first)):
+                M.clear_memo()
+                want = []
+                for reads in order:
+                    M.clear_memo()
+                    want.append(_charges(monoid_from_vectors(gens), reads, budget))
+                M.clear_memo()
+                # the first sighting of a value is not kept; the second is
+                for _ in range(2):
+                    _charges(monoid_from_vectors(gens), filled, 10 ** 6)
+                got = [_charges(monoid_from_vectors(gens), reads, budget) for reads in order]
+                assert got == want, (budget, filled, order)
+                seen.update(str(x).split(" node")[0] for w in want for x in w[-1:])
+        assert len(M._MEMO) == 1
+    assert seen["double description"] and seen["Hilbert basis"] and seen["15"]

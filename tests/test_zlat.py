@@ -18,7 +18,7 @@ from conftest import (
 from satmon import kernels, zlat
 from satmon.errors import CoprimalityError, ResourceLimitError
 from satmon.homs import RamificationReport
-from satmon.monoid import AffineMonoid, FpMonoid, from_presentation, monoid_from_vectors
+from satmon.monoid import AffineMonoid, FpMonoid, clear_memo, from_presentation, monoid_from_vectors
 from satmon.sigma import PrimeSet
 from satmon.valuative import LevelForm
 from satmon.zlat import (
@@ -306,9 +306,12 @@ def test_values_compare_and_hash_by_their_fields():
     for x, y in itertools.combinations(same, 2):
         assert x != y and y != x
     assert all(x != (1, ()) for x in same)
-    # a cone compares by span, coordinates and facets (its span has no hash)
-    cones = [AffineMonoid(FgAbelianGroup(2), gens)._cone()
-             for gens in ([(1, 0), (0, 1)], [(1, 0), (0, 1)], [(1, 0), (1, 2)])]
+    # a cone compares by span, coordinates and facets (its span has no hash);
+    # the memo is cleared, so that equal monoids build their own cones
+    cones = []
+    for gens in ([(1, 0), (0, 1)], [(1, 0), (0, 1)], [(1, 0), (1, 2)]):
+        clear_memo()
+        cones.append(AffineMonoid(FgAbelianGroup(2), gens)._cone())
     assert cones[0] is not cones[1] and cones[0] == cones[1] and cones[0] != cones[2]
 
 
@@ -987,7 +990,11 @@ def _saturations_against_reference(monkeypatch, make_monoids):
         mp.setattr(zlat, "hilbert_from_frames", _reference_hilbert_from_frames)
         hrep = count_calls(mp, zlat, "hilbert_from_hrep")
         framed = count_calls(mp, zlat, "hilbert_from_frames")
-        old = [m.saturate().gens for m in make_monoids()]
+        old = []
+        for m in make_monoids():
+            # the reference computes every saturation, none is read off the memo
+            clear_memo()
+            old.append(m.saturate().gens)
     assert new == old
     return len(framed), len(hrep)
 
